@@ -108,14 +108,16 @@ func NewHSoftmax(freq []float64, dim int, rng *rand.Rand) *HSoftmax {
 // inverse frequency).
 func (h *HSoftmax) CodeLen(n int) int { return len(h.codes[n]) }
 
-// TrainPair applies one hierarchical-softmax update for (center, context)
-// on model m and returns the loss. Only m.In and h.Vec are touched.
+// trainPair applies one hierarchical-softmax update for (center, context)
+// on model m and returns the loss. Only m.In and h.Vec are touched. grad
+// is a caller-owned d-length buffer, cleared here; TrainCorpus reuses one
+// for the whole pass.
 //
 //lint:finite-checked sigmoid/log are clamped here and the trainer's per-iteration guard (transn/finite.go) sweeps losses and sampled rows
-func (h *HSoftmax) TrainPair(m *Model, center, context int, lr float64) float64 {
+func (h *HSoftmax) trainPair(m *Model, center, context int, lr float64, grad []float64) float64 {
 	in := m.In.Row(center)
 	dim := len(in)
-	grad := make([]float64, dim)
+	clear(grad)
 	var loss float64
 	code := h.codes[context]
 	points := h.points[context]
@@ -144,18 +146,20 @@ func (h *HSoftmax) TrainPair(m *Model, center, context int, lr float64) float64 
 }
 
 // TrainCorpus runs one hierarchical-softmax pass over the corpus and
-// returns mean pair loss.
+// returns mean pair loss. Self-pairs are skipped, as in the negative
+// sampling pass (see trainCorpus).
 func (h *HSoftmax) TrainCorpus(m *Model, paths [][]int, offsets []int, lr float64) float64 {
+	grad := make([]float64, m.In.C)
 	var loss float64
 	var pairs int
 	for _, p := range paths {
 		for k, center := range p {
 			for _, d := range offsets {
 				j := k + d
-				if j < 0 || j >= len(p) {
+				if j < 0 || j >= len(p) || p[j] == center {
 					continue
 				}
-				loss += h.TrainPair(m, center, p[j], lr)
+				loss += h.trainPair(m, center, p[j], lr, grad)
 				pairs++
 			}
 		}

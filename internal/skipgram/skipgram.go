@@ -94,6 +94,10 @@ func SymmetricOffsets(w int) []int {
 // binary cross-entropy loss of the update is returned. Negatives equal to
 // the true context are re-drawn a bounded number of times.
 //
+// TrainPair allocates its own d-length center-gradient buffer per call;
+// it serves callers that train edge by edge (the LINE baseline). Corpus
+// passes call trainPair with one buffer per shard instead.
+//
 // All element-level access to the shared In/Out tables goes through the
 // two go:norace leaf helpers below (hogwildPairUpdate, applyRowGrad): in
 // the Hogwild mode of TrainCorpusParallel several shards apply updates
@@ -109,9 +113,34 @@ func SymmetricOffsets(w int) []int {
 // the helpers inline their dot products instead of calling mat.Dot, and
 // go:noinline stops an instrumented caller from absorbing them.
 func (m *Model) TrainPair(center, context, neg int, lr float64, s *NegSampler, rng *rand.Rand) float64 {
+	return m.trainPair(center, context, neg, lr, s, rng, make([]float64, m.In.C))
+}
+
+// foldBelow bounds the running probability product in trainPair. Every
+// factor is at least 1e-10, so folding the product into the loss as soon
+// as it drops below 1e-280 keeps it at or above 1e-290, inside the normal
+// float64 range: no underflow to zero and no subnormal precision loss,
+// whatever the negative count.
+const foldBelow = 1e-280
+
+// trainPair is TrainPair with a caller-owned d-length grad buffer, which
+// it clears before use. trainCorpus owns one buffer per shard, so under
+// Hogwild each buffer stays goroutine-local and a pass allocates nothing
+// per pair.
+//
+// The loss Σ −log pᵢ over the positive and the sampled negatives is
+// computed as −log ∏pᵢ: one math.Log per pair instead of one per update.
+// With many negatives and saturated scores the product could underflow,
+// so it is folded into the loss early (see foldBelow). A NaN score makes
+// the product, and so the loss, NaN, which the trainer's finite guard
+// (transn/finite.go) reports.
+//
+//lint:alloc-free SGNS per-pair hot path, pinned by TestTrainCorpusAllocsConstant
+func (m *Model) trainPair(center, context, neg int, lr float64, s *NegSampler, rng *rand.Rand, grad []float64) float64 {
 	in := m.In.Row(center)
-	grad := make([]float64, len(in))
-	loss := hogwildPairUpdate(in, m.Out.Row(context), grad, 1, lr)
+	clear(grad)
+	var loss float64
+	prod := hogwildPairUpdate(in, m.Out.Row(context), grad, 1, lr)
 	for k := 0; k < neg; k++ {
 		n := s.Draw(rng)
 		for tries := 0; n == context && tries < 4; tries++ {
@@ -120,48 +149,61 @@ func (m *Model) TrainPair(center, context, neg int, lr float64, s *NegSampler, r
 		if n == context {
 			continue
 		}
-		loss += hogwildPairUpdate(in, m.Out.Row(n), grad, 0, lr)
+		prod *= hogwildPairUpdate(in, m.Out.Row(n), grad, 0, lr)
+		if prod < foldBelow {
+			loss -= math.Log(prod)
+			prod = 1
+		}
 	}
 	applyRowGrad(in, grad)
-	return loss
+	return loss - math.Log(prod)
 }
 
 // hogwildPairUpdate scores one (center, target) pair against label,
 // updates the target's output row in place, and accumulates the center
-// gradient into grad (applied once per pair by applyRowGrad). grad and
-// the return value are goroutine-local; only in (read) and out
-// (read/write) are shared. See the Hogwild contract on TrainPair.
+// gradient into grad (applied once per pair by applyRowGrad). It returns
+// the clamped probability the model gives the label, max(score, 1e-10)
+// for a positive and max(1−score, 1e-10) for a negative; trainPair turns
+// the product of these into the pair loss. grad and the return value are
+// goroutine-local; only in (read) and out (read/write) are shared. See
+// the Hogwild contract on TrainPair.
+//
+// out and grad are re-sliced to len(in) so the compiler drops the bounds
+// checks in both loops. The single-accumulator dot and the per-element
+// update order are what the embeddings' bit patterns depend on.
 //
 //lint:finite-checked pair losses roll up into the iteration mean swept by the trainer's guard (transn/finite.go)
+//lint:alloc-free SGNS per-update leaf, pinned by TestTrainCorpusAllocsConstant
 //go:norace
 //go:noinline
 func hogwildPairUpdate(in, out, grad []float64, label, lr float64) float64 {
+	out = out[:len(in)]
+	grad = grad[:len(in)]
 	var dot float64
 	for i := range in {
 		dot += in[i] * out[i]
 	}
 	score := sigmoid(dot)
 	g := (score - label) * lr
-	var loss float64
-	if label == 1 {
-		loss = -math.Log(math.Max(score, 1e-10))
-	} else {
-		loss = -math.Log(math.Max(1-score, 1e-10))
-	}
 	for i := range in {
 		grad[i] += g * out[i]
 		out[i] -= g * in[i]
 	}
-	return loss
+	if label == 1 {
+		return math.Max(score, 1e-10)
+	}
+	return math.Max(1-score, 1e-10)
 }
 
 // applyRowGrad subtracts the accumulated center gradient from the shared
 // input row. See the Hogwild contract on TrainPair.
 //
 //lint:finite-checked the written rows are sampled by the trainer's per-iteration guard (transn/finite.go)
+//lint:alloc-free SGNS per-pair leaf, pinned by TestTrainCorpusAllocsConstant
 //go:norace
 //go:noinline
 func applyRowGrad(in, grad []float64) {
+	grad = grad[:len(in)]
 	for i := range in {
 		in[i] -= grad[i]
 	}
@@ -180,7 +222,11 @@ func (m *Model) TrainCorpus(paths [][]int, offsets []int, neg int, lr float64, s
 
 // trainCorpus is the shared pass body: it returns the summed pair loss
 // and the pair count so sharded callers can combine shard means exactly.
+// It owns the pass's one center-gradient buffer; each shard of
+// TrainCorpusParallel runs its own trainCorpus, so buffers are never
+// shared between goroutines.
 func (m *Model) trainCorpus(paths [][]int, offsets []int, neg int, lr float64, s *NegSampler, rng *rand.Rand) (float64, int) {
+	grad := make([]float64, m.In.C)
 	var loss float64
 	var pairs int
 	for _, p := range paths {
@@ -193,7 +239,7 @@ func (m *Model) trainCorpus(paths [][]int, offsets []int, neg int, lr float64, s
 					// input and output tables are shared).
 					continue
 				}
-				loss += m.TrainPair(center, p[j], neg, lr, s, rng)
+				loss += m.trainPair(center, p[j], neg, lr, s, rng, grad)
 				pairs++
 			}
 		}

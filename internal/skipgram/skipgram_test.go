@@ -256,15 +256,22 @@ func TestModelDim(t *testing.T) {
 	}
 }
 
+// BenchmarkSGNSPass times one serial SGNS pass at d=64. pairs/s is the
+// (center, context) pair throughput, a kernel denominator that does not
+// depend on corpus size or the end-to-end workload.
 func BenchmarkSGNSPass(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	paths := twoClusterCorpus(rng, 50, 40)
 	m := NewModel(6, 64, rng)
 	s := NewNegSampler(CorpusFrequencies(paths, 6))
+	b.ReportAllocs()
 	b.ResetTimer()
+	var pairs int
 	for i := 0; i < b.N; i++ {
-		m.TrainCorpus(paths, SymmetricOffsets(2), 5, 0.025, s, rng)
+		_, n := m.trainCorpus(paths, SymmetricOffsets(2), 5, 0.025, s, rng)
+		pairs += n
 	}
+	b.ReportMetric(float64(pairs)/b.Elapsed().Seconds(), "pairs/s")
 }
 
 func TestTrainCorpusSkipsSelfPairs(t *testing.T) {
@@ -277,6 +284,27 @@ func TestTrainCorpusSkipsSelfPairs(t *testing.T) {
 	loss := m.TrainCorpus([][]int{{0, 0, 0, 0}}, SymmetricOffsets(1), 2, 0.1, s, rng)
 	if loss != 0 {
 		t.Fatalf("self-pair corpus should produce zero pairs, got loss %v", loss)
+	}
+}
+
+// TestHSoftmaxSkipsSelfPairs mirrors TestTrainCorpusSkipsSelfPairs for
+// the hierarchical-softmax pass.
+func TestHSoftmaxSkipsSelfPairs(t *testing.T) {
+	rng := rand.New(rand.NewSource(36))
+	m := NewModel(2, 4, rng)
+	h := NewHSoftmax([]float64{1, 1}, 4, rng)
+	before := append([]float64(nil), m.In.Data...)
+	loss := h.TrainCorpus(m, [][]int{{0, 0, 0, 0}}, SymmetricOffsets(1), 0.1)
+	if loss != 0 {
+		t.Fatalf("self-pair corpus should produce zero pairs, got loss %v", loss)
+	}
+	for i := range before {
+		if m.In.Data[i] != before[i] {
+			t.Fatalf("self-pair corpus changed In[%d]", i)
+		}
+	}
+	if h.Vec.MaxAbs() != 0 {
+		t.Fatal("self-pair corpus changed the internal-vertex vectors")
 	}
 }
 
