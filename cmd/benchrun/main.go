@@ -81,7 +81,6 @@ func main() {
 	}
 	tel := obs.NewRun()
 	if *debugAddr != "" {
-		tel.PublishExpvar("benchrun")
 		srv, addr, err := tel.ServeDebug(*debugAddr,
 			obs.Route{Pattern: "/debug/diagnostics", Handler: monitor})
 		if err != nil {

@@ -7,7 +7,7 @@ import (
 	"strings"
 
 	"transn/internal/diag"
-	"transn/internal/transn"
+	"transn/internal/snapfmt"
 )
 
 // cmdDiagnose loads a saved TransN model (train -model) plus its
@@ -36,12 +36,14 @@ func cmdDiagnose(args []string) error {
 	if err != nil {
 		return err
 	}
-	mf, err := os.Open(*modelPath)
+	snap, err := snapfmt.Open(*modelPath, snapfmt.OpenOptions{})
 	if err != nil {
-		return err
+		return fmt.Errorf("diagnose: loading %s: %w", *modelPath, err)
 	}
-	model, err := transn.Load(mf, g)
-	mf.Close()
+	// The model's tables alias the mapping; it stays open until the
+	// analyzers are done.
+	defer snap.Close()
+	model, err := snap.Model(g)
 	if err != nil {
 		return fmt.Errorf("diagnose: loading %s: %w", *modelPath, err)
 	}

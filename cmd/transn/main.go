@@ -3,9 +3,12 @@
 //
 // Subcommands:
 //
-//	transn train -input net.tsv -output emb.tsv [flags]
+//	transn train -input net.tsv -output emb.tsv [-model model.snap] [flags]
 //	    Train TransN (or a baseline via -method) on a TSV network and
 //	    write one embedding per line: <node-name> <v1> <v2> ...
+//	    -model also saves the trained TransN model as a transn.snap/v1
+//	    file (SNAPSHOT.md) with a prebuilt deterministic HNSW index:
+//	    the file transnserve serves and diagnose reads.
 //
 //	transn stats -input net.tsv
 //	    Print dataset statistics (the Table II columns).
@@ -17,16 +20,10 @@
 //	    Load trained embeddings and print a node's nearest neighbors by
 //	    cosine similarity.
 //
-//	transn diagnose -input net.tsv -model model.gob [-summary]
+//	transn diagnose -input net.tsv -model model.snap [-summary]
 //	    Run the internal/diag analyzers over a saved model: embedding
 //	    and translator health, walk-corpus coverage, convergence (from
 //	    a recorded -events stream). Exits non-zero on error findings.
-//
-//	transn snapshot pack -input net.tsv -model model.gob -output model.snap
-//	    Pack a trained gob model into a transn.snap/v1 serving snapshot
-//	    (see SNAPSHOT.md): mmap-friendly float tables plus, by default,
-//	    a prebuilt deterministic HNSW index. transnserve loads it with
-//	    -snapshot-format snap.
 //
 //	transn snapshot inspect -snapshot model.snap [-json]
 //	    Validate a .snap file (header, directory, checksum) and print
@@ -128,7 +125,7 @@ func usage() {
 
   train       -input net.tsv -output emb.tsv [-method transn] [-dim 64]
               [-seed 1] [-iterations 5] [-walklen 40] [-encoders 2]
-              [-metapath a,b,a] [-ablation <name>] [-quiet]
+              [-metapath a,b,a] [-ablation <name>] [-model model.snap] [-quiet]
               [-report rep.json] [-events ev.jsonl] [-debug-addr :6060]
               [-diagnose]
   stats       -input net.tsv
@@ -136,12 +133,10 @@ func usage() {
               [-size quick|full] [-seed 1]
   neighbors   -input net.tsv -emb emb.tsv -node NAME [-k 10]
   evaluate    -input net.tsv -emb emb.tsv -task classify|cluster
-  diagnose    -input net.tsv -model model.gob [-output diag.json]
+  diagnose    -input net.tsv -model model.snap [-output diag.json]
               [-summary] [-events ev.jsonl] [-no-corpus] [-corpus-seed 1]
               [-coverage-warn 0.95] [-workers 0]
-  snapshot    pack -input net.tsv -model model.gob -output model.snap
-              [-ann] [-ann-m 16] [-ann-ef-construction 200] [-ann-seed 0]
-              | inspect -snapshot model.snap [-json]
+  snapshot    inspect -snapshot model.snap [-json]
   checkreport -report rep.json (telemetry, diagnostics, lint, trace,
               history, serving-bench, snapshot-inspect or knn-bench
               document)
@@ -174,7 +169,7 @@ func cmdTrain(args []string) error {
 	workers := fs.Int("workers", 0, "worker-pool size for TransN walk/skip-gram/cross-view sharding (0 = all cores, 1 = serial)")
 	deterministic := fs.Bool("deterministic", false, "apply sharded updates in deterministic order (reproducible for a fixed -seed and -workers; default is Hogwild)")
 	parallel := fs.Bool("parallel", false, "deprecated alias for -workers 0 -deterministic (TransN only)")
-	modelOut := fs.String("model", "", "also save the trained TransN model (gob) to this path")
+	modelOut := fs.String("model", "", "also save the trained TransN model to this path (transn.snap/v1 with an HNSW index)")
 	quietFlag := fs.Bool("quiet", false, "suppress informational stderr output (results and errors only)")
 	reportOut := fs.String("report", "", "write the training telemetry report as JSON to this path (TransN only)")
 	eventsOut := fs.String("events", "", "stream training events as JSON lines to this path, or - for stderr (TransN only)")
@@ -246,7 +241,6 @@ func cmdTrain(args []string) error {
 		}
 	}
 	if *debugAddr != "" {
-		run.PublishExpvar("transn")
 		var routes []obs.Route
 		if monitor != nil {
 			routes = append(routes, obs.Route{Pattern: "/debug/diagnostics", Handler: monitor})
@@ -434,17 +428,6 @@ func (m transnMethod) Embed(g *graph.Graph, dim int, seed int64) (*mat.Dense, er
 	if m.diagnose {
 		doc = diag.Analyze(model, diag.Options{Name: "train"})
 	}
-	if m.modelOut != "" {
-		f, err := os.Create(m.modelOut)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		if err := model.Save(f); err != nil {
-			return nil, err
-		}
-		infof("saved model to %s\n", m.modelOut)
-	}
 	if m.reportOut != "" {
 		rep := model.Report()
 		if doc != nil {
@@ -468,12 +451,20 @@ func (m transnMethod) Embed(g *graph.Graph, dim int, seed int64) (*mat.Dense, er
 		}
 		infof("wrote telemetry report to %s\n", m.reportOut)
 	}
-	// The finiteness verdict comes after the artifacts are written, so a
-	// corrupted run still leaves a model and report behind to diagnose.
+	// The report is written before the finiteness verdict, so a
+	// corrupted run still leaves its diagnostics behind. A model file
+	// is finite by construction (SNAPSHOT.md §1): a non-finite model
+	// fails here under -diagnose, and in writeModel otherwise.
 	if m.diagnose {
 		if err := model.CheckFinite(); err != nil {
 			return nil, fmt.Errorf("trained model is non-finite: %w", err)
 		}
+	}
+	if m.modelOut != "" {
+		if err := writeModel(m.modelOut, model); err != nil {
+			return nil, err
+		}
+		infof("saved model to %s\n", m.modelOut)
 	}
 	return model.Embeddings(), nil
 }

@@ -4,91 +4,44 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"os"
 
 	"transn/internal/ann"
 	"transn/internal/snapfmt"
 	"transn/internal/transn"
 )
 
-// cmdSnapshot dispatches the snapshot subcommand's verbs: pack (gob →
-// transn.snap/v1) and inspect (validate + describe a .snap file).
+// cmdSnapshot dispatches the snapshot subcommand's verbs. The only
+// verb is inspect (validate + describe a .snap file); model files are
+// written by `transn train -model`.
 func cmdSnapshot(args []string) error {
 	if len(args) < 1 {
-		return fmt.Errorf("snapshot: a verb is required: pack or inspect")
+		return fmt.Errorf("snapshot: a verb is required: inspect")
 	}
 	switch args[0] {
-	case "pack":
-		return cmdSnapshotPack(args[1:])
 	case "inspect":
 		return cmdSnapshotInspect(args[1:])
 	default:
-		return fmt.Errorf("snapshot: unknown verb %q (want pack or inspect)", args[0])
+		return fmt.Errorf("snapshot: unknown verb %q (want inspect)", args[0])
 	}
 }
 
-// cmdSnapshotPack packs a trained gob model into a transn.snap/v1
-// file, embedding a deterministic HNSW index unless -ann=false.
-func cmdSnapshotPack(args []string) error {
-	fs := flag.NewFlagSet("snapshot pack", flag.ExitOnError)
-	input := fs.String("input", "", "network TSV the model was trained on (required)")
-	model := fs.String("model", "", "trained model gob from `transn train -model` (required)")
-	output := fs.String("output", "", "output .snap path (required)")
-	withANN := fs.Bool("ann", true, "embed a prebuilt HNSW index over the final table")
-	annM := fs.Int("ann-m", 0, "HNSW max neighbors per node on upper layers (0 = default 16)")
-	annEfC := fs.Int("ann-ef-construction", 0, "HNSW construction beam width (0 = default 200)")
-	annEfS := fs.Int("ann-ef-search", 0, "HNSW default search beam width stored in the index (0 = default 64)")
-	annSeed := fs.Int64("ann-seed", 0, "seed for the deterministic HNSW level draws")
-	fs.Parse(args)
-	if *input == "" || *model == "" || *output == "" {
-		return fmt.Errorf("snapshot pack: -input, -model and -output are required")
-	}
-	g, err := loadGraph(*input)
+// writeModel saves a trained model to path as a transn.snap/v1 file
+// with a default-parameter HNSW section (SNAPSHOT.md §8). The write is
+// atomic (snapfmt.WriteFile), so a server serving path can be pointed
+// at the new model with a reload while the old one is still mapped.
+func writeModel(path string, m *transn.Model) error {
+	src, err := snapfmt.FromModel(m, m.Graph)
 	if err != nil {
 		return err
 	}
-	mf, err := os.Open(*model)
+	idx, err := ann.Build(src.Final, ann.Norms(src.Final), ann.Config{})
 	if err != nil {
 		return err
 	}
-	defer mf.Close()
-	m, err := transn.Load(mf, g)
-	if err != nil {
-		return err
-	}
-	src, err := snapfmt.FromModel(m, g)
-	if err != nil {
-		return err
-	}
-	if *withANN {
-		idx, err := ann.Build(src.Final, ann.Norms(src.Final), ann.Config{
-			M: *annM, EfConstruction: *annEfC, EfSearch: *annEfS, Seed: *annSeed,
-		})
-		if err != nil {
-			return err
-		}
-		src.ANN = idx.AppendTo(nil)
-		st := idx.Stats()
-		infof("transn: built HNSW index: %d nodes, %d edges, max level %d\n",
-			st.Nodes, st.Edges, st.MaxLevel)
-	}
-	out, err := os.Create(*output)
-	if err != nil {
-		return err
-	}
-	if err := snapfmt.Pack(out, src); err != nil {
-		out.Close()
-		return err
-	}
-	if err := out.Close(); err != nil {
-		return err
-	}
-	fi, err := os.Stat(*output)
-	if err != nil {
-		return err
-	}
-	infof("transn: packed %s (%d bytes)\n", *output, fi.Size())
-	return nil
+	src.ANN = idx.AppendTo(nil)
+	st := idx.Stats()
+	infof("built HNSW index: %d nodes, %d edges, max level %d\n", st.Nodes, st.Edges, st.MaxLevel)
+	return snapfmt.WriteFile(path, src)
 }
 
 // cmdSnapshotInspect opens a .snap file — running the format's full

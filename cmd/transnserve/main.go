@@ -1,14 +1,13 @@
 // Command transnserve is the embedding-serving daemon: it loads a graph
-// TSV plus a trained model — a gob written by `transn train -model`, or
-// with -snapshot-format snap a packed transn.snap/v1 file written by
-// `transn snapshot pack` (mmap-loaded; reload is O(header)) — and
-// serves final/per-view/translated/k-NN/inferred embeddings over HTTP
-// until stopped. SIGHUP (or POST /admin/reload) hot-reloads the
-// snapshot from the same paths without dropping a request; SIGINT and
-// SIGTERM drain gracefully. /v1/knn answers through a deterministic
-// HNSW index built (or, for .snap files that embed one, decoded) at
-// load; -ann-m, -ann-ef-construction, -ann-ef-search and -ann-seed
-// tune it, and exact=true per request falls back to the brute scan.
+// TSV plus a trained model — the transn.snap/v1 file written by `transn
+// train -model` (mmap-loaded; reload is O(header)) — and serves
+// final/per-view/translated/k-NN/inferred embeddings over HTTP until
+// stopped. SIGHUP (or POST /admin/reload) hot-reloads the snapshot from
+// the same paths without dropping a request; SIGINT and SIGTERM drain
+// gracefully. /v1/knn answers through a deterministic HNSW index,
+// decoded from the file's ANN section (or built at load, with the
+// default parameters, for files without one), and exact=true per
+// request falls back to the brute scan.
 // See API.md for the route reference and SNAPSHOT.md for the format.
 //
 // Every request is traced through its handling stages (decode,
@@ -29,9 +28,7 @@
 //
 // Usage:
 //
-//	transnserve -graph network.tsv -model model.gob [-addr :8080] \
-//	    [-snapshot-format gob|snap] [-ann-m 16] [-ann-ef-construction 200] \
-//	    [-ann-ef-search 64] [-ann-seed 0] \
+//	transnserve -graph network.tsv -model model.snap [-addr :8080] \
 //	    [-trace-head 64] [-trace-rate 64] [-trace-ring 256] \
 //	    [-slow-ring 64] [-slow-threshold 250ms] [-log] \
 //	    [-history-fine 1s] [-history-fine-ring 300] \
@@ -64,13 +61,8 @@ func main() {
 func run(args []string) error {
 	fs := flag.NewFlagSet("transnserve", flag.ExitOnError)
 	graphPath := fs.String("graph", "", "network TSV the model was trained on (required)")
-	modelPath := fs.String("model", "", "trained model gob from `transn train -model` (required)")
+	modelPath := fs.String("model", "", "trained model (transn.snap/v1) from `transn train -model` (required)")
 	addr := fs.String("addr", ":8080", "listen address (host:port; :0 picks a free port)")
-	snapFormat := fs.String("snapshot-format", "", "model file format: gob (default) or snap (transn.snap/v1 from `transn snapshot pack`)")
-	annM := fs.Int("ann-m", 0, "HNSW max neighbors per node on upper layers (0 = default 16)")
-	annEfC := fs.Int("ann-ef-construction", 0, "HNSW construction beam width (0 = default 200)")
-	annEfS := fs.Int("ann-ef-search", 0, "HNSW default search beam width; the ef query parameter overrides per request (0 = default 64)")
-	annSeed := fs.Int64("ann-seed", 0, "seed for the deterministic HNSW level draws")
 	cacheSize := fs.Int("cache", 0, "LRU capacity for computed vectors (0 = default 4096, negative disables)")
 	workers := fs.Int("translate-workers", 0, "max concurrent translator/inference computations (0 = default 4)")
 	timeout := fs.Duration("timeout", 0, "per-request deadline for /v1 endpoints (0 = default 10s)")
@@ -115,11 +107,6 @@ func run(args []string) error {
 	sv, err := serve.New(serve.Config{
 		GraphPath:             *graphPath,
 		ModelPath:             *modelPath,
-		SnapshotFormat:        *snapFormat,
-		ANNM:                  *annM,
-		ANNEfConstruction:     *annEfC,
-		ANNEfSearch:           *annEfS,
-		ANNSeed:               *annSeed,
 		CacheSize:             *cacheSize,
 		TranslateWorkers:      *workers,
 		RequestTimeout:        *timeout,

@@ -3,12 +3,14 @@ package repro
 import (
 	"bytes"
 	"math/rand"
+	"path/filepath"
 	"testing"
 
 	"transn/internal/dataset"
 	"transn/internal/eval"
 	"transn/internal/graph"
 	"transn/internal/obs"
+	"transn/internal/snapfmt"
 	"transn/internal/transn"
 )
 
@@ -62,16 +64,28 @@ func TestEndToEndPipeline(t *testing.T) {
 		t.Fatalf("end-to-end training report invalid: %v", err)
 	}
 
-	// Persist + reload.
-	var mbuf bytes.Buffer
-	if err := model.Save(&mbuf); err != nil {
+	// Persist + reload through the model file format.
+	src, err := snapfmt.FromModel(model, g2)
+	if err != nil {
 		t.Fatal(err)
 	}
-	reloaded, err := transn.Load(&mbuf, g2)
+	mp := filepath.Join(t.TempDir(), "model.snap")
+	if err := snapfmt.WriteFile(mp, src); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := snapfmt.Open(mp, snapfmt.OpenOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer snap.Close()
+	reloaded, err := snap.Model(g2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	emb := reloaded.Embeddings()
+	if !emb.Equal(model.Embeddings(), 0) {
+		t.Fatal("reloaded model's embeddings differ from the trained model's")
+	}
 
 	// Classification beats chance (7 topics → chance ≈ 0.14).
 	rng := rand.New(rand.NewSource(9))

@@ -12,9 +12,7 @@ import (
 	"transn/internal/baselines/mve"
 	"transn/internal/baselines/node2vec"
 	"transn/internal/baselines/rgcn"
-	"transn/internal/baselines/rotate"
 	"transn/internal/baselines/simple"
-	"transn/internal/baselines/transe"
 	"transn/internal/eval"
 	"transn/internal/graph"
 	"transn/internal/mat"
@@ -252,83 +250,5 @@ func TestBaselinesRejectEmptyGraph(t *testing.T) {
 		if _, err := m.Embed(g, 8, 1); err == nil {
 			t.Errorf("%s: expected error on edgeless graph", m.Name())
 		}
-	}
-}
-
-func TestTransEExtensionBaseline(t *testing.T) {
-	g := communityGraph(t, 7)
-	m := transe.Method{Epochs: 40}
-	emb, err := m.Embed(g, 16, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if emb.R != g.NumNodes() || emb.C != 16 {
-		t.Fatalf("shape %dx%d", emb.R, emb.C)
-	}
-	for _, v := range emb.Data {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			t.Fatal("non-finite embedding")
-		}
-	}
-	// Entity vectors are norm-bounded (unit-ball projection).
-	for i := 0; i < emb.R; i++ {
-		if mat.Norm2(emb.Row(i)) > 1+1e-9 {
-			t.Fatalf("entity %d escaped unit ball: %v", i, mat.Norm2(emb.Row(i)))
-		}
-	}
-	// Determinism.
-	emb2, err := m.Embed(g, 16, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !emb.Equal(emb2, 0) {
-		t.Fatal("TransE must be deterministic")
-	}
-	// Translation property: for a trained edge (h, r, t), ‖h+r−t‖ should
-	// typically be smaller than for a random corrupted triple.
-	if _, err := (transe.Method{}).Embed(gEmpty(t), 8, 1); err == nil {
-		t.Fatal("expected error on edgeless graph")
-	}
-}
-
-func gEmpty(t *testing.T) *graph.Graph {
-	b := graph.NewBuilder()
-	b.NodeType("x")
-	b.NodeType("y")
-	b.AddNode(0, "a")
-	g, err := b.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return g
-}
-
-func TestRotatEExtensionBaseline(t *testing.T) {
-	g := communityGraph(t, 8)
-	m := rotate.Method{Epochs: 30}
-	emb, err := m.Embed(g, 16, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if emb.R != g.NumNodes() || emb.C != 16 {
-		t.Fatalf("shape %dx%d", emb.R, emb.C)
-	}
-	for _, v := range emb.Data {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			t.Fatal("non-finite embedding")
-		}
-	}
-	emb2, err := m.Embed(g, 16, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !emb.Equal(emb2, 0) {
-		t.Fatal("RotatE must be deterministic")
-	}
-	if _, err := (rotate.Method{}).Embed(gEmpty(t), 8, 1); err == nil {
-		t.Fatal("expected error on edgeless graph")
-	}
-	if _, err := (rotate.Method{}).Embed(g, 1, 1); err == nil {
-		t.Fatal("expected error for dim too small")
 	}
 }

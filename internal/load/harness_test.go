@@ -12,6 +12,7 @@ import (
 	"transn/internal/graph"
 	"transn/internal/rngstream"
 	"transn/internal/serve"
+	"transn/internal/snapfmt"
 	"transn/internal/transn"
 )
 
@@ -78,15 +79,12 @@ func startServer(t testing.TB) (string, *graph.Graph) {
 	if err := gf.Close(); err != nil {
 		t.Fatal(err)
 	}
-	mp := filepath.Join(dir, "model.gob")
-	mf, err := os.Create(mp)
+	src, err := snapfmt.FromModel(m, g)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Save(mf); err != nil {
-		t.Fatal(err)
-	}
-	if err := mf.Close(); err != nil {
+	mp := filepath.Join(dir, "model.snap")
+	if err := snapfmt.WriteFile(mp, src); err != nil {
 		t.Fatal(err)
 	}
 	// Sample every request into a ring big enough to hold the whole

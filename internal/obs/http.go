@@ -22,7 +22,7 @@ type Route struct {
 // address. Routes:
 //
 //	/metrics             JSON run report (live snapshot)
-//	/debug/vars          expvar (Go runtime stats + anything published)
+//	/debug/vars          expvar (Go runtime stats: memstats, cmdline)
 //	/debug/pprof/        CPU/heap/goroutine/... profiles (net/http/pprof)
 //	/debug/diagnostics   live diagnostics, when the CLI mounts one (extra)
 //

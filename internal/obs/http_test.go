@@ -47,7 +47,7 @@ func TestServeDebugEndpoints(t *testing.T) {
 		t.Fatalf("/metrics missing registry counters:\n%s", metrics)
 	}
 
-	// expvar and pprof are wired.
+	// expvar (Go runtime vars) and pprof are wired.
 	if body := get("/debug/vars"); !strings.Contains(string(body), "memstats") {
 		t.Fatal("/debug/vars missing memstats")
 	}
@@ -61,12 +61,4 @@ func TestServeDebugBadAddr(t *testing.T) {
 	if _, _, err := run.ServeDebug("256.0.0.1:bad"); err == nil {
 		t.Fatal("expected listen error")
 	}
-}
-
-func TestPublishExpvarIdempotent(t *testing.T) {
-	run := sampleRun()
-	run.PublishExpvar("obs_test_run")
-	run.PublishExpvar("obs_test_run") // second publish must not panic
-	var nilRun *Run
-	nilRun.PublishExpvar("obs_test_nil")
 }

@@ -60,7 +60,7 @@ const (
 	// MetricSnapLoads counts .snap snapshot loads (initial + reloads).
 	MetricSnapLoads = "snap.loads"
 	// MetricSnapMappedBytes is the byte size of the currently mapped
-	// .snap file (0 when serving from gob or a copied load).
+	// .snap file (0 after a copied load).
 	MetricSnapMappedBytes = "snap.mapped_bytes"
 	// MetricServeCoalesced counts requests that joined an identical
 	// in-flight computation instead of running their own forward pass —

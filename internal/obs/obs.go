@@ -2,8 +2,7 @@
 // (counters, gauges, fixed-bucket histograms), a span tracer that times
 // every stage of Algorithm 1 with worker attribution, a typed event
 // stream (TrainEvent) for loss curves, and sinks — a schema-stable JSON
-// run report, an expvar bridge, and an optional pprof/metrics HTTP
-// endpoint.
+// run report and an optional pprof/metrics HTTP endpoint.
 //
 // The package is stdlib-only and race-safe. The design keeps telemetry
 // off the training hot path: shard loops accumulate into plain local

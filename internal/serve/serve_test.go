@@ -6,6 +6,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -64,8 +65,9 @@ func serveCfg(seed int64) transn.Config {
 }
 
 // writeModelFiles trains a quickstart model with the given seed and
-// writes the graph TSV + model gob into dir, returning the two paths
-// and the in-memory model for byte-match assertions.
+// writes the graph TSV + model file (transn.snap/v1 with an ANN
+// section, as `transn train -model` writes it) into dir, returning the
+// two paths and the in-memory model for byte-match assertions.
 func writeModelFiles(t testing.TB, dir string, seed int64) (string, string, *transn.Model) {
 	t.Helper()
 	g := quickstartGraph(t)
@@ -73,6 +75,12 @@ func writeModelFiles(t testing.TB, dir string, seed int64) (string, string, *tra
 	if err != nil {
 		t.Fatal(err)
 	}
+	return writeGraphFile(t, dir, g), packSnapFile(t, m, dir, "model.snap", true), m
+}
+
+// writeGraphFile stores g as dir/graph.tsv and returns the path.
+func writeGraphFile(t testing.TB, dir string, g *graph.Graph) string {
+	t.Helper()
 	gp := filepath.Join(dir, "graph.tsv")
 	gf, err := os.Create(gp)
 	if err != nil {
@@ -84,18 +92,7 @@ func writeModelFiles(t testing.TB, dir string, seed int64) (string, string, *tra
 	if err := gf.Close(); err != nil {
 		t.Fatal(err)
 	}
-	mp := filepath.Join(dir, "model.gob")
-	mf, err := os.Create(mp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Save(mf); err != nil {
-		t.Fatal(err)
-	}
-	if err := mf.Close(); err != nil {
-		t.Fatal(err)
-	}
-	return gp, mp, m
+	return gp
 }
 
 // newTestServer builds a Server over freshly trained snapshot files.
@@ -243,10 +240,37 @@ func TestEndpointTimeout(t *testing.T) {
 	}
 }
 
+// SnapshotFormat is deprecated: "" and "snap" both serve the .snap
+// model file, and any other value — "gob" included — fails New with an
+// error that says gob support is gone.
+func TestDeprecatedSnapshotFormat(t *testing.T) {
+	dir := t.TempDir()
+	gp, mp, _ := writeModelFiles(t, dir, 1)
+	for _, format := range []string{"", FormatSnap} {
+		sv, err := New(Config{GraphPath: gp, ModelPath: mp, SnapshotFormat: format})
+		if err != nil {
+			t.Fatalf("SnapshotFormat %q: %v", format, err)
+		}
+		sv.Shutdown()
+	}
+	for _, format := range []string{"gob", "bogus"} {
+		_, err := New(Config{GraphPath: gp, ModelPath: mp, SnapshotFormat: format})
+		if err == nil || !strings.Contains(err.Error(), "gob support was removed") {
+			t.Fatalf("SnapshotFormat %q: err = %v, want the removed-gob error", format, err)
+		}
+	}
+}
+
 func TestReloadFailureKeepsServing(t *testing.T) {
 	sv, _ := newTestServer(t, Config{})
-	// Corrupt the model file; reload must fail and generation must stay.
-	if err := os.WriteFile(sv.cfg.ModelPath, []byte("not a gob"), 0o644); err != nil {
+	// Replace the model file with a corrupt one; reload must fail and
+	// generation must stay. The replacement is renamed into place, the
+	// way models are deployed: the live generation maps the old file.
+	bad := sv.cfg.ModelPath + ".new"
+	if err := os.WriteFile(bad, []byte("not a snapshot"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Rename(bad, sv.cfg.ModelPath); err != nil {
 		t.Fatal(err)
 	}
 	if err := sv.Reload(); err == nil {

@@ -10,32 +10,24 @@ import (
 	"sync/atomic"
 	"time"
 
-	"transn/internal/ann"
 	"transn/internal/obs"
 )
 
-// Snapshot format names accepted by Config.SnapshotFormat and the
-// transnserve -snapshot-format flag.
-const (
-	// FormatGob is the training-side gob model written by `transn train
-	// -model` (requires the graph to re-derive the final table at load).
-	FormatGob = "gob"
-	// FormatSnap is the packed transn.snap/v1 file written by `transn
-	// snapshot pack` (mmap-friendly; reload is O(header)).
-	FormatSnap = "snap"
-)
+// FormatSnap names transn.snap/v1, the only model file format, in the
+// deprecated Config.SnapshotFormat field.
+const FormatSnap = "snap"
 
 // Config configures a Server. GraphPath and ModelPath are required;
 // every other field has a production default.
 type Config struct {
 	// GraphPath is the network TSV the model was trained on.
 	GraphPath string
-	// ModelPath is the trained model: a gob written by `transn train
-	// -model` (SnapshotFormat "gob") or a transn.snap/v1 file written by
-	// `transn snapshot pack` (SnapshotFormat "snap").
+	// ModelPath is the trained model: a transn.snap/v1 file written by
+	// `transn train -model` (SNAPSHOT.md). It is mmapped, so replace it
+	// by renaming a new file over it, never by rewriting it in place.
 	ModelPath string
-	// SnapshotFormat selects how ModelPath is decoded: FormatGob
-	// (default) or FormatSnap.
+	// Deprecated: transn.snap/v1 is the only model format. New accepts
+	// "" or FormatSnap and rejects anything else.
 	SnapshotFormat string
 
 	// CacheSize bounds the per-snapshot LRU of computed vectors
@@ -57,17 +49,6 @@ type Config struct {
 	DrainTimeout time.Duration
 	// MaxK caps the k parameter of /v1/knn. 0 means the default (100).
 	MaxK int
-
-	// ANNM, ANNEfConstruction and ANNEfSearch tune the HNSW index built
-	// (or decoded) at snapshot load; zero values take the ann package
-	// defaults (M=16, efConstruction=200, efSearch=64). ANNSeed seeds
-	// the deterministic level draws (0 is a valid seed). When the index
-	// is decoded from a .snap ANN section, the file's build parameters
-	// win — these apply only to fresh builds.
-	ANNM              int
-	ANNEfConstruction int
-	ANNEfSearch       int
-	ANNSeed           int64
 
 	// TraceDisabled turns off request-scoped tracing entirely: no
 	// request IDs are minted, /debug/requests and /debug/slow answer
@@ -128,9 +109,6 @@ type Config struct {
 
 // withDefaults fills zero fields with production defaults.
 func (c Config) withDefaults() Config {
-	if c.SnapshotFormat == "" {
-		c.SnapshotFormat = FormatGob
-	}
 	if c.CacheSize == 0 {
 		c.CacheSize = 4096
 	}
@@ -191,17 +169,6 @@ type Server struct {
 	snapMapped                        *obs.Gauge
 }
 
-// annConfig assembles the HNSW build parameters from the server config;
-// zero fields fall through to the ann package defaults.
-func (sv *Server) annConfig() ann.Config {
-	return ann.Config{
-		M:              sv.cfg.ANNM,
-		EfConstruction: sv.cfg.ANNEfConstruction,
-		EfSearch:       sv.cfg.ANNEfSearch,
-		Seed:           sv.cfg.ANNSeed,
-	}
-}
-
 // New loads the initial snapshot from cfg's paths and returns a ready
 // server. The returned server is not yet listening — call Start, or
 // mount Handler on a listener of your own.
@@ -210,9 +177,9 @@ func New(cfg Config) (*Server, error) {
 	if cfg.GraphPath == "" || cfg.ModelPath == "" {
 		return nil, fmt.Errorf("serve: GraphPath and ModelPath are required")
 	}
-	if cfg.SnapshotFormat != FormatGob && cfg.SnapshotFormat != FormatSnap {
-		return nil, fmt.Errorf("serve: unknown snapshot format %q (want %q or %q)",
-			cfg.SnapshotFormat, FormatGob, FormatSnap)
+	if cfg.SnapshotFormat != "" && cfg.SnapshotFormat != FormatSnap {
+		return nil, fmt.Errorf("serve: snapshot format %q is not supported: gob support was removed and transn.snap/v1 is the only model format (leave SnapshotFormat empty)",
+			cfg.SnapshotFormat)
 	}
 	run := obs.NewRun()
 	sv := &Server{

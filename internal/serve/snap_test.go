@@ -1,11 +1,12 @@
 package serve
 
 import (
+	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
-	"os"
 	"path/filepath"
 	"runtime"
 	"sync"
@@ -34,14 +35,7 @@ func packSnapFile(t testing.TB, m *transn.Model, dir, name string, withANN bool)
 		src.ANN = idx.AppendTo(nil)
 	}
 	sp := filepath.Join(dir, name)
-	f, err := os.Create(sp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := snapfmt.Pack(f, src); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
+	if err := snapfmt.WriteFile(sp, src); err != nil {
 		t.Fatal(err)
 	}
 	return sp
@@ -67,20 +61,26 @@ func getBody(t *testing.T, url string, wantStatus int) []byte {
 }
 
 // TestSnapFormatServesIdentically pins the format-equivalence contract:
-// a server booted from a packed .snap file answers byte-for-byte the
-// same responses as one booted from the training gob — with and without
-// an embedded ANN section (absent, the server builds the same index
-// from the same table with the same default parameters and seed).
+// a server booted from a .snap file answers byte-for-byte the same
+// responses with and without an embedded ANN section (absent, the
+// server builds the same index from the same table with the same
+// default parameters and seed), and both match a server whose snapshot
+// is built from the in-memory trained model.
 func TestSnapFormatServesIdentically(t *testing.T) {
 	dir := t.TempDir()
 	gp, mp, m := writeModelFiles(t, dir, 1)
-	svGob, err := New(Config{GraphPath: gp, ModelPath: mp})
+	ref, err := New(Config{GraphPath: gp, ModelPath: mp})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer svGob.Shutdown()
-	tsGob := httptest.NewServer(svGob.Handler())
-	defer tsGob.Close()
+	defer ref.Shutdown()
+	mem, err := buildSnapshot(m, 1, ref.cfg.CacheSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref.snap.Store(mem)
+	tsRef := httptest.NewServer(ref.Handler())
+	defer tsRef.Close()
 
 	paths := []string{
 		"/v1/embedding?node=A1",
@@ -91,25 +91,34 @@ func TestSnapFormatServesIdentically(t *testing.T) {
 		"/v1/knn?node=P2&k=5&ef=32",
 		"/v1/model",
 	}
+	want := make(map[string][]byte)
+	for _, p := range paths {
+		want[p] = getBody(t, tsRef.URL+p, 200)
+	}
+	var prev map[string][]byte
 	for _, withANN := range []bool{false, true} {
 		sp := packSnapFile(t, m, dir, fmt.Sprintf("model-%v.snap", withANN), withANN)
-		svSnap, err := New(Config{GraphPath: gp, ModelPath: sp, SnapshotFormat: FormatSnap})
+		sv, err := New(Config{GraphPath: gp, ModelPath: sp})
 		if err != nil {
 			t.Fatal(err)
 		}
-		tsSnap := httptest.NewServer(svSnap.Handler())
+		ts := httptest.NewServer(sv.Handler())
+		got := make(map[string][]byte)
 		for _, p := range paths {
-			want := getBody(t, tsGob.URL+p, 200)
-			got := getBody(t, tsSnap.URL+p, 200)
-			if string(got) != string(want) {
-				t.Errorf("withANN=%v GET %s differs:\nsnap: %s\ngob:  %s", withANN, p, got, want)
+			got[p] = getBody(t, ts.URL+p, 200)
+			if string(got[p]) != string(want[p]) {
+				t.Errorf("withANN=%v GET %s differs from the in-memory model:\nsnap:      %s\nin-memory: %s", withANN, p, got[p], want[p])
+			}
+			if prev != nil && string(got[p]) != string(prev[p]) {
+				t.Errorf("GET %s differs between files with and without an ANN section:\nwith:    %s\nwithout: %s", p, got[p], prev[p])
 			}
 		}
-		if svSnap.snapLoads.Value() != 1 {
-			t.Errorf("snap.loads = %d, want 1", svSnap.snapLoads.Value())
+		prev = got
+		if sv.snapLoads.Value() != 1 {
+			t.Errorf("snap.loads = %d, want 1", sv.snapLoads.Value())
 		}
-		tsSnap.Close()
-		svSnap.Shutdown()
+		ts.Close()
+		sv.Shutdown()
 	}
 }
 
@@ -168,9 +177,9 @@ func stringsIndex(s, sub string) int {
 
 // syntheticModelFiles builds an untrained but structurally valid
 // single-view model over a chain graph, large enough that its float
-// tables dominate every fixed loading cost, and writes graph TSV, gob
-// and .snap (with embedded ANN) files.
-func syntheticModelFiles(t testing.TB, dir string, nodes, dim int) (gp, mp, sp string, floatBytes uint64) {
+// tables dominate every fixed loading cost, and writes the graph TSV
+// and a .snap file (with embedded ANN).
+func syntheticModelFiles(t testing.TB, dir string, nodes, dim int) (gp, sp string, floatBytes uint64) {
 	t.Helper()
 	b := graph.NewBuilder()
 	nt := b.NodeType("item")
@@ -199,42 +208,20 @@ func syntheticModelFiles(t testing.TB, dir string, nodes, dim int) (gp, mp, sp s
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	gp = filepath.Join(dir, "graph.tsv")
-	gf, err := os.Create(gp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := graph.Store(gf, g); err != nil {
-		t.Fatal(err)
-	}
-	if err := gf.Close(); err != nil {
-		t.Fatal(err)
-	}
-	mp = filepath.Join(dir, "model.gob")
-	mf, err := os.Create(mp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Save(mf); err != nil {
-		t.Fatal(err)
-	}
-	if err := mf.Close(); err != nil {
-		t.Fatal(err)
-	}
+	gp = writeGraphFile(t, dir, g)
 	sp = packSnapFile(t, m, dir, "model.snap", true)
 	// in + out + final tables, float64 each.
 	floatBytes = uint64(3 * nodes * dim * 8)
-	return gp, mp, sp, floatBytes
+	return gp, sp, floatBytes
 }
 
-// reloadAllocs measures the heap bytes one Reload allocates.
-func reloadAllocs(t *testing.T, sv *Server) uint64 {
+// heapAllocs measures the heap bytes f allocates.
+func heapAllocs(t *testing.T, f func() error) uint64 {
 	t.Helper()
 	runtime.GC()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	if err := sv.Reload(); err != nil {
+	if err := f(); err != nil {
 		t.Fatal(err)
 	}
 	runtime.ReadMemStats(&after)
@@ -243,41 +230,40 @@ func reloadAllocs(t *testing.T, sv *Server) uint64 {
 
 // TestSnapReloadAllocationBounded pins the O(header) reload contract
 // (DESIGN.md §14): reloading from a mapped .snap must not
-// re-materialize the model's float tables, while the gob path
-// necessarily decodes and re-averages all of them. The snap reload's
+// re-materialize the model's float tables. The snap reload's
 // allocations are bounded by the per-node index structures (norms, name
-// maps) — a small fraction of the table bytes — regardless of Dim.
+// maps) — a small fraction of the table bytes — regardless of Dim. A
+// copying open of the same file (OpenOptions.NoMmap) calibrates the
+// measurement: it decodes every table, so it must register at least the
+// table bytes, or the bound below could not detect re-materialization.
 func TestSnapReloadAllocationBounded(t *testing.T) {
 	const nodes, dim = 3000, 256
 	dir := t.TempDir()
-	gp, mp, sp, floatBytes := syntheticModelFiles(t, dir, nodes, dim)
-	quiet := Config{
-		GraphPath: gp, ModelPath: mp,
+	gp, sp, floatBytes := syntheticModelFiles(t, dir, nodes, dim)
+	sv, err := New(Config{
+		GraphPath: gp, ModelPath: sp,
 		TraceDisabled: true, HistoryDisabled: true, RuntimePollInterval: -1,
-	}
-	svGob, err := New(quiet)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer svGob.Shutdown()
-	snapCfg := quiet
-	snapCfg.ModelPath = sp
-	snapCfg.SnapshotFormat = FormatSnap
-	svSnap, err := New(snapCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer svSnap.Shutdown()
-	if svSnap.snapMapped.Value() == 0 {
+	defer sv.Shutdown()
+	if sv.snapMapped.Value() == 0 {
 		t.Skip("snap file is not mmapped on this platform; the copying fallback re-materializes tables by design")
 	}
 
-	gobAllocs := reloadAllocs(t, svGob)
-	snapAllocs := reloadAllocs(t, svSnap)
-	t.Logf("float tables = %d bytes; gob reload = %d bytes; snap reload = %d bytes",
-		floatBytes, gobAllocs, snapAllocs)
-	if gobAllocs < floatBytes {
-		t.Fatalf("gob reload allocated %d bytes, below the %d-byte float tables — the baseline cannot detect re-materialization", gobAllocs, floatBytes)
+	copyAllocs := heapAllocs(t, func() error {
+		s, err := snapfmt.Open(sp, snapfmt.OpenOptions{NoMmap: true})
+		if err != nil {
+			return err
+		}
+		return s.Close()
+	})
+	snapAllocs := heapAllocs(t, sv.Reload)
+	t.Logf("float tables = %d bytes; copying open = %d bytes; snap reload = %d bytes",
+		floatBytes, copyAllocs, snapAllocs)
+	if copyAllocs < floatBytes {
+		t.Fatalf("copying open allocated %d bytes, below the %d-byte float tables — the measurement cannot detect re-materialization", copyAllocs, floatBytes)
 	}
 	if snapAllocs > floatBytes/4 {
 		t.Fatalf("snap reload allocated %d bytes, more than a quarter of the %d-byte float tables — tables are being re-materialized", snapAllocs, floatBytes)
@@ -290,9 +276,8 @@ func TestSnapReloadAllocationBounded(t *testing.T) {
 // or an unmapped table.
 func TestSnapReloadMidTraffic(t *testing.T) {
 	dir := t.TempDir()
-	gp, _, m := writeModelFiles(t, dir, 1)
-	sp := packSnapFile(t, m, dir, "model.snap", true)
-	sv, err := New(Config{GraphPath: gp, ModelPath: sp, SnapshotFormat: FormatSnap})
+	gp, sp, _ := writeModelFiles(t, dir, 1)
+	sv, err := New(Config{GraphPath: gp, ModelPath: sp})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -346,5 +331,52 @@ func TestSnapReloadMidTraffic(t *testing.T) {
 	}
 	if got := sv.snapLoads.Value(); got != 6 {
 		t.Fatalf("snap.loads = %d, want 6", got)
+	}
+}
+
+// TestCommittedFixtureServes boots the committed quickstart model file
+// (testdata/quickstart.snap, the file the CI smoke jobs and API.md's
+// examples serve) against its graph, so a fixture the current loader
+// can no longer read fails here rather than only in CI. The fixture is
+// written by `transn train -model` and so embeds an ANN section; at six
+// nodes the index must agree with the exact scan.
+func TestCommittedFixtureServes(t *testing.T) {
+	sv, err := New(Config{
+		GraphPath: filepath.Join("testdata", "quickstart.tsv"),
+		ModelPath: filepath.Join("testdata", "quickstart.snap"),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sv.Shutdown()
+	if len(sv.snap.Load().snapf.ANN()) == 0 {
+		t.Fatal("committed fixture has no ANN section")
+	}
+	ts := httptest.NewServer(sv.Handler())
+	defer ts.Close()
+
+	var model ModelResponse
+	if err := json.Unmarshal(getBody(t, ts.URL+"/v1/model", 200), &model); err != nil {
+		t.Fatal(err)
+	}
+	if model.Nodes != 6 || len(model.Views) != 3 || len(model.Pairs) != 2 {
+		t.Fatalf("fixture shape: %d nodes, %d views, %d pairs; want 6, 3, 2", model.Nodes, len(model.Views), len(model.Pairs))
+	}
+	getBody(t, ts.URL+"/v1/translate?node=A1&from=authorship&to=affiliation", 200)
+	var ann, exact KNNResponse
+	if err := json.Unmarshal(getBody(t, ts.URL+"/v1/knn?node=A1&k=5", 200), &ann); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(getBody(t, ts.URL+"/v1/knn?node=A1&k=5&exact=true", 200), &exact); err != nil {
+		t.Fatal(err)
+	}
+	if len(ann.Neighbors) != 5 || len(exact.Neighbors) != 5 {
+		t.Fatalf("knn returned %d (ann) and %d (exact) neighbors, want 5", len(ann.Neighbors), len(exact.Neighbors))
+	}
+	for i := range ann.Neighbors {
+		a, e := ann.Neighbors[i], exact.Neighbors[i]
+		if a.Node != e.Node || math.Abs(a.Similarity-e.Similarity) > 1e-9 {
+			t.Fatalf("neighbor %d: ann %+v, exact %+v", i, a, e)
+		}
 	}
 }

@@ -21,7 +21,7 @@ import (
 // it for the whole request, so a concurrent hot reload never changes
 // state mid-request — the old snapshot stays valid until its last
 // in-flight request finishes, then the garbage collector reclaims it,
-// cache, index and (for .snap loads) mmap included.
+// cache, index and (for file loads) mmap included.
 type snapshot struct {
 	frozen *transn.Frozen
 	gen    uint64
@@ -45,15 +45,17 @@ type snapshot struct {
 	// snapshot is reachable; the frozen tables may alias it. A
 	// finalizer closes it when the GC reclaims the snapshot, so the
 	// last in-flight request on a retired generation can never observe
-	// an unmapped table. Nil for gob-format loads.
+	// an unmapped table. Nil only for snapshots built in memory.
 	snapf *snapfmt.Snapshot
 
 	cache *lru
 }
 
-// loadSnapshot reads the graph TSV plus the configured model format
-// (gob or .snap) from disk and builds a serving snapshot of the given
-// generation.
+// loadSnapshot builds a serving snapshot of the given generation from
+// the graph TSV and the transn.snap/v1 model file: O(header) validation
+// + decode, float tables aliased straight out of the read-only mapping
+// (no re-materialization), and the HNSW index decoded from the file's
+// ANN section when present (built fresh otherwise).
 func (sv *Server) loadSnapshot(gen uint64) (*snapshot, error) {
 	gf, err := os.Open(sv.cfg.GraphPath)
 	if err != nil {
@@ -64,38 +66,6 @@ func (sv *Server) loadSnapshot(gen uint64) (*snapshot, error) {
 	if err != nil {
 		return nil, fmt.Errorf("serve: loading graph: %w", err)
 	}
-	if sv.cfg.SnapshotFormat == FormatSnap {
-		return sv.loadSnapSnapshot(g, gen)
-	}
-	mf, err := os.Open(sv.cfg.ModelPath)
-	if err != nil {
-		return nil, fmt.Errorf("serve: opening model: %w", err)
-	}
-	defer mf.Close()
-	m, err := transn.Load(mf, g)
-	if err != nil {
-		return nil, fmt.Errorf("serve: loading model: %w", err)
-	}
-	f, err := m.Freeze()
-	if err != nil {
-		return nil, fmt.Errorf("serve: freezing model: %w", err)
-	}
-	s := newSnapshot(f, gen, sv.cfg.CacheSize)
-	sp := sv.run.Trace.Start(obs.SpanANNBuild)
-	s.index, err = ann.Build(f.FinalTable(), s.norms, sv.annConfig())
-	sp.End()
-	if err != nil {
-		return nil, fmt.Errorf("serve: building ann index: %w", err)
-	}
-	return s, nil
-}
-
-// loadSnapSnapshot builds a serving snapshot from a transn.snap/v1
-// file: O(header) validation + decode, float tables aliased straight
-// out of the read-only mapping (no re-materialization), and the HNSW
-// index decoded from the file's ANN section when present (built fresh
-// otherwise).
-func (sv *Server) loadSnapSnapshot(g *graph.Graph, gen uint64) (*snapshot, error) {
 	sp := sv.run.Trace.Start(obs.SpanSnapLoad)
 	snapf, err := snapfmt.Open(sv.cfg.ModelPath, snapfmt.OpenOptions{})
 	sp.End()
@@ -125,7 +95,7 @@ func (sv *Server) loadSnapSnapshot(g *graph.Graph, gen uint64) (*snapshot, error
 	if annData := snapf.ANN(); len(annData) > 0 {
 		s.index, err = ann.Decode(annData, f.FinalTable(), s.norms)
 	} else {
-		s.index, err = ann.Build(f.FinalTable(), s.norms, sv.annConfig())
+		s.index, err = ann.Build(f.FinalTable(), s.norms, ann.Config{})
 	}
 	asp.End()
 	if err != nil {
@@ -164,7 +134,7 @@ func buildSnapshot(m *transn.Model, gen uint64, cacheSize int) (*snapshot, error
 }
 
 // newSnapshot derives the name maps and norms every snapshot needs,
-// regardless of which format loaded the model.
+// whether the model came from a file or from memory.
 func newSnapshot(f *transn.Frozen, gen uint64, cacheSize int) *snapshot {
 	g := f.Graph()
 	s := &snapshot{

@@ -1,16 +1,17 @@
-// Package snapfmt implements transn.snap/v1, the flat little-endian
-// binary snapshot format specified normatively in SNAPSHOT.md. A .snap
-// file carries everything transnserve needs — config, node-name table,
-// per-view and final float tables, translator weights, and optionally
-// a serialized HNSW graph — in sections laid out so the float tables
-// can be used directly out of a read-only mmap: every section starts
-// on an 8-byte boundary and every float payload is a plain f64 array.
+// Package snapfmt implements transn.snap/v1, the model file format: a
+// flat little-endian binary layout specified normatively in
+// SNAPSHOT.md. A .snap file carries a whole trained model — config,
+// node-name table, per-view and final float tables, translator
+// weights, and optionally a serialized HNSW graph — in sections laid
+// out so the float tables can be used directly out of a read-only
+// mmap: every section starts on an 8-byte boundary and every float
+// payload is a plain f64 array. `transn train -model` writes it (via
+// WriteFile); `transn diagnose` and transnserve read it.
 //
-// The format exists to make reload O(header) instead of O(model): the
-// gob loader decodes and copies every matrix on each SIGHUP, while
-// Open maps the file and hands out tables that alias the mapping, so
-// a reload touches only the header, directory and name table, and
-// models larger than RAM stay servable (pages fault in on demand).
+// The layout makes reload O(header) instead of O(model): Open maps the
+// file and hands out tables that alias the mapping, so a reload
+// touches only the header, directory and name table, and models
+// larger than RAM stay servable (pages fault in on demand).
 //
 // Invariants:
 //
@@ -32,4 +33,8 @@
 //     SNAPSHOT.md section it enforces.
 //   - Determinism. Pack is a pure function of its Source: packing the
 //     same model (and ANN bytes) twice produces byte-identical files.
+//   - Replace, never rewrite. Readers map the file, so WriteFile
+//     renames a fully written, fsynced temporary file over the path
+//     and fsyncs the directory; open mappings of the old file keep
+//     their bytes.
 package snapfmt

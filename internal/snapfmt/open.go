@@ -409,7 +409,7 @@ func (s *Snapshot) decodeTrans(b []byte) error {
 // as the model is served.
 func (s *Snapshot) Model(g *graph.Graph) (*transn.Model, error) {
 	if g.NumNodes() != len(s.names) {
-		return nil, fmt.Errorf("snapfmt: snapshot packed against %d nodes, graph has %d", len(s.names), g.NumNodes())
+		return nil, fmt.Errorf("snapfmt: snapshot holds %d nodes, graph has %d", len(s.names), g.NumNodes())
 	}
 	for i, n := range g.Nodes {
 		if s.names[i] != n.Name {

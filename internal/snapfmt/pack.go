@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"os"
+	"path/filepath"
 
 	"transn/internal/graph"
 	"transn/internal/mat"
@@ -166,6 +168,72 @@ func Pack(w io.Writer, src *Source) error {
 	binary.LittleEndian.PutUint64(buf[total-TrailerSize:], Checksum(buf[:total-TrailerSize]))
 	_, err := w.Write(buf)
 	return err
+}
+
+// WriteFile packs src to path atomically: the bytes go to a temporary
+// file in path's directory, which is fsynced and then renamed over
+// path, and the directory is fsynced so the rename survives a crash.
+// Rewriting path in place instead would change the pages of every
+// open mapping of the old file — the live generation of a server that
+// is about to reload it. After the rename, existing mappings keep the
+// old inode and new opens see the new file; a failed or interrupted
+// write leaves path untouched. The file gets the permissions os.Create
+// would leave: those of the file it replaces, else 0666 less the umask.
+func WriteFile(path string, src *Source) (err error) {
+	dir, base := filepath.Split(path)
+	if dir == "" {
+		dir = "."
+	}
+	tmp, err := createTemp(dir, base)
+	if err != nil {
+		return fmt.Errorf("snapfmt: %w", err)
+	}
+	defer func() {
+		if err != nil {
+			tmp.Close()
+			os.Remove(tmp.Name())
+		}
+	}()
+	if err := Pack(tmp, src); err != nil {
+		return err
+	}
+	if fi, statErr := os.Stat(path); statErr == nil {
+		if err := tmp.Chmod(fi.Mode().Perm()); err != nil {
+			return fmt.Errorf("snapfmt: %w", err)
+		}
+	}
+	if err := tmp.Sync(); err != nil {
+		return fmt.Errorf("snapfmt: %w", err)
+	}
+	if err := tmp.Close(); err != nil {
+		return fmt.Errorf("snapfmt: %w", err)
+	}
+	if err := os.Rename(tmp.Name(), path); err != nil {
+		return fmt.Errorf("snapfmt: %w", err)
+	}
+	d, err := os.Open(dir)
+	if err != nil {
+		return fmt.Errorf("snapfmt: %w", err)
+	}
+	defer d.Close()
+	if err := d.Sync(); err != nil {
+		return fmt.Errorf("snapfmt: syncing %s: %w", dir, err)
+	}
+	return nil
+}
+
+// createTemp makes a new file beside the target. Unlike os.CreateTemp
+// (always 0600) it asks for 0666, so the umask decides the mode, as it
+// does for os.Create.
+func createTemp(dir, base string) (*os.File, error) {
+	for i := 0; i < 10000; i++ {
+		name := filepath.Join(dir, fmt.Sprintf(".%s.tmp-%d-%d", base, os.Getpid(), i))
+		f, err := os.OpenFile(name, os.O_RDWR|os.O_CREATE|os.O_EXCL, 0o666)
+		if !os.IsExist(err) {
+			return f, err
+		}
+	}
+	return nil, fmt.Errorf("no free temporary name for %s in %s", base, dir)
 }
 
 // packConfig encodes the fixed config section (§4).

@@ -6,9 +6,11 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"transn/internal/graph"
+	"transn/internal/mat"
 	"transn/internal/transn"
 )
 
@@ -71,14 +73,7 @@ func packTemp(t testing.TB, cfg transn.Config, ann []byte) (string, *transn.Mode
 	}
 	src.ANN = ann
 	path := filepath.Join(t.TempDir(), "model.snap")
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := Pack(f, src); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
+	if err := WriteFile(path, src); err != nil {
 		t.Fatal(err)
 	}
 	return path, m, g
@@ -86,8 +81,8 @@ func packTemp(t testing.TB, cfg transn.Config, ann []byte) (string, *transn.Mode
 
 // The round-trip property behind the format: for random models, every
 // table a mmap-loaded snapshot serves must be byte-identical to what
-// the gob path serves. Exercised across seeds and the two translator
-// variants.
+// the in-memory trained model serves. Exercised across seeds and the
+// two translator variants.
 func TestPackOpenRoundTripMatchesGob(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -100,16 +95,7 @@ func TestPackOpenRoundTripMatchesGob(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			path, m, g := packTemp(t, tc.cfg, nil)
-			// Gob reference: save + load the same model.
-			var buf bytes.Buffer
-			if err := m.Save(&buf); err != nil {
-				t.Fatal(err)
-			}
-			gm, err := transn.Load(&buf, g)
-			if err != nil {
-				t.Fatal(err)
-			}
-			gf, err := gm.Freeze()
+			gf, err := m.Freeze()
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -390,4 +376,158 @@ func TestFromModelRejectsNonFinite(t *testing.T) {
 func nan() float64 {
 	z := 0.0
 	return z / z
+}
+
+// Replacing a model file that a server has open must not change the
+// tables of the open mapping: WriteFile renames a new inode over the
+// path, where an in-place rewrite (os.Create + Pack) would overwrite
+// the pages every mapping of the old file shares.
+func TestWriteFileKeepsOpenMappingIntact(t *testing.T) {
+	path, m1, g := packTemp(t, trainCfg(1), nil)
+	old, err := Open(path, OpenOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer old.Close()
+	if !old.Mapped() {
+		t.Skip("snapshot is not mmapped on this platform")
+	}
+	want := m1.Embeddings()
+
+	m2, err := transn.Train(g, trainCfg(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	src, err := FromModel(m2, g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteFile(path, src); err != nil {
+		t.Fatal(err)
+	}
+	got := old.Final()
+	for i := range want.Data {
+		if got.Data[i] != want.Data[i] {
+			t.Fatalf("open mapping changed under the writer: final[%d] = %v, was %v", i, got.Data[i], want.Data[i])
+		}
+	}
+	fresh, err := Open(path, OpenOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fresh.Close()
+	if !fresh.Final().Equal(m2.Embeddings(), 0) {
+		t.Fatal("a fresh open does not see the new model")
+	}
+	entries, err := os.ReadDir(filepath.Dir(path))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 {
+		t.Fatalf("writer left %d directory entries, want only the model file", len(entries))
+	}
+}
+
+// WriteFile leaves the permissions os.Create would: a replaced file
+// keeps its mode, and a new file gets 0666 less the umask, so a private
+// umask keeps model files private.
+func TestWriteFileMode(t *testing.T) {
+	path, m, g := packTemp(t, trainCfg(1), nil)
+	src, err := FromModel(m, g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := filepath.Dir(path)
+	ref, err := os.Create(filepath.Join(dir, "ref"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref.Close()
+	fresh := filepath.Join(dir, "fresh.snap")
+	if err := WriteFile(fresh, src); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := perm(t, fresh), perm(t, ref.Name()); got != want {
+		t.Errorf("new file mode %v, os.Create gives %v", got, want)
+	}
+	if err := os.Chmod(path, 0o640); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteFile(path, src); err != nil {
+		t.Fatal(err)
+	}
+	if got := perm(t, path); got != 0o640 {
+		t.Errorf("replaced file mode %v, want the old file's 0640", got)
+	}
+}
+
+func perm(t *testing.T, path string) os.FileMode {
+	t.Helper()
+	fi, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fi.Mode().Perm()
+}
+
+// The config section (§4) must carry every hyperparameter in
+// transn.Config: a field packConfig/decodeConfig do not know about
+// would silently reset to zero in every served model. Each serializable
+// field gets a distinct non-zero value by reflection, so a new field
+// fails here until the section learns it. Bools are also set one at a
+// time, which catches two flags swapped between encoder and decoder.
+func TestConfigSectionCarriesEveryField(t *testing.T) {
+	runtimeOnly := map[string]bool{"Observer": true, "Telemetry": true, "ModelReady": true}
+	var base transn.Config
+	bv := reflect.ValueOf(&base).Elem()
+	var bools []int
+	for i := 0; i < bv.NumField(); i++ {
+		f := bv.Type().Field(i)
+		if runtimeOnly[f.Name] {
+			continue
+		}
+		switch fv := bv.Field(i); fv.Kind() {
+		case reflect.Int, reflect.Int64:
+			fv.SetInt(int64(100 + i))
+		case reflect.Float64:
+			fv.SetFloat(float64(i) + 0.25)
+		case reflect.Bool:
+			bools = append(bools, i)
+		default:
+			t.Fatalf("Config.%s has kind %s, which the config section (§4) cannot encode", f.Name, fv.Kind())
+		}
+	}
+	cases := []transn.Config{base}
+	all := base
+	for _, i := range bools {
+		reflect.ValueOf(&all).Elem().Field(i).SetBool(true)
+		one := base
+		reflect.ValueOf(&one).Elem().Field(i).SetBool(true)
+		cases = append(cases, one)
+	}
+	cases = append(cases, all)
+	for ci, cfg := range cases {
+		src := &Source{
+			Export: transn.Export{
+				Cfg:    cfg,
+				EmbIn:  []*mat.Dense{mat.New(2, cfg.Dim)},
+				EmbOut: []*mat.Dense{mat.New(2, cfg.Dim)},
+			},
+			NodeNames: []string{"a", "b"},
+			Final:     mat.New(2, cfg.Dim),
+		}
+		path := filepath.Join(t.TempDir(), "cfg.snap")
+		if err := WriteFile(path, src); err != nil {
+			t.Fatal(err)
+		}
+		s, err := Open(path, OpenOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := s.Config()
+		s.Close()
+		if !reflect.DeepEqual(got, cfg) {
+			t.Fatalf("case %d: config round trip changed values:\n got %+v\nwant %+v", ci, got, cfg)
+		}
+	}
 }

@@ -104,24 +104,25 @@ type Config struct {
 	// order — and every non-timing field — is reproducible for a fixed
 	// Seed and Workers (compare TrainEvent.Deterministic projections).
 	// The callback runs inline with training: keep it cheap or hand off
-	// to a channel. Not serialized by Save (functions have no wire form).
+	// to a channel. Not stored in model files (functions have no wire
+	// form).
 	Observer func(obs.TrainEvent)
 	// ModelReady, when non-nil, is called exactly once — synchronously,
 	// after initialization, before the first iteration — with the model
 	// Train will return. It hands live-inspection tooling (diagnostics
 	// endpoints, tests) a handle to the in-training model; Report and
 	// FinalLosses are safe to call on it concurrently with training,
-	// everything else must wait for Train to return. Not serialized by
-	// Save (functions have no wire form).
+	// everything else must wait for Train to return. Not stored in
+	// model files.
 	ModelReady func(*Model)
 	// Telemetry, when non-nil, collects this run's metrics: stage spans
 	// with worker attribution, counters (walks, skip-gram pairs,
 	// cross-view segments), loss gauges, a cross-segment loss histogram,
 	// and per-worker busy/idle time. Use obs.NewRun, then read the
-	// results via Model.Report, Telemetry.ServeDebug (pprof + /metrics)
-	// or Telemetry.PublishExpvar. Nil disables collection; the training
-	// hot path then reduces to per-stage nil checks (see DESIGN.md §7).
-	// Not serialized by Save.
+	// results via Model.Report or Telemetry.ServeDebug (pprof +
+	// /metrics). Nil disables collection; the training hot path then
+	// reduces to per-stage nil checks (see DESIGN.md §7). Not stored in
+	// model files.
 	Telemetry *obs.Run
 }
 

@@ -11,10 +11,9 @@ import (
 // Export is the serialization-agnostic view of a trained model's
 // learned state: everything a persistence format must carry, with the
 // graph-derived structure (views, pairs) left out because loaders
-// re-derive it from the graph the caller supplies. Both the gob format
-// (persist.go) and the binary snapshot format (internal/snapfmt) decode
-// into an Export and assemble the model through FromExport, so the two
-// formats cannot drift on validation rules. Matrices in an Export are
+// re-derive it from the graph the caller supplies. The model file
+// format (transn.snap/v1, internal/snapfmt) decodes into an Export and
+// assembles the model through FromExport. Matrices in an Export are
 // not copies — they alias the model (Export) or the decoded buffers
 // (FromExport), and the read-only contract travels with them.
 type Export struct {
