@@ -162,31 +162,20 @@ func BenchmarkWorkerPoolSingleView(b *testing.B) {
 }
 
 // BenchmarkWorkerPoolFullPipeline runs the complete Algorithm 1 loop
-// (walks, skip-gram, cross-view pair steps) in both update disciplines
-// across the worker ladder.
+// (walks, skip-gram, cross-view pair steps) across the worker ladder.
 func BenchmarkWorkerPoolFullPipeline(b *testing.B) {
 	g := dataset.AppDaily(dataset.Quick, 1)
-	for _, mode := range []struct {
-		name          string
-		deterministic bool
-	}{
-		{"Hogwild", false},
-		{"Deterministic", true},
-	} {
-		mode := mode
-		for _, w := range workerCounts() {
-			w := w
-			b.Run(fmt.Sprintf("%s/W%d", mode.name, w), func(b *testing.B) {
-				cfg := transnBenchCfg()
-				cfg.Workers = w
-				cfg.DeterministicApply = mode.deterministic
-				for i := 0; i < b.N; i++ {
-					if _, err := transn.Train(g, cfg); err != nil {
-						b.Fatal(err)
-					}
+	for _, w := range workerCounts() {
+		w := w
+		b.Run(fmt.Sprintf("W%d", w), func(b *testing.B) {
+			cfg := transnBenchCfg()
+			cfg.Workers = w
+			for i := 0; i < b.N; i++ {
+				if _, err := transn.Train(g, cfg); err != nil {
+					b.Fatal(err)
 				}
-			})
-		}
+			}
+		})
 	}
 }
 

@@ -166,9 +166,7 @@ func cmdTrain(args []string) error {
 	encoders := fs.Int("encoders", 2, "encoders per translator")
 	metapath := fs.String("metapath", "", "comma-separated node types for metapath2vec (defaults to an auto-derived pattern)")
 	ablation := fs.String("ablation", "", "TransN ablation: no-cross-view, simple-walk, simple-translator, no-translation, no-reconstruction")
-	workers := fs.Int("workers", 0, "worker-pool size for TransN walk/skip-gram/cross-view sharding (0 = all cores, 1 = serial)")
-	deterministic := fs.Bool("deterministic", false, "apply sharded updates in deterministic order (reproducible for a fixed -seed and -workers; default is Hogwild)")
-	parallel := fs.Bool("parallel", false, "deprecated alias for -workers 0 -deterministic (TransN only)")
+	workers := fs.Int("workers", 0, "TransN concurrency: views trained at once and walk shards per view (0 = all cores, 1 = serial); results are reproducible for a fixed -seed and -workers")
 	modelOut := fs.String("model", "", "also save the trained TransN model to this path (transn.snap/v1 with an HNSW index)")
 	quietFlag := fs.Bool("quiet", false, "suppress informational stderr output (results and errors only)")
 	reportOut := fs.String("report", "", "write the training telemetry report as JSON to this path (TransN only)")
@@ -198,8 +196,6 @@ func cmdTrain(args []string) error {
 	var monitor *diag.Monitor
 	if tm, ok := m.(transnMethod); ok {
 		tm.cfg.Workers = *workers
-		tm.cfg.DeterministicApply = *deterministic
-		tm.cfg.Parallel = *parallel
 		tm.cfg.Telemetry = run
 		tm.modelOut = *modelOut
 		tm.reportOut = *reportOut

@@ -42,10 +42,9 @@ func TestEndToEndPipeline(t *testing.T) {
 	cfg.Iterations = 4
 	cfg.CrossPathLen = 4
 	cfg.CrossPathsPerPair = 40
-	// Exercise the worker pool (walk + skip-gram sharding) while keeping
-	// the run reproducible on any machine, with telemetry enabled the
-	// way `transn train -report -events` wires it.
-	cfg.DeterministicApply = true
+	// Exercise the worker pool (concurrent views, walk and skip-gram
+	// sharding) with telemetry enabled the way `transn train -report
+	// -events` wires it.
 	cfg.Telemetry = obs.NewRun()
 	events := 0
 	cfg.Observer = func(obs.TrainEvent) { events++ }

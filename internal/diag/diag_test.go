@@ -254,7 +254,7 @@ func TestValidateRejects(t *testing.T) {
 }
 
 // TestDiagnosticsObserveOnly pins the acceptance criterion that
-// diagnostics never perturb training: under DeterministicApply, a run
+// diagnostics never perturb training: with two workers, a run
 // with a convergence monitor in the observer chain, telemetry on, and a
 // full post-training Analyze produces byte-identical embeddings to a
 // bare run with the same seed.
@@ -262,7 +262,6 @@ func TestDiagnosticsObserveOnly(t *testing.T) {
 	g := testGraph(t, 8, 4, 4)
 	base := quickCfg()
 	base.Workers = 2
-	base.DeterministicApply = true
 
 	bare, err := transn.Train(g, base)
 	if err != nil {

@@ -77,10 +77,8 @@ func (m TransNMethod) Embed(g *graph.Graph, dim int, seed int64) (*mat.Dense, er
 // transnConfig returns TransN hyperparameters scaled to the run size.
 func transnConfig(o Options) transn.Config {
 	cfg := transn.DefaultConfig()
-	// Tables must be reproducible run to run: shard across the pool but
-	// apply updates in deterministic shard order.
+	// Tables are reproducible run to run for a fixed worker count.
 	cfg.Workers = o.Workers
-	cfg.DeterministicApply = true
 	cfg.Observer = o.Observer
 	if o.Size == dataset.Quick {
 		cfg.WalkLength = 20

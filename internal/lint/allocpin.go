@@ -3,6 +3,7 @@ package lint
 import (
 	"fmt"
 	"go/ast"
+	"go/types"
 	"os/exec"
 	"path/filepath"
 	"strconv"
@@ -19,9 +20,12 @@ import (
 // over the module (the go command replays compiler diagnostics on
 // build-cache hits, so repeat runs stay cheap) and reports every
 // "escapes to heap" / "moved to heap" line inside an annotated body.
-// When the toolchain is unavailable or the build fails, annotated
-// functions cannot be verified and a single alloc.driver finding says
-// so rather than passing silently.
+// A builtin append that grows its slice allocates without any such
+// line, so every append call in an annotated body is reported too, as
+// alloc.append, straight from the syntax tree. When the toolchain is
+// unavailable or the build fails, annotated functions cannot be
+// verified and a single alloc.driver finding says so rather than
+// passing silently.
 
 // analyzerAllocPin builds the alloc-pin analyzer.
 func analyzerAllocPin() *Analyzer {
@@ -52,6 +56,7 @@ func runAllocPin(m *Module, opts Options, report func(Finding)) {
 					end:   end.Line,
 					name:  fd.Name.Name,
 				})
+				reportAppends(m, pkg, fd, report)
 			}
 		}
 	}
@@ -95,6 +100,20 @@ func runAllocPin(m *Module, opts Options, report func(Finding)) {
 			break
 		}
 	}
+}
+
+// reportAppends reports every call of the builtin append in fd's body.
+func reportAppends(m *Module, pkg *Package, fd *ast.FuncDecl, report func(Finding)) {
+	builtin := types.Universe.Lookup("append")
+	ast.Inspect(fd.Body, func(n ast.Node) bool {
+		if call, ok := n.(*ast.CallExpr); ok {
+			if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok && pkg.Info.Uses[id] == builtin {
+				report(m.finding(CodeAllocAppend, call,
+					"append inside //lint:alloc-free %s — it allocates whenever the slice grows", fd.Name.Name))
+			}
+		}
+		return true
+	})
 }
 
 // parseEscapeLine extracts file:line:col and the message from one

@@ -7,9 +7,8 @@ import (
 
 // FuncNode is one module function in the lightweight call graph built
 // for the reachability analyzers. Only static calls are resolved
-// (direct calls and concrete method calls); a call through a function
-// value or interface method is recorded as Dynamic, which the norace
-// analyzer treats as an escape — it cannot prove what runs there.
+// (direct calls and concrete method calls); calls through a function
+// value or interface method are not followed.
 type FuncNode struct {
 	Fn   *types.Func
 	Decl *ast.FuncDecl
@@ -17,15 +16,6 @@ type FuncNode struct {
 
 	// Callees are the statically resolved module-internal callees.
 	Callees []*types.Func
-	// StdCallees are statically resolved non-module callees (stdlib),
-	// kept as objects so analyzers can match on package paths.
-	StdCallees []*types.Func
-	// Dynamic marks a call whose target cannot be resolved statically.
-	Dynamic bool
-	// TouchesSync marks any use of sync or sync/atomic in the body
-	// (mutex methods, atomic types/functions) — the instrumented
-	// shared-state signature norace containment keys on.
-	TouchesSync bool
 }
 
 // CallGraph indexes every function declaration in the module.
@@ -63,30 +53,10 @@ func BuildCallGraph(m *Module) *CallGraph {
 
 func collectCalls(pkg *Package, modPath string, body ast.Node, node *FuncNode) {
 	ast.Inspect(body, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.Ident:
-			if obj := pkg.Info.Uses[n]; obj != nil && obj.Pkg() != nil {
-				if p := obj.Pkg().Path(); p == "sync" || p == "sync/atomic" {
-					node.TouchesSync = true
-				}
-			}
-		case *ast.CallExpr:
-			callee := calleeOf(pkg, n)
-			if callee == nil {
-				if !isConversionOrBuiltin(pkg, n) {
-					node.Dynamic = true
-				}
-				return true
-			}
-			if callee.Pkg() != nil && isModulePath(callee.Pkg().Path(), modPath) {
+		if call, ok := n.(*ast.CallExpr); ok {
+			if callee := calleeOf(pkg, call); callee != nil && callee.Pkg() != nil && isModulePath(callee.Pkg().Path(), modPath) {
 				node.Callees = append(node.Callees, callee)
-			} else {
-				node.StdCallees = append(node.StdCallees, callee)
 			}
-		case *ast.GoStmt:
-			// A goroutine launched from a norace region is an escape by
-			// construction; model it as a dynamic call.
-			node.Dynamic = true
 		}
 		return true
 	})
@@ -125,16 +95,6 @@ func calleeOf(pkg *Package, call *ast.CallExpr) *types.Func {
 		}
 	}
 	return nil
-}
-
-// isConversionOrBuiltin reports whether the call expression is a type
-// conversion or a builtin (len, append, make, ...), neither of which is
-// a dynamic call.
-func isConversionOrBuiltin(pkg *Package, call *ast.CallExpr) bool {
-	if tv, ok := pkg.Info.Types[call.Fun]; ok && (tv.IsType() || tv.IsBuiltin()) {
-		return true
-	}
-	return false
 }
 
 func isModulePath(path, modPath string) bool {

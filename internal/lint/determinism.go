@@ -23,8 +23,8 @@ var globalRandFuncs = map[string]bool{
 // never be reproduced.
 var seedSinks = map[string]bool{"New": true, "NewSource": true, "Derive": true}
 
-// analyzerDeterminism enforces the reproducibility contract behind
-// DeterministicApply (DESIGN.md §6) and the schema-stable documents
+// analyzerDeterminism enforces the training reproducibility contract
+// (DESIGN.md §6) and the schema-stable documents
 // (§7–8): no global math/rand calls and no wall-clock-derived seeds in
 // the deterministic-core packages, and no order-sensitive iteration
 // over maps anywhere — Go randomizes map range order per run, so a

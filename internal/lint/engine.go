@@ -17,8 +17,8 @@ import (
 )
 
 // Package is one type-checked module package: its parsed files with
-// comments, the go/types results, and the directives (//go:norace,
-// //lint:...) harvested from its comments. Test files are excluded —
+// comments, the go/types results, and the //lint: directives harvested
+// from its comments. Test files are excluded —
 // the invariants govern shipped code, and tests exercise seeded
 // randomness and unordered maps on purpose.
 type Package struct {
@@ -350,17 +350,10 @@ type Analyzer struct {
 // returns the real repo's configuration; fixture tests substitute their
 // own package names so each analyzer can be exercised in isolation.
 type Options struct {
-	// NoracePkgs are the package paths allowed to declare //go:norace
-	// leaves (the Hogwild update helpers of DESIGN.md §6).
-	NoracePkgs []string
-	// ForbiddenPkgs are packages a norace call graph must never reach
-	// (instrumented shared state: the obs registry and tracer).
-	ForbiddenPkgs []string
-
 	// DeterminismPkgs are the deterministic-core packages where global
 	// math/rand calls and wall-clock seeds are findings: everything
-	// reachable from Train under DeterministicApply owns its RNG
-	// streams (rngstream) and no wall-clock input.
+	// reachable from Train owns its RNG streams (rngstream) and no
+	// wall-clock input.
 	DeterminismPkgs []string
 	// MapOrderPkgs are the packages where order-sensitive map ranges
 	// are findings: the deterministic core plus every package that
@@ -405,8 +398,6 @@ type Options struct {
 // Defaults returns the options that describe this repository.
 func Defaults() Options {
 	return Options{
-		NoracePkgs:      []string{"transn/internal/skipgram", "transn/internal/transn"},
-		ForbiddenPkgs:   []string{"transn/internal/obs"},
 		DeterminismPkgs: []string{"transn/internal/transn", "transn/internal/walk", "transn/internal/skipgram", "transn/internal/rngstream", "transn/internal/par", "transn/internal/mat", "transn/internal/graph", "transn/internal/ann", "transn/internal/snapfmt"},
 		MapOrderPkgs:    nil, // every package: reports, CLIs and examples all emit ordered output
 		FinitePkgs:      []string{"transn/internal/transn", "transn/internal/skipgram"},
@@ -423,7 +414,6 @@ func Defaults() Options {
 // Analyzers returns the full suite in stable order.
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
-		analyzerNorace(),
 		analyzerDeterminism(),
 		analyzerFinite(),
 		analyzerSchema(),

@@ -84,7 +84,7 @@ func checkGoroutine(m *Module, pkg *Package, graph *CallGraph, g *ast.GoStmt, se
 		follow(pkg, fn)
 	}
 	// An unresolvable target (go through a function value) cannot be
-	// proven either way; the norace analyzer owns dynamic-call policy.
+	// proven either way and is not followed.
 
 	for _, b := range bodies {
 		ast.Inspect(b.node, func(n ast.Node) bool {

@@ -3,15 +3,10 @@
 // rest of the repo) and runs a suite of repo-specific analyzers that
 // machine-check the invariants PRs 1–3 established by convention:
 //
-//   - norace-containment (norace.go): every //go:norace pragma sits on
-//     an allowlisted Hogwild leaf, pairs with //go:noinline, and its
-//     call graph never reaches instrumented shared state (the obs
-//     registry, sync/atomic users) — the race-detector exemption stays
-//     exactly as narrow as DESIGN.md §6 promises.
 //   - determinism (determinism.go): no global math/rand calls, no
 //     time-derived seeds, and no order-sensitive iteration over maps —
-//     the failure class that silently breaks DeterministicApply's
-//     byte-identity contract and Algorithm 1 reproducibility.
+//     the failure class that silently breaks training's byte-identity
+//     contract and Algorithm 1 reproducibility.
 //   - finite-hygiene (finitecheck.go): float arithmetic writing into
 //     weight tables happens only in functions covered by the finite.go
 //     guard or annotated //lint:finite-checked.
@@ -32,7 +27,8 @@
 //     acyclic and every lock is released (or defer-released) on every
 //     return/panic path.
 //   - alloc-pin (allocpin.go): //lint:alloc-free bodies stay free of
-//     heap escapes, checked against `go build -gcflags=-m` output.
+//     heap escapes, checked against `go build -gcflags=-m` output, and
+//     call no builtin append.
 //
 // Findings carry stable codes and are reported as a schema-stable
 // transn.lint/v1 JSON document, mirroring the obs/diag report
@@ -57,19 +53,6 @@ const Schema = "transn.lint/v1"
 // Finding codes are stable identifiers — tooling and //lint:ignore
 // comments match on them, so renaming one is a schema break.
 const (
-	// CodeNoraceAllowlist: a //go:norace pragma outside the allowlisted
-	// leaf set (packages and functions DESIGN.md §6 documents), or a
-	// stray pragma not attached to a function declaration.
-	CodeNoraceAllowlist = "norace.allowlist"
-	// CodeNoraceNoinline: a //go:norace function without the paired
-	// //go:noinline that keeps the exemption effective when inlined
-	// into an instrumented caller.
-	CodeNoraceNoinline = "norace.noinline"
-	// CodeNoraceEscape: the static call graph from a //go:norace
-	// function reaches instrumented shared state — an obs function, a
-	// sync/atomic user, or a dynamic call that cannot be proven pure.
-	CodeNoraceEscape = "norace.escape"
-
 	// CodeGlobalRand: a call to a math/rand package-level function
 	// (global source) on the deterministic training path; streams must
 	// come from internal/rngstream.
@@ -158,6 +141,11 @@ const (
 	// body of a //lint:alloc-free function — the static half of the
 	// AllocsPerRun zero-allocation pins.
 	CodeAllocEscape = "alloc.escape"
+	// CodeAllocAppend: a builtin append call inside the body of a
+	// //lint:alloc-free function. An append that grows its slice
+	// allocates without any escape line in -gcflags=-m output, so the
+	// call itself is the finding.
+	CodeAllocAppend = "alloc.append"
 	// CodeAllocDriver: the compiler-assisted alloc-pin driver could not
 	// run (go toolchain missing or the build failed), so annotated
 	// functions were not verified.

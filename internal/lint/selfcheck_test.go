@@ -8,8 +8,7 @@ import (
 // TestSelfCheck runs the full analyzer suite over this repository with
 // the production options — the same check CI's transnlint job and the
 // transnlint binary perform. The tree must be clean: every invariant
-// the analyzers encode (norace containment, determinism, finite
-// hygiene, schema-registry consistency, atomic consistency, goroutine
+// the analyzers encode (determinism, finite hygiene, schema-registry consistency, atomic consistency, goroutine
 // lifecycle, lock ordering, alloc-free pins) holds at HEAD, and every
 // suppression in the tree is still earning its keep.
 func TestSelfCheck(t *testing.T) {
@@ -40,15 +39,15 @@ func TestSelfCheck(t *testing.T) {
 	for _, a := range Analyzers() {
 		names = append(names, a.Name)
 	}
-	const suite = "norace-containment,determinism,finite-hygiene,schema-registry,doccheck," +
+	const suite = "determinism,finite-hygiene,schema-registry,doccheck," +
 		"atomic-consistency,goroutine-lifecycle,lock-order,alloc-pin"
 	if got := strings.Join(names, ","); got != suite {
 		t.Errorf("analyzer suite = %s; order and names are part of the report contract", got)
 	}
 	// The report header counts the suite and times the run — the
 	// suite-growth trail future PRs read.
-	if doc.Analyzers != 9 {
-		t.Errorf("doc.Analyzers = %d, want 9", doc.Analyzers)
+	if doc.Analyzers != 8 {
+		t.Errorf("doc.Analyzers = %d, want 8", doc.Analyzers)
 	}
 	if doc.ElapsedMS < 0 {
 		t.Errorf("doc.ElapsedMS = %d, want >= 0", doc.ElapsedMS)

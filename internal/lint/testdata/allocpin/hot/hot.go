@@ -20,12 +20,29 @@ func Clean(n int) int {
 	return n*2 + 1
 }
 
+// Grows appends in an annotated body: a growing append allocates, but
+// -gcflags=-m prints no escape line for it, so the call is the finding.
+//
+//lint:alloc-free pinned hot path (fixture)
+func Grows(grad []float64) []float64 {
+	return append([]float64(nil), grad...) // want alloc.append
+}
+
+// Reuses appends into a caller-owned buffer that never grows in steady
+// state; the suppression vouches for the capacity.
+//
+//lint:alloc-free steady-state path reuses its buffer
+func Reuses(buf []float64, x float64) []float64 {
+	//lint:ignore alloc.append caller sizes buf to its final length
+	return append(buf[:0], x)
+}
+
 // Unannotated allocates freely — without the annotation the analyzer
 // has nothing to say.
-func Unannotated(n int) *int {
+func Unannotated(n int) []int {
 	y := new(int)
 	*y = n
-	return y
+	return append([]int(nil), *y)
 }
 
 // Amortized allocates once; the suppression vouches the warmup cost is

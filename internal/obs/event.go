@@ -34,7 +34,7 @@ const (
 // TrainEvent is one entry of the typed training event stream, delivered
 // through transn's Config.Observer callback. Numeric identity fields
 // (Stage, View, Pair, Epoch), losses and Examples are deterministic for
-// a fixed Seed under DeterministicApply; timing fields
+// a fixed Seed and Workers; timing fields
 // (DurationSeconds, ExamplesPerSec) never are — comparisons should use
 // Key()-style projections. View and Pair are -1 when not applicable.
 type TrainEvent struct {
@@ -70,9 +70,8 @@ type TrainEvent struct {
 }
 
 // Deterministic returns the event with its timing fields zeroed: the
-// projection that is reproducible for a fixed Seed under
-// DeterministicApply. The determinism test suite compares streams of
-// these.
+// projection that is reproducible for a fixed Seed and Workers. The
+// determinism test suite compares streams of these.
 func (e TrainEvent) Deterministic() TrainEvent {
 	e.DurationSeconds = 0
 	e.ExamplesPerSec = 0

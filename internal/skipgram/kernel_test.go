@@ -15,7 +15,7 @@ import (
 // every In/Out value must match bit for bit, and the mean loss to 1e-12
 // relative.
 
-// referencePairUpdate is the replaced hogwildPairUpdate: it returns the
+// referencePairUpdate is the replaced pair update: it returns the
 // update's own clamped log loss.
 func referencePairUpdate(in, out, grad []float64, label, lr float64) float64 {
 	var dot float64
@@ -77,9 +77,8 @@ func referenceTrainCorpus(m *Model, paths [][]int, offsets []int, neg int, lr fl
 	return loss, pairs
 }
 
-// referenceDeterministic mirrors TrainCorpusParallelStats with
-// deterministic=true: the same contiguous shards and per-shard streams,
-// applied in shard order.
+// referenceDeterministic mirrors TrainCorpusParallelStats: the same
+// contiguous shards and per-shard streams, applied in shard order.
 func referenceDeterministic(m *Model, paths [][]int, offsets []int, neg int, lr float64, s *NegSampler, seed int64, workers int) (float64, int) {
 	shards := workers
 	if shards > len(paths) {
@@ -144,8 +143,8 @@ func assertLossClose(t *testing.T, what string, got, want float64) {
 }
 
 // TestPairKernelMatchesReference trains several passes with homo (±1)
-// and hetero (±2) offsets, serially and through the deterministic
-// sharded path with two workers, and compares each pass against the
+// and hetero (±2) offsets, serially and through the sharded path with
+// two workers, and compares each pass against the
 // reference kernel on a cloned model.
 func TestPairKernelMatchesReference(t *testing.T) {
 	const nodes, dim = 24, 16
@@ -170,13 +169,13 @@ func TestPairKernelMatchesReference(t *testing.T) {
 				assertTablesIdentical(t, name("serial"), got, want)
 			}
 
-			// Deterministic sharded apply, workers=2.
+			// Sharded apply, workers=2.
 			got = NewModel(nodes, dim, rand.New(rand.NewSource(24)))
 			want = cloneModel(got)
 			for pass := 0; pass < 3; pass++ {
 				lr := 0.05 * (1 - float64(pass)/3)
 				seed := int64(100 + pass)
-				gl, gp, _ := got.TrainCorpusParallelStats(paths, offsets, neg, lr, s, seed, 2, true)
+				gl, gp, _ := got.TrainCorpusParallelStats(paths, offsets, neg, lr, s, seed, 2)
 				wl, wp := referenceDeterministic(want, paths, offsets, neg, lr, s, seed, 2)
 				if gp != wp {
 					t.Fatalf("%s: %d pairs, reference %d", name("workers=2"), gp, wp)

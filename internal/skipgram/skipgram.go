@@ -97,21 +97,6 @@ func SymmetricOffsets(w int) []int {
 // TrainPair allocates its own d-length center-gradient buffer per call;
 // it serves callers that train edge by edge (the LINE baseline). Corpus
 // passes call trainPair with one buffer per shard instead.
-//
-// All element-level access to the shared In/Out tables goes through the
-// two go:norace leaf helpers below (hogwildPairUpdate, applyRowGrad): in
-// the Hogwild mode of TrainCorpusParallel several shards apply updates
-// to the tables concurrently without synchronization, exactly like the
-// original word2vec trainer. Those element races are intentional and
-// benign on platforms with atomic aligned 64-bit stores (amd64, arm64):
-// a lost update costs one stochastic gradient step, never a torn value.
-// The race-detector exemption is confined to exactly those leaves (and
-// the cross-view gather/scatter in internal/transn) so the surrounding
-// pool, sharding and phase-barrier logic remains fully instrumented —
-// `go test -race` still proves the pipeline has no unintended races.
-// go:norace covers only the annotated body (not callees or closures), so
-// the helpers inline their dot products instead of calling mat.Dot, and
-// go:noinline stops an instrumented caller from absorbing them.
 func (m *Model) TrainPair(center, context, neg int, lr float64, s *NegSampler, rng *rand.Rand) float64 {
 	return m.trainPair(center, context, neg, lr, s, rng, make([]float64, m.In.C))
 }
@@ -124,9 +109,8 @@ func (m *Model) TrainPair(center, context, neg int, lr float64, s *NegSampler, r
 const foldBelow = 1e-280
 
 // trainPair is TrainPair with a caller-owned d-length grad buffer, which
-// it clears before use. trainCorpus owns one buffer per shard, so under
-// Hogwild each buffer stays goroutine-local and a pass allocates nothing
-// per pair.
+// it clears before use. trainCorpus owns one buffer per shard, so a pass
+// allocates nothing per pair.
 //
 // The loss Σ −log pᵢ over the positive and the sampled negatives is
 // computed as −log ∏pᵢ: one math.Log per pair instead of one per update.
@@ -140,7 +124,7 @@ func (m *Model) trainPair(center, context, neg int, lr float64, s *NegSampler, r
 	in := m.In.Row(center)
 	clear(grad)
 	var loss float64
-	prod := hogwildPairUpdate(in, m.Out.Row(context), grad, 1, lr)
+	prod := pairUpdate(in, m.Out.Row(context), grad, 1, lr)
 	for k := 0; k < neg; k++ {
 		n := s.Draw(rng)
 		for tries := 0; n == context && tries < 4; tries++ {
@@ -149,7 +133,7 @@ func (m *Model) trainPair(center, context, neg int, lr float64, s *NegSampler, r
 		if n == context {
 			continue
 		}
-		prod *= hogwildPairUpdate(in, m.Out.Row(n), grad, 0, lr)
+		prod *= pairUpdate(in, m.Out.Row(n), grad, 0, lr)
 		if prod < foldBelow {
 			loss -= math.Log(prod)
 			prod = 1
@@ -159,14 +143,12 @@ func (m *Model) trainPair(center, context, neg int, lr float64, s *NegSampler, r
 	return loss - math.Log(prod)
 }
 
-// hogwildPairUpdate scores one (center, target) pair against label,
-// updates the target's output row in place, and accumulates the center
-// gradient into grad (applied once per pair by applyRowGrad). It returns
-// the clamped probability the model gives the label, max(score, 1e-10)
-// for a positive and max(1−score, 1e-10) for a negative; trainPair turns
-// the product of these into the pair loss. grad and the return value are
-// goroutine-local; only in (read) and out (read/write) are shared. See
-// the Hogwild contract on TrainPair.
+// pairUpdate scores one (center, target) pair against label, updates
+// the target's output row in place, and accumulates the center gradient
+// into grad (applied once per pair by applyRowGrad). It returns the
+// clamped probability the model gives the label, max(score, 1e-10) for
+// a positive and max(1−score, 1e-10) for a negative; trainPair turns
+// the product of these into the pair loss.
 //
 // out and grad are re-sliced to len(in) so the compiler drops the bounds
 // checks in both loops. The single-accumulator dot and the per-element
@@ -174,9 +156,7 @@ func (m *Model) trainPair(center, context, neg int, lr float64, s *NegSampler, r
 //
 //lint:finite-checked pair losses roll up into the iteration mean swept by the trainer's guard (transn/finite.go)
 //lint:alloc-free SGNS per-update leaf, pinned by TestTrainCorpusAllocsConstant
-//go:norace
-//go:noinline
-func hogwildPairUpdate(in, out, grad []float64, label, lr float64) float64 {
+func pairUpdate(in, out, grad []float64, label, lr float64) float64 {
 	out = out[:len(in)]
 	grad = grad[:len(in)]
 	var dot float64
@@ -195,13 +175,11 @@ func hogwildPairUpdate(in, out, grad []float64, label, lr float64) float64 {
 	return math.Max(1-score, 1e-10)
 }
 
-// applyRowGrad subtracts the accumulated center gradient from the shared
-// input row. See the Hogwild contract on TrainPair.
+// applyRowGrad subtracts the accumulated center gradient from the input
+// row.
 //
 //lint:finite-checked the written rows are sampled by the trainer's per-iteration guard (transn/finite.go)
 //lint:alloc-free SGNS per-pair leaf, pinned by TestTrainCorpusAllocsConstant
-//go:norace
-//go:noinline
 func applyRowGrad(in, grad []float64) {
 	grad = grad[:len(in)]
 	for i := range in {
@@ -223,8 +201,7 @@ func (m *Model) TrainCorpus(paths [][]int, offsets []int, neg int, lr float64, s
 // trainCorpus is the shared pass body: it returns the summed pair loss
 // and the pair count so sharded callers can combine shard means exactly.
 // It owns the pass's one center-gradient buffer; each shard of
-// TrainCorpusParallel runs its own trainCorpus, so buffers are never
-// shared between goroutines.
+// TrainCorpusParallelStats runs its own trainCorpus.
 func (m *Model) trainCorpus(paths [][]int, offsets []int, neg int, lr float64, s *NegSampler, rng *rand.Rand) (float64, int) {
 	grad := make([]float64, m.In.C)
 	var loss float64
@@ -247,77 +224,29 @@ func (m *Model) trainCorpus(paths [][]int, offsets []int, neg int, lr float64, s
 	return loss, pairs
 }
 
-// TrainCorpusParallel runs one SGNS pass with the corpus partitioned
-// into `workers` contiguous shards, shard s training under the private
-// RNG stream rngstream(seed, s). Two update disciplines are provided:
+// TrainCorpusParallelStats runs one SGNS pass with the corpus
+// partitioned into min(workers, len(paths)) contiguous shards, shard s
+// training under the private RNG stream rngstream(seed, s). Shards
+// apply in shard order, so the pass is byte-reproducible for a fixed
+// (seed, workers); with workers <= 1 it is TrainCorpus under stream
+// (seed, 0). Training concurrency comes from the caller: transn.Train
+// runs the passes of different views, which own disjoint tables, at the
+// same time. The negative sampler is shared and read-only.
 //
-//   - Hogwild (deterministic=false, the default for training): shards
-//     run concurrently on the worker pool and apply unsynchronized
-//     updates to the shared In/Out tables, word2vec-style. Lock-free
-//     and near-linear in workers, but nondeterministic for workers > 1
-//     because shard interleaving varies run to run. See TrainPair for
-//     why this is race-clean by construction.
-//
-//   - Deterministic sharded apply (deterministic=true): the same shard
-//     partition and RNG streams, but shards are applied serially in
-//     shard order. Byte-reproducible for a fixed (seed, workers) at the
-//     cost of serializing the skip-gram updates; walk generation
-//     upstream still parallelizes. Used by the determinism test suite
-//     and by callers that need reproducible embeddings (experiments,
-//     regression baselines).
-//
-// With workers <= 1 both modes reduce to TrainCorpus under stream
-// (seed, 0) — the serial path. The negative sampler is shared and
-// read-only. The returned loss is the mean pair loss across all shards;
-// under Hogwild it is itself subject to the benign read races and may
-// vary in the last bits between runs.
-func (m *Model) TrainCorpusParallel(paths [][]int, offsets []int, neg int, lr float64, s *NegSampler, seed int64, workers int, deterministic bool) float64 {
-	loss, _, _ := m.TrainCorpusParallelStats(paths, offsets, neg, lr, s, seed, workers, deterministic)
-	return loss
-}
-
-// TrainCorpusParallelStats is TrainCorpusParallel plus the counters the
-// telemetry layer reports: the number of (center, context) training
-// pairs the pass applied — the throughput unit behind examples/sec —
-// and the worker-pool timing breakdown. Shard losses and pair counts
-// are accumulated shard-locally and merged here, after the barrier, so
-// nothing is added to the Hogwild hot path. The embedding updates are
-// identical to TrainCorpusParallel's for the same arguments.
-func (m *Model) TrainCorpusParallelStats(paths [][]int, offsets []int, neg int, lr float64, s *NegSampler, seed int64, workers int, deterministic bool) (float64, int, par.Stats) {
-	if workers <= 1 || len(paths) <= 1 {
-		var loss float64
-		var pairs int
-		st := par.RunTimed(1, 1, func(int) {
-			loss, pairs = m.trainCorpus(paths, offsets, neg, lr, s, rngstream.New(seed, 0))
-		})
-		if pairs == 0 {
-			return 0, 0, st
-		}
-		return loss / float64(pairs), pairs, st
-	}
-	shards := workers
-	if shards > len(paths) {
-		shards = len(paths)
-	}
-	losses := make([]float64, shards)
-	counts := make([]int, shards)
-	train := func(sh int) {
-		lo := sh * len(paths) / shards
-		hi := (sh + 1) * len(paths) / shards
-		losses[sh], counts[sh] = m.trainCorpus(paths[lo:hi], offsets, neg, lr, s, rngstream.New(seed, int64(sh)))
-	}
-	var st par.Stats
-	if deterministic {
-		st = par.RunTimed(1, shards, train)
-	} else {
-		st = par.RunTimed(workers, shards, train)
-	}
+// It returns the mean pair loss across all shards, the number of
+// (center, context) training pairs applied — the throughput unit
+// behind examples/sec — and the pass's timing for the telemetry layer.
+func (m *Model) TrainCorpusParallelStats(paths [][]int, offsets []int, neg int, lr float64, s *NegSampler, seed int64, workers int) (float64, int, par.Stats) {
+	shards := max(1, min(workers, len(paths)))
 	var loss float64
 	var pairs int
-	for sh := range losses {
-		loss += losses[sh]
-		pairs += counts[sh]
-	}
+	st := par.RunTimed(1, shards, func(sh int) {
+		lo := sh * len(paths) / shards
+		hi := (sh + 1) * len(paths) / shards
+		l, n := m.trainCorpus(paths[lo:hi], offsets, neg, lr, s, rngstream.New(seed, int64(sh)))
+		loss += l
+		pairs += n
+	})
 	if pairs == 0 {
 		return 0, 0, st
 	}

@@ -317,8 +317,8 @@ func cloneModel(m *Model) *Model {
 	return c
 }
 
-// TrainCorpusParallel with one worker must reduce to TrainCorpus under
-// the shard-0 stream — this anchors the Workers=1 reproducibility
+// TrainCorpusParallelStats with one worker must reduce to TrainCorpus
+// under the shard-0 stream — this anchors the Workers=1 reproducibility
 // promise all the way down the stack.
 func TestTrainCorpusParallelOneWorkerMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
@@ -327,7 +327,7 @@ func TestTrainCorpusParallelOneWorkerMatchesSerial(t *testing.T) {
 	a := NewModel(6, 8, rand.New(rand.NewSource(7)))
 	b := cloneModel(a)
 	const seed = 99
-	la := a.TrainCorpusParallel(paths, SymmetricOffsets(2), 5, 0.05, s, seed, 1, false)
+	la, _, _ := a.TrainCorpusParallelStats(paths, SymmetricOffsets(2), 5, 0.05, s, seed, 1)
 	lb := b.TrainCorpus(paths, SymmetricOffsets(2), 5, 0.05, s, rngstream.New(seed, 0))
 	if la != lb {
 		t.Fatalf("losses differ: %v vs %v", la, lb)
@@ -344,8 +344,7 @@ func TestTrainCorpusParallelOneWorkerMatchesSerial(t *testing.T) {
 	}
 }
 
-// Deterministic sharded apply must be byte-reproducible per (seed,
-// workers), and Hogwild must still learn on the same corpus.
+// The sharded pass must be byte-reproducible per (seed, workers).
 func TestTrainCorpusParallelDeterministicReproducible(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	paths := twoClusterCorpus(rng, 30, 10)
@@ -353,8 +352,8 @@ func TestTrainCorpusParallelDeterministicReproducible(t *testing.T) {
 	for _, workers := range []int{2, 4} {
 		a := NewModel(6, 8, rand.New(rand.NewSource(9)))
 		b := cloneModel(a)
-		la := a.TrainCorpusParallel(paths, SymmetricOffsets(2), 5, 0.05, s, 11, workers, true)
-		lb := b.TrainCorpusParallel(paths, SymmetricOffsets(2), 5, 0.05, s, 11, workers, true)
+		la, _, _ := a.TrainCorpusParallelStats(paths, SymmetricOffsets(2), 5, 0.05, s, 11, workers)
+		lb, _, _ := b.TrainCorpusParallelStats(paths, SymmetricOffsets(2), 5, 0.05, s, 11, workers)
 		if la != lb {
 			t.Fatalf("workers=%d losses differ: %v vs %v", workers, la, lb)
 		}
@@ -366,56 +365,63 @@ func TestTrainCorpusParallelDeterministicReproducible(t *testing.T) {
 	}
 }
 
-func TestTrainCorpusParallelHogwildLearns(t *testing.T) {
+// Repeated four-shard passes must learn: the loss falls and stays
+// finite.
+func TestTrainCorpusParallelLearns(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	paths := twoClusterCorpus(rng, 40, 10)
 	s := NewNegSampler(CorpusFrequencies(paths, 6))
 	m := NewModel(6, 8, rand.New(rand.NewSource(11)))
-	first := m.TrainCorpusParallel(paths, SymmetricOffsets(1), 5, 0.05, s, 12, 4, false)
+	first, _, _ := m.TrainCorpusParallelStats(paths, SymmetricOffsets(1), 5, 0.05, s, 12, 4)
 	var last float64
 	for i := 1; i < 10; i++ {
-		last = m.TrainCorpusParallel(paths, SymmetricOffsets(1), 5, 0.05, s, 12+int64(i), 4, false)
+		last, _, _ = m.TrainCorpusParallelStats(paths, SymmetricOffsets(1), 5, 0.05, s, 12+int64(i), 4)
 	}
 	if math.IsNaN(last) || last >= first {
-		t.Fatalf("hogwild loss did not decrease: first %.4f last %.4f", first, last)
+		t.Fatalf("loss did not decrease: first %.4f last %.4f", first, last)
 	}
 }
 
-// TrainCorpusParallelStats must train exactly like TrainCorpusParallel
-// (same loss, same tables) while reporting a positive pair count and a
-// worker-time breakdown covering every shard.
+// TrainCorpusParallelStats must train exactly like TrainCorpus applied
+// to each shard of its partition in shard order, each under its own
+// stream (same summed loss and pair count, same tables), while
+// reporting a worker-time breakdown covering every shard.
 func TestTrainCorpusParallelStatsMatchesParallel(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	paths := twoClusterCorpus(rng, 30, 10)
 	s := NewNegSampler(CorpusFrequencies(paths, 6))
-	for _, tc := range []struct {
-		workers       int
-		deterministic bool
-	}{{1, false}, {3, true}} {
+	for _, workers := range []int{1, 3} {
 		a := NewModel(6, 8, rand.New(rand.NewSource(15)))
 		b := cloneModel(a)
-		la := a.TrainCorpusParallel(paths, SymmetricOffsets(2), 5, 0.05, s, 13, tc.workers, tc.deterministic)
-		lb, pairs, st := b.TrainCorpusParallelStats(paths, SymmetricOffsets(2), 5, 0.05, s, 13, tc.workers, tc.deterministic)
-		if la != lb {
-			t.Fatalf("workers=%d: losses differ: %v vs %v", tc.workers, la, lb)
+		var sum float64
+		var want int
+		for sh := 0; sh < workers; sh++ {
+			lo, hi := sh*len(paths)/workers, (sh+1)*len(paths)/workers
+			l, n := a.trainCorpus(paths[lo:hi], SymmetricOffsets(2), 5, 0.05, s, rngstream.New(13, int64(sh)))
+			sum += l
+			want += n
+		}
+		lb, pairs, st := b.TrainCorpusParallelStats(paths, SymmetricOffsets(2), 5, 0.05, s, 13, workers)
+		if la := sum / float64(want); la != lb || pairs != want {
+			t.Fatalf("workers=%d: loss %v over %d pairs, want %v over %d", workers, lb, pairs, la, want)
 		}
 		for i := range a.In.Data {
 			if a.In.Data[i] != b.In.Data[i] {
-				t.Fatalf("workers=%d: In tables diverge at %d", tc.workers, i)
+				t.Fatalf("workers=%d: In tables diverge at %d", workers, i)
 			}
 		}
 		if pairs <= 0 {
-			t.Fatalf("workers=%d: pair count %d not positive", tc.workers, pairs)
+			t.Fatalf("workers=%d: pair count %d not positive", workers, pairs)
 		}
 		if st.Wall <= 0 || len(st.Workers) == 0 {
-			t.Fatalf("workers=%d: empty stats %+v", tc.workers, st)
+			t.Fatalf("workers=%d: empty stats %+v", workers, st)
 		}
 		shards := 0
 		for _, w := range st.Workers {
 			shards += w.Shards
 		}
-		if shards <= 0 {
-			t.Fatalf("workers=%d: no shards attributed in %+v", tc.workers, st)
+		if shards != workers {
+			t.Fatalf("workers=%d: %d shards attributed in %+v", workers, shards, st)
 		}
 	}
 }

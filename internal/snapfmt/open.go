@@ -236,8 +236,8 @@ func (s *Snapshot) decodeConfig(b []byte) error {
 			return specErr("§4", "flag byte %d is %d, must be 0 or 1", i, v)
 		}
 	}
+	// flags[1], the retired Parallel alias, is validated and ignored.
 	c.DeterministicApply = flags[0] == 1
-	c.Parallel = flags[1] == 1
 	c.NoCrossView = flags[2] == 1
 	c.SimpleWalk = flags[3] == 1
 	c.SimpleTranslator = flags[4] == 1

@@ -251,8 +251,10 @@ func packConfig(b []byte, src *Source) {
 	}
 	binary.LittleEndian.PutUint64(b[120:], math.Float64bits(c.LRSingle))
 	binary.LittleEndian.PutUint64(b[128:], math.Float64bits(c.LRCross))
+	// Byte 0 records the deterministic apply, the only training mode;
+	// byte 1, once the Parallel alias, stays 0.
 	flags := []bool{
-		c.DeterministicApply, c.Parallel, c.NoCrossView, c.SimpleWalk,
+		true, false, c.NoCrossView, c.SimpleWalk,
 		c.SimpleTranslator, c.NoTranslation, c.NoReconstruction, src.Export.TranslatorSimple,
 	}
 	for i, f := range flags {

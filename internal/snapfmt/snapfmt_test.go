@@ -476,14 +476,16 @@ func perm(t *testing.T, path string) os.FileMode {
 // field gets a distinct non-zero value by reflection, so a new field
 // fails here until the section learns it. Bools are also set one at a
 // time, which catches two flags swapped between encoder and decoder.
+// DeterministicApply is not a choice: it is true in every trained
+// model, and flag byte 0 always records it so.
 func TestConfigSectionCarriesEveryField(t *testing.T) {
 	runtimeOnly := map[string]bool{"Observer": true, "Telemetry": true, "ModelReady": true}
-	var base transn.Config
+	base := transn.Config{DeterministicApply: true}
 	bv := reflect.ValueOf(&base).Elem()
 	var bools []int
 	for i := 0; i < bv.NumField(); i++ {
 		f := bv.Type().Field(i)
-		if runtimeOnly[f.Name] {
+		if runtimeOnly[f.Name] || f.Name == "DeterministicApply" {
 			continue
 		}
 		switch fv := bv.Field(i); fv.Kind() {

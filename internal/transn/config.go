@@ -63,30 +63,23 @@ type Config struct {
 	CrossPathsPerPair int
 	// Loss selects the cross-view similarity objective.
 	Loss CrossLoss
-	// Seed drives all randomness. With Workers=1, or with
-	// DeterministicApply set, the same seed reproduces the same
-	// embeddings exactly; the default Hogwild mode (Workers>1) is
-	// intentionally nondeterministic — see the concurrency model in
+	// Seed drives all randomness. The same (Seed, Workers) reproduces
+	// the same embeddings exactly — see the concurrency model in
 	// DESIGN.md §6.
 	Seed int64
-	// Workers is the worker-pool size: walk generation, skip-gram shard
-	// training and cross-view pair steps all shard across this many
-	// goroutines. 0 means runtime.NumCPU(); 1 means fully serial. Every
-	// shard owns a private RNG stream derived as (Seed, kind, view/pair,
-	// shard[, iteration]) — see internal/rngstream.
+	// Workers bounds training concurrency: up to this many views run
+	// their single-view steps at once, and each view shards its walk
+	// generation across this many goroutines. It also sets the number
+	// of skip-gram shards per view, which apply in shard order. 0 means
+	// runtime.NumCPU(); 1 means fully serial. Every shard owns a
+	// private RNG stream derived as (Seed, kind, view/pair, shard[,
+	// iteration]) — see internal/rngstream.
 	Workers int
-	// DeterministicApply opts into the deterministic sharded-apply mode:
-	// walk corpora are still generated in parallel, but skip-gram shards
-	// and cross-view pair steps apply their updates serially in shard
-	// order, making training byte-reproducible for a fixed (Seed,
-	// Workers). The default (false) is Hogwild-style lock-free updates:
-	// faster, race-clean by construction, but nondeterministic when
-	// Workers > 1.
+	// DeterministicApply is always true after defaulting: the
+	// deterministic sharded apply is the only way Train runs.
+	//
+	// Deprecated: setting it has no effect.
 	DeterministicApply bool
-	// Parallel is deprecated: use Workers. Parallel=true behaves like
-	// Workers=NumCPU with DeterministicApply=true, preserving the old
-	// promise that parallel training is reproducible for a fixed seed.
-	Parallel bool
 
 	// Ablation switches (Table V).
 	NoCrossView      bool // TransN-Without-Cross-View
@@ -99,10 +92,11 @@ type Config struct {
 	// boundary of Algorithm 1: one per walk corpus, per skip-gram pass,
 	// per cross-view pair step, and one loss-curve event per iteration.
 	// Calls are serialized by the model (the callback is never invoked
-	// concurrently), but in the default Hogwild mode pair events may
-	// arrive in any pair order; under DeterministicApply the stream
-	// order — and every non-timing field — is reproducible for a fixed
-	// Seed and Workers (compare TrainEvent.Deterministic projections).
+	// concurrently), and the stream order — and every non-timing field
+	// — is reproducible for a fixed Seed and Workers (compare
+	// TrainEvent.Deterministic projections): within an iteration, each
+	// view's walk and skip-gram events in view order, then the pair
+	// events in pair order, then the iteration event.
 	// The callback runs inline with training: keep it cheap or hand off
 	// to a channel. Not stored in model files (functions have no wire
 	// form).
@@ -198,11 +192,7 @@ func (c Config) withDefaults() Config {
 	if c.Workers == 0 {
 		c.Workers = runtime.NumCPU()
 	}
-	if c.Parallel {
-		// Deprecated alias: Parallel documented deterministic concurrent
-		// training, which is now the deterministic sharded-apply mode.
-		c.DeterministicApply = true
-	}
+	c.DeterministicApply = true
 	return c
 }
 

@@ -25,17 +25,14 @@ type crossResult struct {
 // lines 8–12): it samples common-node path segments from both
 // paired-subviews and optimizes the translation tasks T1/T2 (Eqs. 11–12)
 // and reconstruction tasks R1/R2 (Eqs. 13–14). It returns the mean
-// segment losses. rng is pair pi's private stream; when pair steps fan
-// out over the worker pool, each pair runs on exactly one worker
-// (worker is that worker's index, for span attribution) so nothing here
-// is shared between goroutines except the embedding tables, whose
-// accesses go through the Hogwild gather/scatter helpers below, and the
-// telemetry sinks, which are race-safe — segment losses accumulate in a
-// shard-local histogram view flushed once at the end of the step.
-func (m *Model) crossViewStep(pi, iter, worker int, rng *rand.Rand) crossResult {
-	span := m.tel.trace().Start(obs.SpanCrossPair).Pair(pi).Epoch(iter).Worker(worker)
+// segment losses. Segments are sampled from pair pi's private stream;
+// segment losses accumulate in a local histogram view flushed once at
+// the end of the step.
+func (m *Model) crossViewStep(pi, iter int) crossResult {
+	span := m.tel.trace().Start(obs.SpanCrossPair).Pair(pi).Epoch(iter)
 	segLoss := m.tel.segLoss.Local()
 	pr := m.pairs[pi]
+	rng := m.pairRngs[pi]
 	var res crossResult
 	// Side 0: paths from φ'_i, translator T_{i→j} forward; side 1: the
 	// dual direction.
@@ -132,9 +129,9 @@ func (m *Model) trainSegment(seg []graph.NodeID, src, dst int, fwd, bwd *Transla
 	for k, gid := range seg {
 		srcLoc[k] = srcView.Local(gid)
 		dstLoc[k] = dstView.Local(gid)
+		copy(A.Row(k), srcEmb.In.Row(srcLoc[k]))
+		copy(Atgt.Row(k), dstEmb.In.Row(dstLoc[k]))
 	}
-	gatherRows(A, srcEmb.In, srcLoc)
-	gatherRows(Atgt, dstEmb.In, dstLoc)
 
 	tp := autodiff.NewTape()
 	tA := tp.Param(A)
@@ -194,42 +191,10 @@ func (m *Model) trainSegment(seg []graph.NodeID, src, dst int, fwd, bwd *Transla
 	return loss.Value.At(0, 0), transLoss, reconLoss
 }
 
-// gatherRows copies src rows named by loc into consecutive rows of dst.
-//
-// gatherRows and scatterRowGrads are the only places where concurrent
-// cross-view pair steps touch shared memory: two pairs that share a
-// view read and write that view's embedding rows without
-// synchronization (Hogwild, like the skip-gram shards — see
-// skipgram.TrainPair). The races are intentional and benign on
-// platforms with atomic aligned 64-bit loads/stores: a stale read or
-// lost update perturbs one stochastic gradient step. go:norace scopes
-// the race-detector exemption to exactly these row copies, keeping the
-// rest of the pair step (translators, tape, pool) fully instrumented;
-// go:noinline keeps the annotation effective when called from
-// instrumented code. Deterministic mode never overlaps pair steps, so
-// there the helpers are plain copies.
-//
-//go:norace
-//go:noinline
-func gatherRows(dst, src *mat.Dense, loc []int) {
-	// Element copies are written out by hand: go:norace covers only this
-	// body, so delegating to the (instrumented) mat.Dense.SetRow would
-	// reintroduce the reports this directive is scoped to suppress.
-	for k, l := range loc {
-		d := dst.Row(k)
-		s := src.Row(l)
-		for i := range d {
-			d[i] = s[i]
-		}
-	}
-}
-
 // scatterRowGrads applies dst.Row(loc[k]) -= lr * grad.Row(k) for every
-// segment position k. See gatherRows for the concurrency contract.
+// segment position k.
 //
 //lint:finite-checked guardIteration (finite.go) sweeps translator params, losses and sampled embedding rows every iteration
-//go:norace
-//go:noinline
 func scatterRowGrads(dst *mat.Dense, loc []int, grad *mat.Dense, lr float64) {
 	for k, l := range loc {
 		row := dst.Row(l)

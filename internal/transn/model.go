@@ -58,8 +58,6 @@ type Model struct {
 	// trans[p] = {T_{i→j}, T_{j→i}} for pairs[p].
 	trans [][2]*Translator
 	// pairRngs[p] is pair p's persistent sampling stream (streamCross).
-	// A pair step runs on at most one worker at a time, so the stream is
-	// never shared between goroutines.
 	pairRngs []*rand.Rand
 
 	// crossEmbedUpdates gates embedding updates in the cross-view step:
@@ -68,10 +66,8 @@ type Model struct {
 	crossEmbedUpdates bool
 
 	// tel is the run's resolved telemetry (metric handles looked up
-	// once, nil-safe when Cfg.Telemetry is nil); obsMu serializes
-	// Observer callbacks from concurrent pair steps.
-	tel   telemetry
-	obsMu sync.Mutex
+	// once, nil-safe when Cfg.Telemetry is nil).
+	tel telemetry
 
 	// nonFinite latches once the iteration guard (finite.go) sees a
 	// NaN/Inf loss, translator parameter or sampled embedding value.
@@ -170,9 +166,9 @@ func (t *telemetry) recordPool(st par.Stats) {
 }
 
 // emit delivers ev to the Observer callback with the timing fields
-// filled from d. Calls are serialized: pair steps emit from worker
-// goroutines in Hogwild mode, and the contract promises the callback is
-// never invoked concurrently.
+// filled from d. Only Train's goroutine calls it, so the callback is
+// never invoked concurrently; events from concurrent single-view steps
+// are buffered in their viewResult and emitted after the barrier.
 func (m *Model) emit(ev obs.TrainEvent, d time.Duration) {
 	if m.Cfg.Observer == nil {
 		return
@@ -181,18 +177,31 @@ func (m *Model) emit(ev obs.TrainEvent, d time.Duration) {
 	if d > 0 && ev.Examples > 0 {
 		ev.ExamplesPerSec = float64(ev.Examples) / d.Seconds()
 	}
-	m.obsMu.Lock()
-	defer m.obsMu.Unlock()
 	m.Cfg.Observer(ev)
 }
 
-// Train runs Algorithm 1 on g and returns the trained model. Work is
-// sharded across a pool of Cfg.Workers goroutines *within* each view:
-// walk generation and skip-gram training shard over start nodes and
-// walk batches, and cross-view pair steps fan out over the same pool —
-// so a graph with few edge types still saturates a large machine. See
-// Config.Workers and Config.DeterministicApply for the concurrency and
-// reproducibility contract.
+// timedEvent is a stage event held back until it can be emitted in
+// order, with the duration emit fills its timing fields from.
+type timedEvent struct {
+	ev obs.TrainEvent
+	d  time.Duration
+}
+
+// viewResult is one view's single-view pass: its mean pair loss, the
+// number of training pairs applied, and its walk and skip-gram events.
+type viewResult struct {
+	loss   float64
+	pairs  int
+	events [2]timedEvent
+}
+
+// Train runs Algorithm 1 on g and returns the trained model. Each
+// iteration runs the single-view steps of all views concurrently, at
+// most Cfg.Workers at a time, and each view also shards its walk
+// generation across Cfg.Workers goroutines; the cross-view pair steps
+// then run one after another in pair order. Views own disjoint
+// embedding tables and RNG streams, so training is byte-reproducible
+// for a fixed (Seed, Workers). See DESIGN.md §6.
 func Train(g *graph.Graph, cfg Config) (*Model, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.Validate(); err != nil {
@@ -225,20 +234,28 @@ func Train(g *graph.Graph, cfg Config) (*Model, error) {
 		var st IterStats
 		st.Iteration = iter
 		st.ViewLoss = make([]float64, len(m.views))
-		// Single-view passes: views run in sequence, each view sharding
-		// its walks and skip-gram updates across the full pool. (The old
-		// scheme of one goroutine per view capped parallelism at the
-		// number of edge types.)
+		// Single-view passes (Algorithm 1 lines 3–7). A view's pass
+		// touches only its own tables, walker, sampler and streams, so
+		// the views train concurrently. Their events are emitted after
+		// the barrier, in view order.
+		results := make([]*viewResult, len(m.views))
+		par.Run(cfg.Workers, len(m.views), func(vi int) {
+			if m.views[vi].NumNodes() > 0 {
+				results[vi] = m.singleViewStep(vi, iter, lrS)
+			}
+		})
 		var sum float64
 		var n, iterPairs int
-		for vi := range m.views {
-			if m.views[vi].NumNodes() == 0 {
+		for vi, r := range results {
+			if r == nil {
 				continue
 			}
-			loss, pairs := m.singleViewStep(vi, iter, lrS)
-			st.ViewLoss[vi] = loss
-			sum += loss
-			iterPairs += pairs
+			for _, e := range r.events {
+				m.emit(e.ev, e.d)
+			}
+			st.ViewLoss[vi] = r.loss
+			sum += r.loss
+			iterPairs += r.pairs
 			n++
 		}
 		if n > 0 {
@@ -246,21 +263,12 @@ func Train(g *graph.Graph, cfg Config) (*Model, error) {
 		}
 		if !cfg.NoCrossView && len(m.pairs) > 0 {
 			m.crossEmbedUpdates = iter > 0 || cfg.Iterations == 1
-			// Pair steps fan out over the pool. Pairs sharing a view make
-			// unsynchronized (Hogwild) updates to that view's embedding
-			// rows — see the gather/scatter helpers in crossview.go. The
-			// deterministic mode applies pairs serially in pair order.
+			// Pairs that share a view update its embedding rows, so pair
+			// steps run one after another in pair order.
 			results := make([]crossResult, len(m.pairs))
-			step := func(worker, pi int) {
-				results[pi] = m.crossViewStep(pi, iter, worker, m.pairRngs[pi])
-			}
-			poolSize := cfg.Workers
-			if cfg.DeterministicApply {
-				// One-worker pools run inline in ascending order, so this
-				// is the serial pair-order apply the mode promises.
-				poolSize = 1
-			}
-			m.tel.recordPool(par.RunTimedWorker(poolSize, len(m.pairs), step))
+			m.tel.recordPool(par.RunTimed(1, len(m.pairs), func(pi int) {
+				results[pi] = m.crossViewStep(pi, iter)
+			}))
 			st.PairLoss = make([]float64, len(m.pairs))
 			var csum, tsum, rsum float64
 			for pi, r := range results {
@@ -385,13 +393,14 @@ func (m *Model) initPairs() {
 }
 
 // singleViewStep runs one skip-gram pass over fresh walks from view vi
-// (Algorithm 1 lines 3–7) and returns the mean pair loss plus the
-// number of training pairs applied. Walk generation shards start nodes
-// across the pool under the per-iteration base stream (streamWalk, vi,
-// iter); training shards the resulting corpus under (streamTrain, vi,
-// iter). Both phases are traced as "walk" / "skipgram" spans and
-// emitted as StageWalk / StageSkipGram events.
-func (m *Model) singleViewStep(vi, iter int, lr float64) (float64, int) {
+// (Algorithm 1 lines 3–7) and returns its mean pair loss, the number of
+// training pairs applied and its StageWalk / StageSkipGram events, for
+// Train to emit. Walk generation shards start nodes across the pool
+// under the per-iteration base stream (streamWalk, vi, iter); training
+// shards the resulting corpus under (streamTrain, vi, iter). Both
+// phases are traced as "walk" / "skipgram" spans. It touches no state
+// of another view, so Train runs the views' steps concurrently.
+func (m *Model) singleViewStep(vi, iter int, lr float64) *viewResult {
 	v := m.views[vi]
 	cfg := walk.CorpusConfig{
 		WalkLength:      m.Cfg.WalkLength,
@@ -423,21 +432,23 @@ func (m *Model) singleViewStep(vi, iter int, lr float64) (float64, int) {
 		m.tel.recordPool(wst)
 	}
 	m.tel.walkPaths.Add(int64(len(paths)))
-	m.emit(obs.TrainEvent{
+	r := &viewResult{}
+	r.events[0] = timedEvent{obs.TrainEvent{
 		Stage: obs.StageWalk, View: vi, Pair: -1, Epoch: iter, Examples: len(paths),
-	}, walkSpan.End())
+	}, walkSpan.End()}
 
 	offsets := skipgram.ContextOffsets(v.Hetero)
 	sgSpan := m.tel.trace().Start(obs.SpanSkipGram).View(vi).Epoch(iter)
-	loss, pairs, sst := m.emb[vi].TrainCorpusParallelStats(paths, offsets, m.Cfg.NegativeSamples, lr,
-		m.samplers[vi], trainSeed, m.Cfg.Workers, m.Cfg.DeterministicApply)
+	var sst par.Stats
+	r.loss, r.pairs, sst = m.emb[vi].TrainCorpusParallelStats(paths, offsets, m.Cfg.NegativeSamples, lr,
+		m.samplers[vi], trainSeed, m.Cfg.Workers)
 	m.tel.recordPool(sst)
-	m.tel.sgPairs.Add(int64(pairs))
-	m.emit(obs.TrainEvent{
+	m.tel.sgPairs.Add(int64(r.pairs))
+	r.events[1] = timedEvent{obs.TrainEvent{
 		Stage: obs.StageSkipGram, View: vi, Pair: -1, Epoch: iter,
-		LSingle: loss, Examples: pairs,
-	}, sgSpan.End())
-	return loss, pairs
+		LSingle: r.loss, Examples: r.pairs,
+	}, sgSpan.End()}
+	return r
 }
 
 // Embeddings returns the final node embeddings: one row per global node,

@@ -15,6 +15,17 @@ import (
 // group-specific keyword usage (UK, heter). Cross-view information flows
 // through the shared user nodes.
 func socialGraph(t testing.TB, usersPerGroup, keywordsPerGroup int, seed int64) *graph.Graph {
+	return buildSocialGraph(t, usersPerGroup, keywordsPerGroup, seed, false)
+}
+
+// threeViewGraph is socialGraph plus a third view: keywords of one group
+// co-occur (KK, homo). It has two view-pairs, UU–UK over the users and
+// UK–KK over the keywords, which share the UK view.
+func threeViewGraph(t testing.TB, usersPerGroup, keywordsPerGroup int, seed int64) *graph.Graph {
+	return buildSocialGraph(t, usersPerGroup, keywordsPerGroup, seed, true)
+}
+
+func buildSocialGraph(t testing.TB, usersPerGroup, keywordsPerGroup int, seed int64, cooccur bool) *graph.Graph {
 	rng := rand.New(rand.NewSource(seed))
 	b := graph.NewBuilder()
 	user := b.NodeType("user")
@@ -64,6 +75,15 @@ func socialGraph(t testing.TB, usersPerGroup, keywordsPerGroup int, seed int64) 
 	// Sparse cross-group noise.
 	for i := 0; i < usersPerGroup/4+1; i++ {
 		addOnce(users[0][rng.Intn(usersPerGroup)], users[1][rng.Intn(usersPerGroup)], uu, 1)
+	}
+	if cooccur {
+		kk := b.EdgeType("KK")
+		for _, group := range kws {
+			for i, k := range group {
+				addOnce(k, group[(i+1)%len(group)], kk, 1)
+				addOnce(k, group[rng.Intn(len(group))], kk, 1+rng.Float64())
+			}
+		}
 	}
 	g, err := b.Build()
 	if err != nil {
@@ -379,13 +399,11 @@ func BenchmarkTrainSmall(b *testing.B) {
 }
 
 func TestParallelTrainingDeterministic(t *testing.T) {
-	// The deprecated Parallel alias must keep its documented promise:
-	// concurrent training that is reproducible for a fixed seed. It now
-	// maps to Workers=NumCPU with DeterministicApply=true.
+	// Training on all cores (Workers=0) is reproducible for a fixed
+	// seed.
 	g := socialGraph(t, 10, 5, 12)
 	cfg := quickCfg()
 	cfg.Workers = 0 // auto: NumCPU
-	cfg.Parallel = true
 	m1, err := Train(g, cfg)
 	if err != nil {
 		t.Fatal(err)

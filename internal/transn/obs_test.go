@@ -12,14 +12,13 @@ import (
 // Telemetry suite for the instrumented trainer: registry counters merge
 // to exact totals across concurrent shards, spans cover every stage of
 // Algorithm 1, the JSON report carries per-view/per-pair losses, and
-// the event stream is deterministic under DeterministicApply. The whole
-// file runs under -race in CI (telemetry enabled on Hogwild training is
-// exactly the contended case).
+// the event stream is deterministic. The whole file runs under -race in
+// CI (telemetry enabled on concurrent views and walk shards is exactly
+// the contended case).
 
-func telemetryCfg(workers int, deterministic bool) Config {
+func telemetryCfg(workers int) Config {
 	cfg := quickCfg()
 	cfg.Workers = workers
-	cfg.DeterministicApply = deterministic
 	return cfg
 }
 
@@ -27,7 +26,7 @@ func TestTrainTelemetryReportAndCounters(t *testing.T) {
 	g := socialGraph(t, 12, 6, 3)
 	run := obs.NewRun()
 	var events []obs.TrainEvent
-	cfg := telemetryCfg(4, false) // Hogwild: telemetry must be race-safe
+	cfg := telemetryCfg(4) // concurrent views: telemetry must be race-safe
 	cfg.Telemetry = run
 	cfg.Observer = func(ev obs.TrainEvent) { events = append(events, ev) }
 	m, err := Train(g, cfg)
@@ -168,13 +167,13 @@ func TestFinalLossesReturnedAndConverging(t *testing.T) {
 	}
 }
 
-// Identical event streams for the same Seed under DeterministicApply:
+// Identical event streams for the same Seed and Workers:
 // every non-timing field of every event must match across runs, at any
 // worker count.
 func TestEventStreamDeterministic(t *testing.T) {
 	collect := func(workers int) []obs.TrainEvent {
 		g := socialGraph(t, 10, 5, 7)
-		cfg := telemetryCfg(workers, true)
+		cfg := telemetryCfg(workers)
 		var events []obs.TrainEvent
 		cfg.Observer = func(ev obs.TrainEvent) { events = append(events, ev.Deterministic()) }
 		if _, err := Train(g, cfg); err != nil {
@@ -235,13 +234,12 @@ func TestEventStreamAblations(t *testing.T) {
 }
 
 // Training with telemetry enabled must not change the embeddings: the
-// instrumentation only observes. (Deterministic mode so runs compare
-// exactly.)
+// instrumentation only observes.
 func TestTelemetryDoesNotPerturbTraining(t *testing.T) {
-	cfg := telemetryCfg(2, true)
+	cfg := telemetryCfg(2)
 	bare, _ := trainEmb(t, cfg, 31)
 
-	cfg = telemetryCfg(2, true)
+	cfg = telemetryCfg(2)
 	cfg.Telemetry = obs.NewRun()
 	cfg.Observer = func(obs.TrainEvent) {}
 	instrumented, _ := trainEmb(t, cfg, 31)
