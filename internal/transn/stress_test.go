@@ -60,15 +60,44 @@ func checkStressInvariants(t *testing.T, m *Model) {
 	}
 }
 
-func TestStressDeterministicWorkers8(t *testing.T) {
-	for _, seed := range []int64{41, 42} {
-		g := socialGraph(t, 16, 8, seed)
-		m, err := Train(g, stressCfg())
-		if err != nil {
-			t.Fatal(err)
-		}
-		checkStressInvariants(t, m)
+// TestStressHogwildWorkers8 trains with DeterministicApply left false,
+// the setting that once selected the removed Hogwild mode. It must pass
+// the stress invariants and give the same embeddings as a run that sets
+// the flag, since training now has one mode.
+func TestStressHogwildWorkers8(t *testing.T) {
+	g := socialGraph(t, 16, 8, 41)
+	cfg := stressCfg()
+	cfg.DeterministicApply = false
+	m, err := Train(g, cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
+	checkStressInvariants(t, m)
+	cfg.DeterministicApply = true
+	ref, err := Train(g, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, want := m.Embeddings().Data, ref.Embeddings().Data
+	if len(got) != len(want) {
+		t.Fatalf("embedding size %d want %d", len(got), len(want))
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("embedding value %d differs with DeterministicApply unset: %v vs %v", i, got[i], want[i])
+		}
+	}
+}
+
+func TestStressDeterministicWorkers8(t *testing.T) {
+	g := socialGraph(t, 16, 8, 42)
+	cfg := stressCfg()
+	cfg.DeterministicApply = true
+	m, err := Train(g, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkStressInvariants(t, m)
 }
 
 // TestStressAblationsUnderPool makes sure every ablation path survives
