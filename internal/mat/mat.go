@@ -2,6 +2,26 @@
 // of linear-algebra kernels the rest of the repository needs. It is
 // deliberately BLAS-free: everything is plain Go over a single contiguous
 // backing slice so the code runs anywhere the standard library does.
+//
+// Two vector kernels carry the repository's hot loops: Dot and Axpy.
+// The skip-gram pair update, the translators' matrix products (MatMul,
+// TMatMul and MatMulT, on both the training tape and the serving
+// forward pass), the HNSW distance and the exact k-NN scan all call
+// them instead of writing their own loops, so every score of the same
+// two vectors is the same float64.
+//
+//   - Dot(x, y) unrolls by 4 into four independent accumulators:
+//     s_k sums x[i]·y[i] over the unrolled indices i ≡ k (mod 4), the
+//     tail of len(x) mod 4 elements goes into s0, and the result is
+//     (s0+s1)+(s2+s3). The independent adds hide the floating-point
+//     add latency a single running sum waits on. Like a left-to-right
+//     sum it is within n·ε·Σ|xᵢyᵢ| of the exact value, and its order is
+//     fixed, so results stay byte-reproducible.
+//   - Axpy(a, x, y) computes y[i] += a·x[i] element by element, unrolled
+//     by 4. Each element sees exactly one multiply and one add, so it is
+//     bit-identical to the plain loop.
+//
+// Both panic when the lengths differ and allocate nothing.
 package mat
 
 import (
@@ -133,9 +153,7 @@ func Scale(dst *Dense, s float64, a *Dense) *Dense {
 // AddScaled performs dst += s*a in place (axpy) and returns dst.
 func AddScaled(dst *Dense, s float64, a *Dense) *Dense {
 	mustSameShape("AddScaled", dst, a)
-	for i := range a.Data {
-		dst.Data[i] += s * a.Data[i]
-	}
+	Axpy(s, a.Data, dst.Data)
 	return dst
 }
 
@@ -161,10 +179,7 @@ func MatMul(dst, a, b *Dense) *Dense {
 			if aik == 0 {
 				continue
 			}
-			brow := b.Row(k)
-			for j := range drow {
-				drow[j] += aik * brow[j]
-			}
+			Axpy(aik, b.Row(k), drow)
 		}
 	}
 	return dst
@@ -184,13 +199,8 @@ func MatMulT(dst, a, b *Dense) *Dense {
 	for i := 0; i < a.R; i++ {
 		arow := a.Row(i)
 		drow := dst.Row(i)
-		for j := 0; j < b.R; j++ {
-			brow := b.Row(j)
-			var s float64
-			for k := range arow {
-				s += arow[k] * brow[k]
-			}
-			drow[j] = s
+		for j := range drow {
+			drow[j] = Dot(arow, b.Row(j))
 		}
 	}
 	return dst
@@ -215,10 +225,7 @@ func TMatMul(dst, a, b *Dense) *Dense {
 			if aki == 0 {
 				continue
 			}
-			drow := dst.Row(i)
-			for j := range brow {
-				drow[j] += aki * brow[j]
-			}
+			Axpy(aki, brow, dst.Row(i))
 		}
 	}
 	return dst
@@ -286,16 +293,62 @@ func Relu(dst, a *Dense) *Dense {
 	return dst
 }
 
-// Dot returns the inner product of vectors x and y.
+// Dot returns the inner product of vectors x and y, summed in the
+// fixed four-accumulator order described in the package doc.
+//
+// Both kernels reslice each block of four so its element accesses carry
+// no bounds checks; one slice check per block remains.
+//
+//lint:alloc-free shared vector kernel of SGNS, MatMulT and k-NN, pinned by TestKernelsAllocFree
 func Dot(x, y []float64) float64 {
-	if len(x) != len(y) {
-		panic(fmt.Sprintf("mat: Dot length %d vs %d", len(x), len(y)))
+	n := len(x)
+	if len(y) != n {
+		lengthMismatch("Dot", n, len(y))
 	}
-	var s float64
-	for i := range x {
-		s += x[i] * y[i]
+	x, y = x[:n:n], y[:n:n]
+	var s0, s1, s2, s3 float64
+	i := 0
+	for ; i <= n-4; i += 4 {
+		xs, ys := x[i:i+4:i+4], y[i:i+4:i+4]
+		s0 += xs[0] * ys[0]
+		s1 += xs[1] * ys[1]
+		s2 += xs[2] * ys[2]
+		s3 += xs[3] * ys[3]
 	}
-	return s
+	for ; i < n; i++ {
+		s0 += x[i] * y[i]
+	}
+	return (s0 + s1) + (s2 + s3)
+}
+
+// Axpy performs y += a·x element by element, unrolled by 4.
+//
+//lint:alloc-free shared vector kernel of SGNS and MatMul/TMatMul, pinned by TestKernelsAllocFree
+func Axpy(a float64, x, y []float64) {
+	n := len(x)
+	if len(y) != n {
+		lengthMismatch("Axpy", n, len(y))
+	}
+	x, y = x[:n:n], y[:n:n]
+	i := 0
+	for ; i <= n-4; i += 4 {
+		xs, ys := x[i:i+4:i+4], y[i:i+4:i+4]
+		ys[0] += a * xs[0]
+		ys[1] += a * xs[1]
+		ys[2] += a * xs[2]
+		ys[3] += a * xs[3]
+	}
+	for ; i < n; i++ {
+		y[i] += a * x[i]
+	}
+}
+
+// lengthMismatch is the kernels' cold panic path, kept out of line so
+// the message formatting does not allocate inside them.
+//
+//go:noinline
+func lengthMismatch(op string, nx, ny int) {
+	panic(fmt.Sprintf("mat: %s length %d vs %d", op, nx, ny))
 }
 
 // Norm2 returns the Euclidean norm of x.

@@ -2,13 +2,13 @@ package serve
 
 import (
 	"fmt"
-	"math"
 	"os"
 	"runtime"
 	"sort"
 
 	"transn/internal/ann"
 	"transn/internal/graph"
+	"transn/internal/mat"
 	"transn/internal/obs"
 	"transn/internal/snapfmt"
 	"transn/internal/transn"
@@ -156,12 +156,8 @@ func newSnapshot(f *transn.Frozen, gen uint64, cacheSize int) *snapshot {
 	}
 	final := f.FinalTable()
 	s.norms = make([]float64, final.R)
-	for i := 0; i < final.R; i++ {
-		var ss float64
-		for _, v := range final.Row(i) {
-			ss += v * v
-		}
-		s.norms[i] = math.Sqrt(ss)
+	for i := range s.norms {
+		s.norms[i] = mat.Norm2(final.Row(i))
 	}
 	return s
 }
@@ -214,11 +210,7 @@ func (s *snapshot) knnExact(id graph.NodeID, k int) []Neighbor {
 		}
 		sim := 0.0
 		if qn > 0 && s.norms[i] > 0 {
-			var dot float64
-			for c, v := range final.Row(i) {
-				dot += q[c] * v
-			}
-			sim = dot / (qn * s.norms[i])
+			sim = mat.Dot(q, final.Row(i)) / (qn * s.norms[i])
 		}
 		all = append(all, scored{id: i, sim: sim})
 	}

@@ -116,14 +116,13 @@ func (h *HSoftmax) CodeLen(n int) int { return len(h.codes[n]) }
 //lint:finite-checked sigmoid/log are clamped here and the trainer's per-iteration guard (transn/finite.go) sweeps losses and sampled rows
 func (h *HSoftmax) trainPair(m *Model, center, context int, lr float64, grad []float64) float64 {
 	in := m.In.Row(center)
-	dim := len(in)
 	clear(grad)
 	var loss float64
 	code := h.codes[context]
 	points := h.points[context]
 	for i, bit := range code {
 		out := h.Vec.Row(int(points[i]))
-		score := sigmoid(mat.Dot(in, out))
+		score := tableSigmoid(mat.Dot(in, out))
 		label := 0.0
 		if bit {
 			label = 1
@@ -134,14 +133,10 @@ func (h *HSoftmax) trainPair(m *Model, center, context int, lr float64, grad []f
 			loss += -math.Log(math.Max(1-score, 1e-10))
 		}
 		g := (score - label) * lr
-		for d := 0; d < dim; d++ {
-			grad[d] += g * out[d]
-			out[d] -= g * in[d]
-		}
+		mat.Axpy(g, out, grad)
+		mat.Axpy(-g, in, out)
 	}
-	for d := 0; d < dim; d++ {
-		in[d] -= grad[d]
-	}
+	mat.Axpy(-1, grad, in)
 	return loss
 }
 

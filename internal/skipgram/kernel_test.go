@@ -6,23 +6,41 @@ import (
 	"math/rand"
 	"testing"
 
+	"transn/internal/mat"
 	"transn/internal/rngstream"
 )
 
-// The pair kernel reuses one grad buffer per shard and takes the pair
-// loss as −log ∏pᵢ. The tests below pin it against the per-update-log,
-// per-pair-allocation kernel it replaced, kept here as the reference:
-// every In/Out value must match bit for bit, and the mean loss to 1e-12
-// relative.
+// The pair kernel reuses one grad buffer per shard, takes the pair loss
+// as −log ∏pᵢ, scores through mat.Dot and the interpolated sigmoid
+// table, and updates through mat.Axpy. The tests below pin it against
+// the per-update-log, per-pair-allocation kernel with a left-to-right
+// dot and the exact sigmoid, kept here as the reference. The update
+// half must match the reference bit for bit for the same step g; the
+// score may differ by the table's interpolation error, so whole passes
+// are compared within a tolerance.
 
-// referencePairUpdate is the replaced pair update: it returns the
-// update's own clamped log loss.
-func referencePairUpdate(in, out, grad []float64, label, lr float64) float64 {
+// referenceScore is the reference kernel's score: a single-accumulator
+// dot through the exact sigmoid.
+func referenceScore(in, out []float64) float64 {
 	var dot float64
 	for i := range in {
 		dot += in[i] * out[i]
 	}
-	score := sigmoid(dot)
+	return sigmoid(dot)
+}
+
+// referenceUpdate is the reference kernel's update half for step g.
+func referenceUpdate(in, out, grad []float64, g float64) {
+	for i := range in {
+		grad[i] += g * out[i]
+		out[i] -= g * in[i]
+	}
+}
+
+// referencePairUpdate is the replaced pair update: it returns the
+// update's own clamped log loss.
+func referencePairUpdate(in, out, grad []float64, label, lr float64) float64 {
+	score := referenceScore(in, out)
 	g := (score - label) * lr
 	var loss float64
 	if label == 1 {
@@ -30,10 +48,7 @@ func referencePairUpdate(in, out, grad []float64, label, lr float64) float64 {
 	} else {
 		loss = -math.Log(math.Max(1-score, 1e-10))
 	}
-	for i := range in {
-		grad[i] += g * out[i]
-		out[i] -= g * in[i]
-	}
+	referenceUpdate(in, out, grad, g)
 	return loss
 }
 
@@ -135,17 +150,131 @@ func assertTablesIdentical(t *testing.T, what string, got, want *Model) {
 	}
 }
 
+// assertTablesClose requires every In/Out value within tol of the
+// reference, absolutely.
+func assertTablesClose(t *testing.T, what string, got, want *Model, tol float64) {
+	t.Helper()
+	for _, tab := range []struct {
+		name      string
+		got, want []float64
+	}{{"In", got.In.Data, want.In.Data}, {"Out", got.Out.Data, want.Out.Data}} {
+		for i := range tab.want {
+			if d := math.Abs(tab.got[i] - tab.want[i]); !(d <= tol) {
+				t.Fatalf("%s: %s[%d] = %v, reference %v (diff %g > %g)", what, tab.name, i, tab.got[i], tab.want[i], d, tol)
+			}
+		}
+	}
+}
+
 func assertLossClose(t *testing.T, what string, got, want float64) {
 	t.Helper()
-	if math.IsNaN(got) || math.Abs(got-want) > 1e-12*math.Abs(want) {
-		t.Fatalf("%s: mean loss %v, reference %v (rel diff %g)", what, got, want, math.Abs(got-want)/math.Abs(want))
+	assertLossNear(t, what, got, want, 1e-12)
+}
+
+func assertLossNear(t *testing.T, what string, got, want, rel float64) {
+	t.Helper()
+	if math.IsNaN(got) || math.Abs(got-want) > rel*math.Abs(want) {
+		t.Fatalf("%s: mean loss %v, reference %v (rel diff %g > %g)", what, got, want, math.Abs(got-want)/math.Abs(want), rel)
+	}
+}
+
+// Tolerances of the table-sigmoid kernel against the exact reference.
+// One score differs by at most the table's interpolation error (see
+// TestTableSigmoidMatchesExact). Over three passes on the 24-node test
+// corpus the measured drift was at most 2.6e-7 in any table entry and
+// 4e-8 relative in the mean loss; the bounds leave about 4x and 25x of
+// headroom.
+const (
+	scoreTol     = 2.5e-7
+	passTableTol = 1e-6
+	passLossRel  = 1e-6
+)
+
+// TestTableSigmoidMatchesExact bounds the table's interpolation error
+// over a dense grid on [−9, 9] (the measured maximum is 1.84e-7) and
+// pins the exact fallbacks: at and beyond ±sigmoidBound, for ±Inf and
+// for NaN.
+func TestTableSigmoidMatchesExact(t *testing.T) {
+	var worst, worstX float64
+	for i := -900000; i <= 900000; i++ {
+		x := float64(i) * 1e-5
+		if d := math.Abs(tableSigmoid(x) - sigmoid(x)); d > worst {
+			worst, worstX = d, x
+		}
+	}
+	if worst > scoreTol {
+		t.Fatalf("table sigmoid error %g at x=%v, want <= %g", worst, worstX, scoreTol)
+	}
+	for _, x := range []float64{-8, 8, math.Nextafter(-8, -9), 8.5, -8.5, 20, -20, 745, -745, 1e300, -1e300} {
+		if got, want := tableSigmoid(x), sigmoid(x); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("tableSigmoid(%v) = %v, want the exact %v", x, got, want)
+		}
+	}
+	// Just inside the range the interpolation must stay in the table.
+	for _, x := range []float64{math.Nextafter(8, 0), math.Nextafter(-8, 0)} {
+		if d := math.Abs(tableSigmoid(x) - sigmoid(x)); d > scoreTol {
+			t.Fatalf("tableSigmoid(%v) error %g", x, d)
+		}
+	}
+	if got := tableSigmoid(math.NaN()); !math.IsNaN(got) {
+		t.Fatalf("tableSigmoid(NaN) = %v, want NaN", got)
+	}
+	if got := tableSigmoid(math.Inf(1)); got != 1 {
+		t.Fatalf("tableSigmoid(+Inf) = %v, want 1", got)
+	}
+	if got := tableSigmoid(math.Inf(-1)); got != 0 {
+		t.Fatalf("tableSigmoid(-Inf) = %v, want 0", got)
+	}
+}
+
+// TestPairUpdateMatchesReference checks single pair updates on random
+// rows: the clamped probability pairUpdate returns is within scoreTol
+// of the reference's, and for the step g the kernel derives from its
+// own score, the updated target row and gradient are bit-identical to
+// the reference update half.
+func TestPairUpdateMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(20))
+	for _, dim := range []int{1, 3, 4, 16, 64, 67} {
+		for trial := 0; trial < 200; trial++ {
+			// Scales from 0.05 to 4 put the dot inside and outside the
+			// table's ±8 range.
+			scale := 0.05 + 4*rng.Float64()
+			in, out, grad := make([]float64, dim), make([]float64, dim), make([]float64, dim)
+			for i := range in {
+				in[i] = scale * rng.NormFloat64()
+				out[i] = scale * rng.NormFloat64()
+				grad[i] = rng.NormFloat64()
+			}
+			label := float64(trial % 2)
+			lr := 0.025
+			wantOut, wantGrad := append([]float64(nil), out...), append([]float64(nil), grad...)
+			ref := referenceScore(in, out)
+			score := tableSigmoid(mat.Dot(in, out))
+			referenceUpdate(in, wantOut, wantGrad, (score-label)*lr)
+
+			p := pairUpdate(in, out, grad, label, lr)
+			want := math.Max(ref, 1e-10)
+			if label == 0 {
+				want = math.Max(1-ref, 1e-10)
+			}
+			if d := math.Abs(p - want); d > scoreTol {
+				t.Fatalf("dim %d trial %d: probability %v, reference %v (diff %g)", dim, trial, p, want, d)
+			}
+			for i := range out {
+				if math.Float64bits(out[i]) != math.Float64bits(wantOut[i]) ||
+					math.Float64bits(grad[i]) != math.Float64bits(wantGrad[i]) {
+					t.Fatalf("dim %d trial %d: element %d out/grad %v/%v, reference update %v/%v",
+						dim, trial, i, out[i], grad[i], wantOut[i], wantGrad[i])
+				}
+			}
+		}
 	}
 }
 
 // TestPairKernelMatchesReference trains several passes with homo (±1)
 // and hetero (±2) offsets, serially and through the sharded path with
-// two workers, and compares each pass against the
-// reference kernel on a cloned model.
+// two workers, and compares each pass against the reference kernel on
+// a cloned model, within the pass tolerances above.
 func TestPairKernelMatchesReference(t *testing.T) {
 	const nodes, dim = 24, 16
 	paths := revisitCorpus(rand.New(rand.NewSource(21)), nodes, 60, 12)
@@ -165,8 +294,8 @@ func TestPairKernelMatchesReference(t *testing.T) {
 				lr := 0.05 * (1 - float64(pass)/3)
 				gl := got.TrainCorpus(paths, offsets, neg, lr, s, gotRNG)
 				wl, wp := referenceTrainCorpus(want, paths, offsets, neg, lr, s, wantRNG)
-				assertLossClose(t, name("serial"), gl, wl/float64(wp))
-				assertTablesIdentical(t, name("serial"), got, want)
+				assertLossNear(t, name("serial"), gl, wl/float64(wp), passLossRel)
+				assertTablesClose(t, name("serial"), got, want, passTableTol)
 			}
 
 			// Sharded apply, workers=2.
@@ -180,8 +309,8 @@ func TestPairKernelMatchesReference(t *testing.T) {
 				if gp != wp {
 					t.Fatalf("%s: %d pairs, reference %d", name("workers=2"), gp, wp)
 				}
-				assertLossClose(t, name("workers=2"), gl, wl)
-				assertTablesIdentical(t, name("workers=2"), got, want)
+				assertLossNear(t, name("workers=2"), gl, wl, passLossRel)
+				assertTablesClose(t, name("workers=2"), got, want, passTableTol)
 			}
 		}
 	}

@@ -150,25 +150,17 @@ func (m *Model) trainPair(center, context, neg int, lr float64, s *NegSampler, r
 // a positive and max(1−score, 1e-10) for a negative; trainPair turns
 // the product of these into the pair loss.
 //
-// out and grad are re-sliced to len(in) so the compiler drops the bounds
-// checks in both loops. The single-accumulator dot and the per-element
-// update order are what the embeddings' bit patterns depend on.
+// The score is mat.Dot through the interpolated sigmoid table; the two
+// updates are mat.Axpy calls, the gradient first so it reads the
+// target row before the row moves.
 //
 //lint:finite-checked pair losses roll up into the iteration mean swept by the trainer's guard (transn/finite.go)
 //lint:alloc-free SGNS per-update leaf, pinned by TestTrainCorpusAllocsConstant
 func pairUpdate(in, out, grad []float64, label, lr float64) float64 {
-	out = out[:len(in)]
-	grad = grad[:len(in)]
-	var dot float64
-	for i := range in {
-		dot += in[i] * out[i]
-	}
-	score := sigmoid(dot)
+	score := tableSigmoid(mat.Dot(in, out))
 	g := (score - label) * lr
-	for i := range in {
-		grad[i] += g * out[i]
-		out[i] -= g * in[i]
-	}
+	mat.Axpy(g, out, grad)
+	mat.Axpy(-g, in, out)
 	if label == 1 {
 		return math.Max(score, 1e-10)
 	}
@@ -181,10 +173,7 @@ func pairUpdate(in, out, grad []float64, label, lr float64) float64 {
 //lint:finite-checked the written rows are sampled by the trainer's per-iteration guard (transn/finite.go)
 //lint:alloc-free SGNS per-pair leaf, pinned by TestTrainCorpusAllocsConstant
 func applyRowGrad(in, grad []float64) {
-	grad = grad[:len(in)]
-	for i := range in {
-		in[i] -= grad[i]
-	}
+	mat.Axpy(-1, grad, in)
 }
 
 // TrainCorpus runs one SGNS pass over the corpus using the given context
@@ -253,6 +242,8 @@ func (m *Model) TrainCorpusParallelStats(paths [][]int, offsets []int, neg int, 
 	return loss / float64(pairs), pairs, st
 }
 
+// sigmoid is the exact logistic function, written so that math.Exp
+// never overflows.
 func sigmoid(x float64) float64 {
 	if x >= 0 {
 		z := math.Exp(-x)
@@ -260,4 +251,40 @@ func sigmoid(x float64) float64 {
 	}
 	z := math.Exp(x)
 	return z / (1 + z)
+}
+
+// The training kernels read the sigmoid from a table, as the original
+// word2vec trainer does (Mikolov et al. 2013): sigmoidSteps equal steps
+// over [−sigmoidBound, sigmoidBound], linearly interpolated. The
+// interpolation error is at most h²/8·max|d²σ/dx²| ≈ 1.84e-7 for the step
+// h = 1/256, far below the noise of a stochastic gradient step.
+const (
+	sigmoidBound = 8
+	sigmoidSteps = 4096
+	sigmoidScale = sigmoidSteps / (2 * sigmoidBound) // table entries per unit of x
+)
+
+// sigmoidTable[k] = sigmoid(−sigmoidBound + k/sigmoidScale).
+var sigmoidTable = func() (t [sigmoidSteps + 1]float64) {
+	for k := range t {
+		t[k] = sigmoid(-sigmoidBound + float64(k)/sigmoidScale)
+	}
+	return t
+}()
+
+// tableSigmoid is sigmoid interpolated from sigmoidTable inside the
+// open interval (−sigmoidBound, sigmoidBound). Outside it, and for NaN,
+// it returns the exact sigmoid, so saturated scores still reach the
+// 1e-10 loss clamp and a NaN still propagates to the loss.
+func tableSigmoid(x float64) float64 {
+	if !(x > -sigmoidBound && x < sigmoidBound) {
+		return sigmoid(x)
+	}
+	f := (x + sigmoidBound) * sigmoidScale
+	// x just below sigmoidBound can round f up to sigmoidSteps; the
+	// clamp keeps k+1 in the table (frac is then 1, giving the last entry).
+	k := min(uint(f), sigmoidSteps-1)
+	frac := f - float64(k)
+	lo, hi := sigmoidTable[k], sigmoidTable[k+1]
+	return lo + frac*(hi-lo)
 }
