@@ -15,6 +15,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"sync"
 )
 
 // ErrorSchema identifies the versioned error envelope every non-2xx
@@ -124,11 +125,39 @@ func writeError(w http.ResponseWriter, reqID string, err error) int {
 	return ae.status
 }
 
-// writeJSON writes v as indented JSON with the given status. Marshal
+// writeJSON writes v as indented JSON with the given status. Encoding
 // happens before the header is committed so an encoding failure can
-// still produce a 500.
+// still produce a 500. A body with its own appendJSON encodes into a
+// pooled buffer; any other goes through json.MarshalIndent.
 func writeJSON(w http.ResponseWriter, status int, v any) {
-	data, err := json.MarshalIndent(v, "", "  ")
+	a, ok := v.(jsonAppender)
+	if !ok {
+		data, err := json.MarshalIndent(v, "", "  ")
+		writeBody(w, status, append(data, '\n'), err)
+		return
+	}
+	buf := encodeBufs.Get().(*[]byte)
+	data, err := a.appendJSON((*buf)[:0])
+	if err == nil {
+		data = append(data, '\n')
+		if cap(data) <= maxPooledBody {
+			*buf = data
+		}
+	}
+	writeBody(w, status, data, err)
+	encodeBufs.Put(buf)
+}
+
+// encodeBufs recycles the encode buffers of the hot response bodies.
+var encodeBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// maxPooledBody caps the buffers kept in encodeBufs, so one large knn
+// body does not pin its buffer for the life of the process.
+const maxPooledBody = 64 << 10
+
+// writeBody writes an encoded body, or the fixed 500 envelope when
+// encoding failed.
+func writeBody(w http.ResponseWriter, status int, data []byte, err error) {
 	if err != nil {
 		http.Error(w, `{"schema":"`+ErrorSchema+`","error":{"code":"`+CodeInternal+
 			`","message":"encoding response","status":500}}`, http.StatusInternalServerError)
@@ -136,5 +165,5 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	_, _ = w.Write(append(data, '\n'))
+	_, _ = w.Write(data)
 }

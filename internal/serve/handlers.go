@@ -10,6 +10,7 @@ import (
 
 	"transn/internal/ann"
 	"transn/internal/diag"
+	"transn/internal/graph"
 	"transn/internal/obs"
 	"transn/internal/transn"
 )
@@ -258,7 +259,8 @@ func (sv *Server) endpoint(name, method string, timeout time.Duration, h snapHan
 func (sv *Server) handleEmbedding(s *snapshot, r *http.Request) (any, error) {
 	tr := traceFrom(r.Context())
 	tr.StartStage(obs.TraceStageDecode)
-	name := r.URL.Query().Get("node")
+	q := r.URL.Query()
+	name := q.Get("node")
 	if name == "" {
 		return nil, errf(http.StatusBadRequest, CodeBadRequest, "missing required parameter: node")
 	}
@@ -266,7 +268,7 @@ func (sv *Server) handleEmbedding(s *snapshot, r *http.Request) (any, error) {
 	if err != nil {
 		return nil, err
 	}
-	viewName := r.URL.Query().Get("view")
+	viewName := q.Get("view")
 	tr.EndStage(obs.TraceStageDecode)
 	resp := EmbeddingResponse{Schema: ErrorSchema, Node: name, Dim: s.frozen.Dim()}
 	if viewName != "" {
@@ -324,7 +326,7 @@ func (sv *Server) handleTranslate(s *snapshot, r *http.Request) (any, error) {
 		return nil, errf(http.StatusNotFound, CodeUntrainedPair,
 			"views %q and %q share no common nodes; no translator was trained", fromName, toName)
 	}
-	key := fmt.Sprintf("t|%d|%d|%d|%d", s.gen, from, to, id)
+	key := translateKey(s.gen, from, to, id)
 	tr.EndStage(obs.TraceStageDecode)
 	vec, err := sv.cached(tr, s, key, func() ([]float64, error) {
 		return s.frozen.TranslateNode(from, to, id)
@@ -340,6 +342,16 @@ func (sv *Server) handleTranslate(s *snapshot, r *http.Request) (any, error) {
 		Schema: ErrorSchema, Node: name, From: fromName, To: toName,
 		Dim: len(vec), Embedding: vec,
 	}, nil
+}
+
+// translateKey is the cache key of T_{from→to}(id) in snapshot
+// generation gen: "t|gen|from|to|id".
+func translateKey(gen uint64, from, to int, id graph.NodeID) string {
+	b := strconv.AppendUint(append(make([]byte, 0, 32), "t|"...), gen, 10)
+	b = strconv.AppendInt(append(b, '|'), int64(from), 10)
+	b = strconv.AppendInt(append(b, '|'), int64(to), 10)
+	b = strconv.AppendInt(append(b, '|'), int64(id), 10)
+	return string(b)
 }
 
 // handleKNN serves GET /v1/knn?node=NAME[&k=N][&ef=N][&exact=BOOL]:
@@ -424,8 +436,8 @@ func (sv *Server) handleInfer(s *snapshot, r *http.Request) (any, error) {
 		return nil, errf(http.StatusBadRequest, CodeBadRequest, "edges must be non-empty")
 	}
 	edges := make([]transn.NeighborEdge, 0, len(req.Edges))
-	var key bytes.Buffer
-	fmt.Fprintf(&key, "i|%d", s.gen)
+	// The cache key is "i|gen", then "|id,view,weight" per edge.
+	key := strconv.AppendUint(append(make([]byte, 0, 64), "i|"...), s.gen, 10)
 	for _, e := range req.Edges {
 		id, err := s.node(e.Neighbor)
 		if err != nil {
@@ -446,10 +458,12 @@ func (sv *Server) handleInfer(s *snapshot, r *http.Request) (any, error) {
 		edges = append(edges, transn.NeighborEdge{
 			Neighbor: id, Type: s.frozen.Views()[vi].Type, Weight: w,
 		})
-		fmt.Fprintf(&key, "|%d,%d,%s", id, vi, strconv.FormatFloat(w, 'g', -1, 64))
+		key = append(strconv.AppendInt(append(key, '|'), int64(id), 10), ',')
+		key = append(strconv.AppendInt(key, int64(vi), 10), ',')
+		key = strconv.AppendFloat(key, w, 'g', -1, 64)
 	}
 	tr.EndStage(obs.TraceStageDecode)
-	vec, err := sv.cached(tr, s, key.String(), func() ([]float64, error) {
+	vec, err := sv.cached(tr, s, string(key), func() ([]float64, error) {
 		return s.frozen.InferNode(edges)
 	})
 	if err != nil {

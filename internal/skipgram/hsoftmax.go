@@ -127,11 +127,14 @@ func (h *HSoftmax) trainPair(m *Model, center, context int, lr float64, grad []f
 		if bit {
 			label = 1
 		}
-		if label == 1 {
-			loss += -math.Log(math.Max(score, 1e-10))
-		} else {
-			loss += -math.Log(math.Max(1-score, 1e-10))
+		p := score
+		if !bit {
+			p = 1 - score
 		}
+		if p < 1e-10 {
+			p = 1e-10
+		}
+		loss += -math.Log(p)
 		g := (score - label) * lr
 		mat.Axpy(g, out, grad)
 		mat.Axpy(-g, in, out)

@@ -161,10 +161,17 @@ func pairUpdate(in, out, grad []float64, label, lr float64) float64 {
 	g := (score - label) * lr
 	mat.Axpy(g, out, grad)
 	mat.Axpy(-g, in, out)
-	if label == 1 {
-		return math.Max(score, 1e-10)
+	p := score
+	if label != 1 {
+		p = 1 - score
 	}
-	return math.Max(1-score, 1e-10)
+	// Not math.Max: on amd64 that is an assembly call the compiler
+	// cannot inline. The comparison clamps identically and lets a NaN
+	// through.
+	if p < 1e-10 {
+		p = 1e-10
+	}
+	return p
 }
 
 // applyRowGrad subtracts the accumulated center gradient from the input
