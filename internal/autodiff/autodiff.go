@@ -8,6 +8,19 @@
 // Param/Constant, compose ops (MatMul, Relu, SoftmaxRows, ...), reduce to
 // a scalar loss, then call Backward. Gradients accumulate into the Grad
 // field of every Tensor with RequiresGrad set.
+//
+// A Tape is reusable. Reset rewinds it, and the next pass records into
+// the same node slots: the k-th op of a pass writes its value and
+// gradient into the buffers slot k held on the pass before, growing them
+// only when they are too small, and backward dispatches on an op kind
+// kept in the slot rather than on a per-op closure. A pass that records
+// the same op graph as the one before therefore allocates nothing.
+// Every op keeps its arithmetic and its order, so a pass on a reused
+// tape is bit-identical to the same pass on a fresh one.
+//
+// The price is that Reset recycles buffers: every Tensor an earlier pass
+// returned, and every matrix reachable from it, is invalid after Reset.
+// Copy out (Clone) what must outlive the pass before resetting.
 package autodiff
 
 import (
@@ -18,210 +31,358 @@ import (
 )
 
 // Tensor is a node in the computation graph. Value holds the forward
-// result; Grad accumulates ∂loss/∂Value during Backward.
+// result; Grad accumulates ∂loss/∂Value during Backward. A Tensor
+// recorded by a Tape is one of its slots: it is valid until the tape's
+// next Reset.
 type Tensor struct {
 	Value        *mat.Dense
 	Grad         *mat.Dense
 	RequiresGrad bool
 
-	back func() // propagates t.Grad into the gradients of its inputs
+	op     opKind
+	a, b   *Tensor     // inputs; b is nil for unary ops
+	s      float64     // Scale's factor
+	idx    []int       // GatherRows' row indices (caller-owned)
+	labels []float64   // LogisticLoss' labels (caller-owned)
+	sparse *mat.Sparse // SparseMatMul's constant matrix
+	aux    []float64   // LayerNormRows' per-row 1/√(σ²+ε)
+
+	// val and grad are the slot's own buffers. Op results live in val;
+	// Grad points at grad whenever the slot requires gradients. Both are
+	// kept across Reset and reused by the next op recorded here.
+	val, grad mat.Dense
 }
 
+// opKind names the op that produced a Tensor; backward dispatches on it.
+type opKind uint8
+
+const (
+	opLeaf opKind = iota // Param or Constant: nothing to propagate
+	opMatMul
+	opMatMulT
+	opAdd
+	opSub
+	opElemMul
+	opScale
+	opAddColBroadcast
+	opAddRowBroadcast
+	opRelu
+	opSigmoid
+	opTanh
+	opSoftmaxRows
+	opSumAll
+	opLayerNormRows
+	opSparseMatMul
+	opGatherRows
+	opSumRows
+	opLogisticLoss
+)
+
 // Tape records the computation graph in creation order so Backward can
-// replay it in reverse. A Tape is single-use per forward pass; call Reset
-// to reuse the node storage for the next pass.
+// replay it in reverse. Call Reset before each new pass to reuse the
+// tape's node slots and buffers; see the package doc for what that
+// invalidates. A Tape is not safe for concurrent use.
 type Tape struct {
-	nodes []*Tensor
+	nodes []*Tensor // slots; nodes[:n] hold the current pass
+	n     int
+	// tmp holds backward products (e.g. dOut·Bᵀ) between computing them
+	// and accumulating them into an input's gradient.
+	tmp mat.Dense
 }
 
 // NewTape returns an empty tape.
 func NewTape() *Tape { return &Tape{} }
 
-// Reset drops all recorded nodes, keeping the backing slice.
-func (tp *Tape) Reset() { tp.nodes = tp.nodes[:0] }
+// Reset rewinds the tape for the next pass, keeping every slot and its
+// buffers. It drops the slots' references to caller-owned memory
+// (lifted matrices, index and label slices), so a tape kept in a pool
+// does not pin them. Tensors from the previous pass are invalid after
+// Reset.
+//
+//lint:alloc-free rewinds the pooled serving tape and every training segment's tape, pinned by TestTapeReuseAllocFree
+func (tp *Tape) Reset() {
+	for _, t := range tp.nodes[:tp.n] {
+		if t.op == opLeaf {
+			t.Value = nil
+		}
+		t.a, t.b, t.idx, t.labels, t.sparse = nil, nil, nil, nil, nil
+	}
+	tp.n = 0
+}
 
 // Len returns the number of recorded nodes.
-func (tp *Tape) Len() int { return len(tp.nodes) }
+func (tp *Tape) Len() int { return tp.n }
 
-func (tp *Tape) record(t *Tensor) *Tensor {
-	tp.nodes = append(tp.nodes, t)
+// slot returns the next node slot set up for op with inputs a and b,
+// growing the tape by one slot when every existing slot is in use.
+func (tp *Tape) slot(op opKind, a, b *Tensor) *Tensor {
+	if tp.n == len(tp.nodes) {
+		tp.nodes = append(tp.nodes, new(Tensor))
+	}
+	t := tp.nodes[tp.n]
+	tp.n++
+	t.op, t.a, t.b = op, a, b
+	t.s, t.idx, t.labels, t.sparse = 0, nil, nil, nil
 	return t
 }
 
 // Param lifts v into the graph as a trainable leaf. The returned tensor
 // aliases v, so optimizer updates through Value are seen by later passes.
+// Its Grad holds ∂loss/∂v after Backward.
 func (tp *Tape) Param(v *mat.Dense) *Tensor {
-	return tp.record(&Tensor{
-		Value:        v,
-		Grad:         mat.New(v.R, v.C),
-		RequiresGrad: true,
-	})
+	t := tp.slot(opLeaf, nil, nil)
+	t.Value = v
+	t.RequiresGrad = true
+	t.Grad = t.grad.Resize(v.R, v.C)
+	return t
 }
 
 // Constant lifts v into the graph as a non-trainable leaf.
 func (tp *Tape) Constant(v *mat.Dense) *Tensor {
-	return tp.record(&Tensor{Value: v})
+	t := tp.slot(opLeaf, nil, nil)
+	t.Value = v
+	t.RequiresGrad = false
+	t.Grad = nil
+	return t
+}
+
+// result records an r×c op output with inputs a and b (b may be nil),
+// wiring RequiresGrad and Grad storage. The caller writes every element
+// of the returned tensor's Value.
+func (tp *Tape) result(op opKind, a, b *Tensor, r, c int) *Tensor {
+	t := tp.slot(op, a, b)
+	t.Value = t.val.Resize(r, c)
+	t.RequiresGrad = a.RequiresGrad || (b != nil && b.RequiresGrad)
+	t.Grad = nil
+	if t.RequiresGrad {
+		t.Grad = t.grad.Resize(r, c)
+		ensureGrad(a)
+		if b != nil {
+			ensureGrad(b)
+		}
+	}
+	return t
+}
+
+// ensureGrad gives grad storage to a tensor that requires gradients but
+// has none (covers constants marked RequiresGrad by hand).
+func ensureGrad(t *Tensor) {
+	if t.RequiresGrad && t.Grad == nil {
+		t.Grad = t.grad.Resize(t.Value.R, t.Value.C)
+	}
 }
 
 // Backward runs reverse-mode accumulation from loss, which must be a 1x1
 // tensor produced by this tape. The seed gradient is 1.
+//
+//lint:alloc-free steady-state backward of every translator segment; its scratch grows on the first pass only, pinned by TestTapeReuseAllocFree
 func (tp *Tape) Backward(loss *Tensor) {
 	if loss.Value.R != 1 || loss.Value.C != 1 {
-		panic(fmt.Sprintf("autodiff: Backward requires scalar loss, got %dx%d", loss.Value.R, loss.Value.C))
+		nonScalarLoss(loss.Value.R, loss.Value.C)
 	}
+	nodes := tp.nodes[:tp.n]
 	// Zero all intermediate grads, then seed.
-	for _, n := range tp.nodes {
+	for _, n := range nodes {
 		if n.Grad != nil {
 			n.Grad.Zero()
 		}
 	}
 	if loss.Grad == nil {
-		loss.Grad = mat.New(1, 1)
+		loss.Grad = loss.grad.Resize(1, 1)
 	}
 	loss.Grad.Set(0, 0, 1)
 	// Nodes are recorded in topological (creation) order; reverse it.
-	for i := len(tp.nodes) - 1; i >= 0; i-- {
-		n := tp.nodes[i]
-		if n.back != nil && n.Grad != nil {
-			n.back()
+	for i := len(nodes) - 1; i >= 0; i-- {
+		if n := nodes[i]; n.op != opLeaf && n.RequiresGrad && n.Grad != nil {
+			tp.backward(n)
 		}
 	}
 }
 
-// needGrad reports whether any input requires gradients.
-func needGrad(ts ...*Tensor) bool {
-	for _, t := range ts {
-		if t.RequiresGrad {
-			return true
+// nonScalarLoss panics out of line, so Backward's formatting does not
+// allocate on its hot path.
+//
+//go:noinline
+func nonScalarLoss(r, c int) {
+	panic(fmt.Sprintf("autodiff: Backward requires scalar loss, got %dx%d", r, c))
+}
+
+// backward propagates out.Grad into the gradients of out's inputs.
+//
+//lint:alloc-free per-op backward dispatch, pinned by TestTapeReuseAllocFree
+func (tp *Tape) backward(out *Tensor) {
+	a, b := out.a, out.b
+	switch out.op {
+	case opMatMul:
+		if a.RequiresGrad {
+			// dA += dOut · Bᵀ
+			mat.AddScaled(a.Grad, 1, mat.MatMulT(tp.tmp.Resize(out.Grad.R, b.Value.R), out.Grad, b.Value))
 		}
-	}
-	return false
-}
-
-// newResult allocates an op output, wiring RequiresGrad and Grad storage.
-func (tp *Tape) newResult(v *mat.Dense, requires bool) *Tensor {
-	t := &Tensor{Value: v, RequiresGrad: requires}
-	if requires {
-		t.Grad = mat.New(v.R, v.C)
-	}
-	return tp.record(t)
-}
-
-// ensureGrad lazily allocates grad storage for a leaf that participates in
-// a differentiable op (covers constants feeding grad-requiring paths).
-func ensureGrad(t *Tensor) {
-	if t.RequiresGrad && t.Grad == nil {
-		t.Grad = mat.New(t.Value.R, t.Value.C)
+		if b.RequiresGrad {
+			// dB += Aᵀ · dOut
+			mat.AddScaled(b.Grad, 1, mat.TMatMul(tp.tmp.Resize(a.Value.C, out.Grad.C), a.Value, out.Grad))
+		}
+	case opMatMulT:
+		if a.RequiresGrad {
+			// out = A·Bᵀ ⇒ dA += dOut · B
+			mat.AddScaled(a.Grad, 1, mat.MatMul(tp.tmp.Resize(out.Grad.R, b.Value.C), out.Grad, b.Value))
+		}
+		if b.RequiresGrad {
+			// dB += dOutᵀ · A
+			mat.AddScaled(b.Grad, 1, mat.TMatMul(tp.tmp.Resize(out.Grad.C, a.Value.C), out.Grad, a.Value))
+		}
+	case opAdd:
+		if a.RequiresGrad {
+			mat.AddScaled(a.Grad, 1, out.Grad)
+		}
+		if b.RequiresGrad {
+			mat.AddScaled(b.Grad, 1, out.Grad)
+		}
+	case opSub:
+		if a.RequiresGrad {
+			mat.AddScaled(a.Grad, 1, out.Grad)
+		}
+		if b.RequiresGrad {
+			mat.AddScaled(b.Grad, -1, out.Grad)
+		}
+	case opElemMul:
+		if a.RequiresGrad {
+			mat.AddScaled(a.Grad, 1, mat.ElemMul(tp.tmp.Resize(out.Grad.R, out.Grad.C), out.Grad, b.Value))
+		}
+		if b.RequiresGrad {
+			mat.AddScaled(b.Grad, 1, mat.ElemMul(tp.tmp.Resize(out.Grad.R, out.Grad.C), out.Grad, a.Value))
+		}
+	case opScale:
+		mat.AddScaled(a.Grad, out.s, out.Grad)
+	case opAddColBroadcast:
+		if a.RequiresGrad {
+			mat.AddScaled(a.Grad, 1, out.Grad)
+		}
+		if b.RequiresGrad {
+			for i := 0; i < out.Grad.R; i++ {
+				var s float64
+				for _, g := range out.Grad.Row(i) {
+					s += g
+				}
+				b.Grad.Set(i, 0, b.Grad.At(i, 0)+s)
+			}
+		}
+	case opAddRowBroadcast:
+		if a.RequiresGrad {
+			mat.AddScaled(a.Grad, 1, out.Grad)
+		}
+		if b.RequiresGrad {
+			bg := b.Grad.Row(0)
+			for i := 0; i < out.Grad.R; i++ {
+				row := out.Grad.Row(i)
+				for j := range row {
+					bg[j] += row[j]
+				}
+			}
+		}
+	case opRelu:
+		for i, av := range a.Value.Data {
+			if av > 0 {
+				a.Grad.Data[i] += out.Grad.Data[i]
+			}
+		}
+	case opSigmoid:
+		for i, s := range out.Value.Data {
+			a.Grad.Data[i] += out.Grad.Data[i] * s * (1 - s)
+		}
+	case opTanh:
+		for i, th := range out.Value.Data {
+			a.Grad.Data[i] += out.Grad.Data[i] * (1 - th*th)
+		}
+	case opSoftmaxRows:
+		// For each row: dx_j = s_j * (g_j - Σ_k g_k s_k).
+		for i := 0; i < out.Value.R; i++ {
+			srow := out.Value.Row(i)
+			grow := out.Grad.Row(i)
+			var dot float64
+			for k := range srow {
+				dot += grow[k] * srow[k]
+			}
+			arow := a.Grad.Row(i)
+			for j := range srow {
+				arow[j] += srow[j] * (grow[j] - dot)
+			}
+		}
+	case opSumAll:
+		g := out.Grad.At(0, 0)
+		for i := range a.Grad.Data {
+			a.Grad.Data[i] += g
+		}
+	case opLayerNormRows:
+		layerNormBackward(out)
+	case opSparseMatMul:
+		mat.AddScaled(a.Grad, 1, out.sparse.TMul(tp.tmp.Resize(out.sparse.C, out.Grad.C), out.Grad))
+	case opGatherRows:
+		for i, r := range out.idx {
+			dst := a.Grad.Row(r)
+			src := out.Grad.Row(i)
+			for j := range dst {
+				dst[j] += src[j]
+			}
+		}
+	case opSumRows:
+		for i := 0; i < a.Grad.R; i++ {
+			g := out.Grad.At(i, 0)
+			row := a.Grad.Row(i)
+			for j := range row {
+				row[j] += g
+			}
+		}
+	case opLogisticLoss:
+		g := out.Grad.At(0, 0) / float64(len(out.labels))
+		for i, y := range out.labels {
+			s := a.Value.At(i, 0)
+			// d/ds softplus(-y·s) = -y·σ(-y·s)
+			a.Grad.Set(i, 0, a.Grad.At(i, 0)-g*y*sigmoid(-y*s))
+		}
 	}
 }
 
 // MatMul returns a·b.
 func (tp *Tape) MatMul(a, b *Tensor) *Tensor {
-	v := mat.MatMul(nil, a.Value, b.Value)
-	out := tp.newResult(v, needGrad(a, b))
-	if out.RequiresGrad {
-		ensureGrad(a)
-		ensureGrad(b)
-		out.back = func() {
-			if a.RequiresGrad {
-				// dA += dOut · Bᵀ
-				mat.AddScaled(a.Grad, 1, mat.MatMulT(nil, out.Grad, b.Value))
-			}
-			if b.RequiresGrad {
-				// dB += Aᵀ · dOut
-				mat.AddScaled(b.Grad, 1, mat.TMatMul(nil, a.Value, out.Grad))
-			}
-		}
-	}
+	out := tp.result(opMatMul, a, b, a.Value.R, b.Value.C)
+	mat.MatMul(out.Value, a.Value, b.Value)
 	return out
 }
 
 // MatMulT returns a·bᵀ.
 func (tp *Tape) MatMulT(a, b *Tensor) *Tensor {
-	v := mat.MatMulT(nil, a.Value, b.Value)
-	out := tp.newResult(v, needGrad(a, b))
-	if out.RequiresGrad {
-		ensureGrad(a)
-		ensureGrad(b)
-		out.back = func() {
-			if a.RequiresGrad {
-				// out = A·Bᵀ ⇒ dA += dOut · B
-				mat.AddScaled(a.Grad, 1, mat.MatMul(nil, out.Grad, b.Value))
-			}
-			if b.RequiresGrad {
-				// dB += dOutᵀ · A
-				mat.AddScaled(b.Grad, 1, mat.TMatMul(nil, out.Grad, a.Value))
-			}
-		}
-	}
+	out := tp.result(opMatMulT, a, b, a.Value.R, b.Value.R)
+	mat.MatMulT(out.Value, a.Value, b.Value)
 	return out
 }
 
 // Add returns a+b (same shape).
 func (tp *Tape) Add(a, b *Tensor) *Tensor {
-	v := mat.Add(nil, a.Value, b.Value)
-	out := tp.newResult(v, needGrad(a, b))
-	if out.RequiresGrad {
-		ensureGrad(a)
-		ensureGrad(b)
-		out.back = func() {
-			if a.RequiresGrad {
-				mat.AddScaled(a.Grad, 1, out.Grad)
-			}
-			if b.RequiresGrad {
-				mat.AddScaled(b.Grad, 1, out.Grad)
-			}
-		}
-	}
+	out := tp.result(opAdd, a, b, a.Value.R, a.Value.C)
+	mat.Add(out.Value, a.Value, b.Value)
 	return out
 }
 
 // Sub returns a-b (same shape).
 func (tp *Tape) Sub(a, b *Tensor) *Tensor {
-	v := mat.Sub(nil, a.Value, b.Value)
-	out := tp.newResult(v, needGrad(a, b))
-	if out.RequiresGrad {
-		ensureGrad(a)
-		ensureGrad(b)
-		out.back = func() {
-			if a.RequiresGrad {
-				mat.AddScaled(a.Grad, 1, out.Grad)
-			}
-			if b.RequiresGrad {
-				mat.AddScaled(b.Grad, -1, out.Grad)
-			}
-		}
-	}
+	out := tp.result(opSub, a, b, a.Value.R, a.Value.C)
+	mat.Sub(out.Value, a.Value, b.Value)
 	return out
 }
 
 // ElemMul returns the Hadamard product a⊙b.
 func (tp *Tape) ElemMul(a, b *Tensor) *Tensor {
-	v := mat.ElemMul(nil, a.Value, b.Value)
-	out := tp.newResult(v, needGrad(a, b))
-	if out.RequiresGrad {
-		ensureGrad(a)
-		ensureGrad(b)
-		out.back = func() {
-			if a.RequiresGrad {
-				mat.AddScaled(a.Grad, 1, mat.ElemMul(nil, out.Grad, b.Value))
-			}
-			if b.RequiresGrad {
-				mat.AddScaled(b.Grad, 1, mat.ElemMul(nil, out.Grad, a.Value))
-			}
-		}
-	}
+	out := tp.result(opElemMul, a, b, a.Value.R, a.Value.C)
+	mat.ElemMul(out.Value, a.Value, b.Value)
 	return out
 }
 
 // Scale returns s*a.
 func (tp *Tape) Scale(s float64, a *Tensor) *Tensor {
-	v := mat.Scale(nil, s, a.Value)
-	out := tp.newResult(v, a.RequiresGrad)
-	if out.RequiresGrad {
-		ensureGrad(a)
-		out.back = func() { mat.AddScaled(a.Grad, s, out.Grad) }
-	}
+	out := tp.result(opScale, a, nil, a.Value.R, a.Value.C)
+	out.s = s
+	mat.Scale(out.Value, s, a.Value)
 	return out
 }
 
@@ -231,31 +392,14 @@ func (tp *Tape) AddColBroadcast(a, b *Tensor) *Tensor {
 	if b.Value.C != 1 || b.Value.R != a.Value.R {
 		panic(fmt.Sprintf("autodiff: AddColBroadcast wants %dx1 bias, got %dx%d", a.Value.R, b.Value.R, b.Value.C))
 	}
-	v := a.Value.Clone()
+	out := tp.result(opAddColBroadcast, a, b, a.Value.R, a.Value.C)
+	v := out.Value
+	copy(v.Data, a.Value.Data)
 	for i := 0; i < v.R; i++ {
 		bi := b.Value.At(i, 0)
 		row := v.Row(i)
 		for j := range row {
 			row[j] += bi
-		}
-	}
-	out := tp.newResult(v, needGrad(a, b))
-	if out.RequiresGrad {
-		ensureGrad(a)
-		ensureGrad(b)
-		out.back = func() {
-			if a.RequiresGrad {
-				mat.AddScaled(a.Grad, 1, out.Grad)
-			}
-			if b.RequiresGrad {
-				for i := 0; i < out.Grad.R; i++ {
-					var s float64
-					for _, g := range out.Grad.Row(i) {
-						s += g
-					}
-					b.Grad.Set(i, 0, b.Grad.At(i, 0)+s)
-				}
-			}
 		}
 	}
 	return out
@@ -267,7 +411,9 @@ func (tp *Tape) AddRowBroadcast(a, b *Tensor) *Tensor {
 	if b.Value.R != 1 || b.Value.C != a.Value.C {
 		panic(fmt.Sprintf("autodiff: AddRowBroadcast wants 1x%d bias, got %dx%d", a.Value.C, b.Value.R, b.Value.C))
 	}
-	v := a.Value.Clone()
+	out := tp.result(opAddRowBroadcast, a, b, a.Value.R, a.Value.C)
+	v := out.Value
+	copy(v.Data, a.Value.Data)
 	brow := b.Value.Row(0)
 	for i := 0; i < v.R; i++ {
 		row := v.Row(i)
@@ -275,120 +421,45 @@ func (tp *Tape) AddRowBroadcast(a, b *Tensor) *Tensor {
 			row[j] += brow[j]
 		}
 	}
-	out := tp.newResult(v, needGrad(a, b))
-	if out.RequiresGrad {
-		ensureGrad(a)
-		ensureGrad(b)
-		out.back = func() {
-			if a.RequiresGrad {
-				mat.AddScaled(a.Grad, 1, out.Grad)
-			}
-			if b.RequiresGrad {
-				bg := b.Grad.Row(0)
-				for i := 0; i < out.Grad.R; i++ {
-					row := out.Grad.Row(i)
-					for j := range row {
-						bg[j] += row[j]
-					}
-				}
-			}
-		}
-	}
 	return out
 }
 
 // Relu returns max(0, a) elementwise.
 func (tp *Tape) Relu(a *Tensor) *Tensor {
-	v := mat.Relu(nil, a.Value)
-	out := tp.newResult(v, a.RequiresGrad)
-	if out.RequiresGrad {
-		ensureGrad(a)
-		out.back = func() {
-			for i, av := range a.Value.Data {
-				if av > 0 {
-					a.Grad.Data[i] += out.Grad.Data[i]
-				}
-			}
-		}
-	}
+	out := tp.result(opRelu, a, nil, a.Value.R, a.Value.C)
+	mat.Relu(out.Value, a.Value)
 	return out
 }
 
 // Sigmoid returns 1/(1+exp(-a)) elementwise.
 func (tp *Tape) Sigmoid(a *Tensor) *Tensor {
-	v := mat.New(a.Value.R, a.Value.C)
+	out := tp.result(opSigmoid, a, nil, a.Value.R, a.Value.C)
 	for i, x := range a.Value.Data {
-		v.Data[i] = sigmoid(x)
-	}
-	out := tp.newResult(v, a.RequiresGrad)
-	if out.RequiresGrad {
-		ensureGrad(a)
-		out.back = func() {
-			for i, s := range out.Value.Data {
-				a.Grad.Data[i] += out.Grad.Data[i] * s * (1 - s)
-			}
-		}
+		out.Value.Data[i] = sigmoid(x)
 	}
 	return out
 }
 
 // Tanh returns tanh(a) elementwise.
 func (tp *Tape) Tanh(a *Tensor) *Tensor {
-	v := mat.New(a.Value.R, a.Value.C)
+	out := tp.result(opTanh, a, nil, a.Value.R, a.Value.C)
 	for i, x := range a.Value.Data {
-		v.Data[i] = math.Tanh(x)
-	}
-	out := tp.newResult(v, a.RequiresGrad)
-	if out.RequiresGrad {
-		ensureGrad(a)
-		out.back = func() {
-			for i, th := range out.Value.Data {
-				a.Grad.Data[i] += out.Grad.Data[i] * (1 - th*th)
-			}
-		}
+		out.Value.Data[i] = math.Tanh(x)
 	}
 	return out
 }
 
 // SoftmaxRows applies softmax independently to each row of a.
 func (tp *Tape) SoftmaxRows(a *Tensor) *Tensor {
-	v := mat.SoftmaxRows(nil, a.Value)
-	out := tp.newResult(v, a.RequiresGrad)
-	if out.RequiresGrad {
-		ensureGrad(a)
-		out.back = func() {
-			// For each row: dx_j = s_j * (g_j - Σ_k g_k s_k).
-			for i := 0; i < v.R; i++ {
-				srow := v.Row(i)
-				grow := out.Grad.Row(i)
-				var dot float64
-				for k := range srow {
-					dot += grow[k] * srow[k]
-				}
-				arow := a.Grad.Row(i)
-				for j := range srow {
-					arow[j] += srow[j] * (grow[j] - dot)
-				}
-			}
-		}
-	}
+	out := tp.result(opSoftmaxRows, a, nil, a.Value.R, a.Value.C)
+	mat.SoftmaxRows(out.Value, a.Value)
 	return out
 }
 
 // SumAll reduces a to a 1x1 tensor containing the sum of all elements.
 func (tp *Tape) SumAll(a *Tensor) *Tensor {
-	v := mat.New(1, 1)
-	v.Set(0, 0, a.Value.Sum())
-	out := tp.newResult(v, a.RequiresGrad)
-	if out.RequiresGrad {
-		ensureGrad(a)
-		out.back = func() {
-			g := out.Grad.At(0, 0)
-			for i := range a.Grad.Data {
-				a.Grad.Data[i] += g
-			}
-		}
-	}
+	out := tp.result(opSumAll, a, nil, 1, 1)
+	out.Value.Set(0, 0, a.Value.Sum())
 	return out
 }
 

@@ -10,7 +10,9 @@ import (
 
 const gradTol = 1e-5
 
-// checkOp grad-checks a scalar loss built from nParams random matrices.
+// checkOp grad-checks a scalar loss built from nParams random matrices,
+// once with a fresh tape per evaluation and once with one tape Reset
+// between evaluations.
 func checkOp(t *testing.T, name string, shapes [][2]int, build func(tp *Tape, params []*Tensor) *Tensor) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(7))
@@ -18,18 +20,32 @@ func checkOp(t *testing.T, name string, shapes [][2]int, build func(tp *Tape, pa
 	for i, s := range shapes {
 		params[i] = mat.RandN(s[0], s[1], 0.5, rng)
 	}
-	lossFn := func() (*Tensor, []*Tensor) {
-		tp := NewTape()
-		pts := make([]*Tensor, len(params))
-		for i, p := range params {
-			pts[i] = tp.Param(p)
+	gradCheckBothTapes(t, name, params, func(tp *Tape, pts []*Tensor) *Tensor { return build(tp, pts) })
+}
+
+// gradCheckBothTapes runs GradCheck on build over params with a fresh
+// tape per loss evaluation, then again on a single reused tape.
+func gradCheckBothTapes(t *testing.T, name string, params []*mat.Dense, build func(tp *Tape, pts []*Tensor) *Tensor) {
+	t.Helper()
+	reused := NewTape()
+	for _, reuse := range []bool{false, true} {
+		lossFn := func() (*Tensor, []*Tensor) {
+			tp := NewTape()
+			if reuse {
+				tp = reused
+				tp.Reset()
+			}
+			pts := make([]*Tensor, len(params))
+			for i, p := range params {
+				pts[i] = tp.Param(p)
+			}
+			loss := build(tp, pts)
+			tp.Backward(loss)
+			return loss, pts
 		}
-		loss := build(tp, pts)
-		tp.Backward(loss)
-		return loss, pts
-	}
-	if worst := GradCheck(params, lossFn, 1e-6); worst > gradTol {
-		t.Fatalf("%s: worst relative gradient error %g > %g", name, worst, gradTol)
+		if worst := GradCheck(params, lossFn, 1e-6); worst > gradTol {
+			t.Fatalf("%s (reused tape %v): worst relative gradient error %g > %g", name, reuse, worst, gradTol)
+		}
 	}
 }
 
@@ -139,19 +155,9 @@ func checkOpWithTarget(t *testing.T, name string, shapes [][2]int, target *mat.D
 	for i, s := range shapes {
 		params[i] = mat.RandN(s[0], s[1], 0.5, rng)
 	}
-	lossFn := func() (*Tensor, []*Tensor) {
-		tp := NewTape()
-		pts := make([]*Tensor, len(params))
-		for i, p := range params {
-			pts[i] = tp.Param(p)
-		}
-		loss := build(tp, pts, tp.Constant(target))
-		tp.Backward(loss)
-		return loss, pts
-	}
-	if worst := GradCheck(params, lossFn, 1e-6); worst > gradTol {
-		t.Fatalf("%s: worst relative gradient error %g > %g", name, worst, gradTol)
-	}
+	gradCheckBothTapes(t, name, params, func(tp *Tape, pts []*Tensor) *Tensor {
+		return build(tp, pts, tp.Constant(target))
+	})
 }
 
 func TestBackwardRequiresScalar(t *testing.T) {
@@ -248,6 +254,21 @@ func TestSigmoidNumericallyStable(t *testing.T) {
 	}
 }
 
+// encoderStep records one encoder pass (self-attention, feed-forward
+// with column bias, MSE against target) on tp and runs Backward.
+func encoderStep(tp *Tape, a, w, bias, target *mat.Dense) {
+	d := float64(a.C)
+	x := tp.Param(a)
+	att := tp.SoftmaxRows(tp.Scale(1/math.Sqrt(d), tp.MatMulT(x, x)))
+	h := tp.MatMul(att, x)
+	out := tp.Relu(tp.AddColBroadcast(tp.MatMul(tp.Param(w), h), tp.Param(bias)))
+	loss := tp.MSE(out, tp.Constant(target))
+	tp.Backward(loss)
+}
+
+// BenchmarkEncoderForwardBackward measures one encoder forward and
+// backward pass at a 16×32 path on a tape reused across iterations,
+// the steady state of cross-view training.
 func BenchmarkEncoderForwardBackward(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	const pathLen, d = 16, 32
@@ -255,14 +276,11 @@ func BenchmarkEncoderForwardBackward(b *testing.B) {
 	w := mat.XavierInit(pathLen, pathLen, rng)
 	bias := mat.New(pathLen, 1)
 	target := mat.RandN(pathLen, d, 0.1, rng)
+	tp := NewTape()
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tp := NewTape()
-		x := tp.Param(a)
-		att := tp.SoftmaxRows(tp.Scale(1/math.Sqrt(d), tp.MatMulT(x, x)))
-		h := tp.MatMul(att, x)
-		out := tp.Relu(tp.AddColBroadcast(tp.MatMul(tp.Param(w), h), tp.Param(bias)))
-		loss := tp.MSE(out, tp.Constant(target))
-		tp.Backward(loss)
+		tp.Reset()
+		encoderStep(tp, a, w, bias, target)
 	}
 }

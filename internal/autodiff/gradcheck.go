@@ -9,9 +9,11 @@ import (
 // GradCheck compares the analytic gradient of loss(params) with a central
 // finite-difference estimate and returns the largest relative error seen.
 //
-// lossFn must rebuild the graph from scratch on a fresh tape each call,
-// run Backward, and return the scalar loss tensor together with the
-// tape's Param tensors for the supplied matrices (same order). params are
+// lossFn must rebuild the graph from scratch each call, on a fresh tape
+// or on one tape Reset first, run Backward, and return the scalar loss
+// tensor together with the tape's Param tensors for the supplied
+// matrices (same order). GradCheck copies what it needs from a call's
+// tensors before the next call, so a reused tape is fine. params are
 // perturbed in place and restored.
 func GradCheck(params []*mat.Dense, lossFn func() (*Tensor, []*Tensor), eps float64) float64 {
 	// Analytic pass.

@@ -1,19 +1,21 @@
 package autodiff
 
-import (
-	"math"
-
-	"transn/internal/mat"
-)
+import "math"
 
 // LayerNormRows normalizes each row of x to zero mean and unit variance
 // (no learnable affine): y = (x − μ)/√(σ² + ε). It is the stabilizer
-// that makes residual encoder stacks trainable.
+// that makes residual encoder stacks trainable. The per-row 1/√(σ² + ε)
+// that backward needs is kept in the node's slot.
 func (tp *Tape) LayerNormRows(x *Tensor) *Tensor {
 	const eps = 1e-5
 	r, c := x.Value.R, x.Value.C
-	v := mat.New(r, c)
-	invStd := make([]float64, r)
+	out := tp.result(opLayerNormRows, x, nil, r, c)
+	v := out.Value
+	if cap(out.aux) < r {
+		out.aux = make([]float64, r)
+	}
+	invStd := out.aux[:r]
+	out.aux = invStd
 	for i := 0; i < r; i++ {
 		row := x.Value.Row(i)
 		var mean float64
@@ -34,28 +36,28 @@ func (tp *Tape) LayerNormRows(x *Tensor) *Tensor {
 			out[j] = (e - mean) * is
 		}
 	}
-	out := tp.newResult(v, x.RequiresGrad)
-	if out.RequiresGrad {
-		ensureGrad(x)
-		out.back = func() {
-			// dL/dx = invStd · (g − mean(g) − y·mean(g⊙y)) per row.
-			for i := 0; i < r; i++ {
-				g := out.Grad.Row(i)
-				y := out.Value.Row(i)
-				var meanG, meanGY float64
-				for j := 0; j < c; j++ {
-					meanG += g[j]
-					meanGY += g[j] * y[j]
-				}
-				meanG /= float64(c)
-				meanGY /= float64(c)
-				dst := x.Grad.Row(i)
-				is := invStd[i]
-				for j := 0; j < c; j++ {
-					dst[j] += is * (g[j] - meanG - y[j]*meanGY)
-				}
-			}
+	return out
+}
+
+// layerNormBackward propagates a LayerNormRows node's gradient:
+// dL/dx = invStd · (g − mean(g) − y·mean(g⊙y)) per row.
+func layerNormBackward(out *Tensor) {
+	x := out.a
+	r, c := out.Value.R, out.Value.C
+	for i := 0; i < r; i++ {
+		g := out.Grad.Row(i)
+		y := out.Value.Row(i)
+		var meanG, meanGY float64
+		for j := 0; j < c; j++ {
+			meanG += g[j]
+			meanGY += g[j] * y[j]
+		}
+		meanG /= float64(c)
+		meanGY /= float64(c)
+		dst := x.Grad.Row(i)
+		is := out.aux[i]
+		for j := 0; j < c; j++ {
+			dst[j] += is * (g[j] - meanG - y[j]*meanGY)
 		}
 	}
-	return out
 }

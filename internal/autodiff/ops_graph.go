@@ -10,36 +10,21 @@ import (
 // SparseMatMul returns s·x for a constant sparse matrix s. Gradients flow
 // to x only: dX += sᵀ·dOut.
 func (tp *Tape) SparseMatMul(s *mat.Sparse, x *Tensor) *Tensor {
-	v := s.Mul(nil, x.Value)
-	out := tp.newResult(v, x.RequiresGrad)
-	if out.RequiresGrad {
-		ensureGrad(x)
-		out.back = func() {
-			mat.AddScaled(x.Grad, 1, s.TMul(nil, out.Grad))
-		}
-	}
+	out := tp.result(opSparseMatMul, x, nil, s.R, x.Value.C)
+	out.sparse = s
+	s.Mul(out.Value, x.Value)
 	return out
 }
 
 // GatherRows returns the matrix whose i-th row is x's idx[i]-th row.
-// The backward pass scatter-adds gradients into the gathered rows.
+// The backward pass scatter-adds gradients into the gathered rows. The
+// tape keeps idx until Backward, so the caller must not modify it
+// before then.
 func (tp *Tape) GatherRows(x *Tensor, idx []int) *Tensor {
-	v := mat.New(len(idx), x.Value.C)
+	out := tp.result(opGatherRows, x, nil, len(idx), x.Value.C)
+	out.idx = idx
 	for i, r := range idx {
-		v.SetRow(i, x.Value.Row(r))
-	}
-	out := tp.newResult(v, x.RequiresGrad)
-	if out.RequiresGrad {
-		ensureGrad(x)
-		out.back = func() {
-			for i, r := range idx {
-				dst := x.Grad.Row(r)
-				src := out.Grad.Row(i)
-				for j := range dst {
-					dst[j] += src[j]
-				}
-			}
-		}
+		out.Value.SetRow(i, x.Value.Row(r))
 	}
 	return out
 }
@@ -47,56 +32,34 @@ func (tp *Tape) GatherRows(x *Tensor, idx []int) *Tensor {
 // SumRows reduces each row of x to a single column: out is R×1 with
 // out[i] = Σ_j x[i][j].
 func (tp *Tape) SumRows(x *Tensor) *Tensor {
-	v := mat.New(x.Value.R, 1)
+	out := tp.result(opSumRows, x, nil, x.Value.R, 1)
 	for i := 0; i < x.Value.R; i++ {
 		var s float64
 		for _, e := range x.Value.Row(i) {
 			s += e
 		}
-		v.Set(i, 0, s)
-	}
-	out := tp.newResult(v, x.RequiresGrad)
-	if out.RequiresGrad {
-		ensureGrad(x)
-		out.back = func() {
-			for i := 0; i < x.Grad.R; i++ {
-				g := out.Grad.At(i, 0)
-				row := x.Grad.Row(i)
-				for j := range row {
-					row[j] += g
-				}
-			}
-		}
+		out.Value.Set(i, 0, s)
 	}
 	return out
 }
 
 // LogisticLoss returns the mean binary cross-entropy with logits:
 // mean(softplus(-y·s)) where scores is R×1 and labels[i] ∈ {+1, −1}.
+// The tape keeps labels until Backward, so the caller must not modify
+// them before then.
 func (tp *Tape) LogisticLoss(scores *Tensor, labels []float64) *Tensor {
 	if scores.Value.C != 1 || scores.Value.R != len(labels) {
 		panic(fmt.Sprintf("autodiff: LogisticLoss wants %dx1 scores, got %dx%d",
 			len(labels), scores.Value.R, scores.Value.C))
 	}
 	n := float64(len(labels))
-	v := mat.New(1, 1)
 	var total float64
 	for i, y := range labels {
 		total += softplus(-y * scores.Value.At(i, 0))
 	}
-	v.Set(0, 0, total/n)
-	out := tp.newResult(v, scores.RequiresGrad)
-	if out.RequiresGrad {
-		ensureGrad(scores)
-		out.back = func() {
-			g := out.Grad.At(0, 0) / n
-			for i, y := range labels {
-				s := scores.Value.At(i, 0)
-				// d/ds softplus(-y·s) = -y·σ(-y·s)
-				scores.Grad.Set(i, 0, scores.Grad.At(i, 0)-g*y*sigmoid(-y*s))
-			}
-		}
-	}
+	out := tp.result(opLogisticLoss, scores, nil, 1, 1)
+	out.labels = labels
+	out.Value.Set(0, 0, total/n)
 	return out
 }
 

@@ -76,6 +76,23 @@ func (m *Dense) Clone() *Dense {
 	return out
 }
 
+// Resize makes m an r-by-c matrix and returns it, reusing m's backing
+// array when its capacity allows and allocating a zeroed one otherwise.
+// A reused array keeps its old contents, so the caller must write every
+// element it reads. The zero Dense resizes like an empty one.
+func (m *Dense) Resize(r, c int) *Dense {
+	if r < 0 || c < 0 {
+		panic(fmt.Sprintf("mat: negative dimension %dx%d", r, c))
+	}
+	if n := r * c; cap(m.Data) < n {
+		m.Data = make([]float64, n)
+	} else {
+		m.Data = m.Data[:n]
+	}
+	m.R, m.C = r, c
+	return m
+}
+
 // Zero sets every element to 0.
 func (m *Dense) Zero() {
 	for i := range m.Data {

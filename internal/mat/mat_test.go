@@ -317,3 +317,21 @@ func TestSoftmaxShiftInvarianceProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+func TestResize(t *testing.T) {
+	var m Dense
+	m.Resize(2, 3).Fill(7)
+	data := m.Data
+	if got := m.Resize(3, 2); got != &m || got.R != 3 || got.C != 2 || &got.Data[0] != &data[0] {
+		t.Fatalf("Resize within capacity did not reuse the backing array: %dx%d", got.R, got.C)
+	}
+	m.Resize(4, 4)
+	if len(m.Data) != 16 || &m.Data[0] == &data[0] {
+		t.Fatal("Resize beyond capacity did not allocate a new array")
+	}
+	for _, v := range m.Data {
+		if v != 0 {
+			t.Fatal("a newly allocated array is not zeroed")
+		}
+	}
+}

@@ -173,6 +173,29 @@ func TestCacheKeysUnchanged(t *testing.T) {
 	}
 }
 
+// TestWriteJSONAllocFree pins writeJSON at zero allocations for every
+// hot body once its pooled buffer has grown, the header included.
+func TestWriteJSONAllocFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items under -race")
+	}
+	vec := make([]float64, 64)
+	for i := range vec {
+		vec[i] = math.Sin(float64(i)) / 3
+	}
+	w := discardWriter{h: http.Header{}}
+	for _, a := range hotBodies("node-42", "authorship", len(vec), vec) {
+		var v any = a
+		writeJSON(w, http.StatusOK, v)
+		if n := testing.AllocsPerRun(100, func() { writeJSON(w, http.StatusOK, v) }); n != 0 {
+			t.Errorf("writeJSON(%T) allocates %v times, want 0", a, n)
+		}
+	}
+	if ct := w.h.Get("Content-Type"); ct != "application/json" {
+		t.Fatalf("Content-Type %q", ct)
+	}
+}
+
 // discardWriter is a ResponseWriter that keeps only its header map.
 type discardWriter struct{ h http.Header }
 

@@ -163,7 +163,16 @@ func writeBody(w http.ResponseWriter, status int, data []byte, err error) {
 			`","message":"encoding response","status":500}}`, http.StatusInternalServerError)
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
+	w.Header()["Content-Type"] = jsonContentType
 	w.WriteHeader(status)
 	_, _ = w.Write(data)
 }
+
+// jsonContentType is the Content-Type of every JSON body. writeBody
+// assigns this one slice instead of calling Header().Set, which would
+// allocate a fresh []string per response. Sharing it is safe because
+// nothing edits a header value in place: no handler or middleware here
+// touches Content-Type after writeBody, http.Error replaces the slice
+// with Set, and an Add would append past its capacity of 1 into a new
+// array.
+var jsonContentType = []string{"application/json"}

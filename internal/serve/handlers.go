@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"runtime"
 	"strconv"
 	"time"
 
@@ -244,6 +245,11 @@ func (sv *Server) endpoint(name, method string, timeout time.Duration, h snapHan
 			}
 			tr.StartStage(obs.TraceStageEncode)
 			writeJSON(w, http.StatusOK, res.v)
+			// Embedding bodies alias rows of the snapshot's mmapped
+			// tables, which its finalizer unmaps once the snapshot is
+			// unreachable. After a reload only this request still
+			// refers to it, so keep it alive until the body is encoded.
+			runtime.KeepAlive(snap)
 			tr.EndStage(obs.TraceStageEncode)
 		case <-timer.C:
 			outcome, code = obs.TraceOutcomeTimeout, CodeTimeout

@@ -21,6 +21,36 @@ type crossResult struct {
 	segments       int
 }
 
+// pairWork is one view-pair's cross-view workspace. Every segment of a
+// pair records the same op graph for a fixed (λ, H, L, d), so one tape
+// and one set of segment buffers serve them all: after the first
+// segment has grown the tape, sampling and trainSegment allocate only
+// what the walker does.
+type pairWork struct {
+	tp autodiff.Tape
+	// A and Atgt (L×d) hold a segment's src- and dst-view embedding
+	// rows; srcLoc and dstLoc the rows' local indices in each view.
+	A, Atgt        *mat.Dense
+	srcLoc, dstLoc []int
+	// shared collects one walk's common nodes; segIDs backs the sampled
+	// segments, which are consecutive L-long windows of it.
+	shared []graph.NodeID
+	segIDs []graph.NodeID
+	segs   [][]graph.NodeID
+}
+
+// newPairWork returns a workspace for segments of pathLen nodes in
+// dim-dimensional views, at most perPair of them per sampling call.
+func newPairWork(pathLen, dim, perPair int) pairWork {
+	return pairWork{
+		A:      mat.New(pathLen, dim),
+		Atgt:   mat.New(pathLen, dim),
+		srcLoc: make([]int, pathLen),
+		dstLoc: make([]int, pathLen),
+		segIDs: make([]graph.NodeID, 0, pathLen*perPair),
+	}
+}
+
 // crossViewStep runs one cross-view pass for view-pair pi (Algorithm 1
 // lines 8–12): it samples common-node path segments from both
 // paired-subviews and optimizes the translation tasks T1/T2 (Eqs. 11–12)
@@ -45,7 +75,7 @@ func (m *Model) crossViewStep(pi, iter int) crossResult {
 		}
 		segs := m.sampleCommonSegments(pi, side, rng)
 		for _, seg := range segs {
-			total, trans, recon := m.trainSegment(seg, src, dst, fwd, bwd)
+			total, trans, recon := m.trainSegment(&m.pairWork[pi], seg, src, dst, fwd, bwd)
 			res.loss += total
 			res.translation += trans
 			res.reconstruction += recon
@@ -74,35 +104,41 @@ func (m *Model) crossViewStep(pi, iter int) crossResult {
 // cuts the remainder into segments of exactly CrossPathLen global IDs.
 // It keeps sampling until CrossPathsPerPair segments are collected or a
 // sampling budget is exhausted (sparse overlaps may not support the full
-// quota).
+// quota). The segments live in pair pi's workspace and are valid until
+// the pair's next call.
 func (m *Model) sampleCommonSegments(pi, side int, rng *rand.Rand) [][]graph.NodeID {
 	sub := m.subviews[pi][side]
 	other := m.subviews[pi][1-side]
 	walker := m.subWalkers[pi][side]
 	want := m.Cfg.CrossPathsPerPair
 	L := m.Cfg.CrossPathLen
-	var segs [][]graph.NodeID
 	if sub.NumNodes() == 0 {
 		return nil
 	}
+	w := &m.pairWork[pi]
+	segIDs, segs := w.segIDs[:0], w.segs[:0]
 	budget := want * 8
 	for len(segs) < want && budget > 0 {
 		budget--
 		start := rng.Intn(sub.NumNodes())
 		p := walker.Walk(sub, start, m.Cfg.WalkLength, rng)
 		// Keep only nodes present in both subviews.
-		var shared []graph.NodeID
+		shared := w.shared[:0]
 		for _, l := range p {
 			gid := sub.Global(l)
 			if other.Contains(gid) {
 				shared = append(shared, gid)
 			}
 		}
+		w.shared = shared
 		for len(shared) >= L && len(segs) < want {
-			segs = append(segs, shared[:L])
+			n := len(segIDs)
+			segIDs = append(segIDs, shared[:L]...)
+			segs = append(segs, segIDs[n:n+L:n+L])
 			shared = shared[L:]
 		}
 	}
+	w.segIDs, w.segs = segIDs, segs
 	return segs
 }
 
@@ -114,18 +150,19 @@ func (m *Model) sampleCommonSegments(pi, side int, rng *rand.Rand) [][]graph.Nod
 // with γ_cross), matching Θ_cross of Algorithm 1. It returns the
 // segment's combined loss and its translation (Eqs. 11–12) and
 // reconstruction (Eqs. 13–14) components; a disabled task contributes
-// zero.
-func (m *Model) trainSegment(seg []graph.NodeID, src, dst int, fwd, bwd *Translator) (total, transLoss, reconLoss float64) {
+// zero. seg has CrossPathLen nodes; its tape and buffers are w's,
+// reused segment after segment.
+//
+//lint:alloc-free cross-view per-segment step, pinned by TestTrainSegmentAllocFree
+func (m *Model) trainSegment(w *pairWork, seg []graph.NodeID, src, dst int, fwd, bwd *Translator) (total, transLoss, reconLoss float64) {
 	srcView, dstView := m.views[src], m.views[dst]
 	srcEmb, dstEmb := m.emb[src], m.emb[dst]
-	L, d := len(seg), m.Cfg.Dim
 
 	// Gather embedding rows into path matrices (copies; gradients are
 	// scattered back after Backward).
-	A := mat.New(L, d)    // src-view embeddings of the segment
-	Atgt := mat.New(L, d) // dst-view embeddings of the segment
-	srcLoc := make([]int, L)
-	dstLoc := make([]int, L)
+	A := w.A       // src-view embeddings of the segment
+	Atgt := w.Atgt // dst-view embeddings of the segment
+	srcLoc, dstLoc := w.srcLoc, w.dstLoc
 	for k, gid := range seg {
 		srcLoc[k] = srcView.Local(gid)
 		dstLoc[k] = dstView.Local(gid)
@@ -133,7 +170,8 @@ func (m *Model) trainSegment(seg []graph.NodeID, src, dst int, fwd, bwd *Transla
 		copy(Atgt.Row(k), dstEmb.In.Row(dstLoc[k]))
 	}
 
-	tp := autodiff.NewTape()
+	tp := &w.tp
+	tp.Reset()
 	tA := tp.Param(A)
 	tB := tp.Param(Atgt)
 	// Both sides' embeddings are in Θ_cross (Algorithm 1). The loss

@@ -113,9 +113,8 @@ func (f *Frozen) PairFor(i, j int) (int, bool) {
 // the output rows, which averages out the row-dependent feed-forward
 // mixing and is deterministic for a given snapshot. The output is
 // layer-normalized, like the translation targets the stack trained
-// against (DESIGN.md §2).
-//
-//lint:finite-checked Freeze verified the model finite via CheckFinite; the forward pass and row mean cannot create non-finite values from finite inputs
+// against (DESIGN.md §2). The forward pass runs on a pooled tape, so
+// the result slice is the call's one allocation.
 func (f *Frozen) TranslateNode(from, to int, id graph.NodeID) ([]float64, error) {
 	if from == to {
 		return nil, fmt.Errorf("transn: translate: views are the same (%d)", from)
@@ -136,23 +135,8 @@ func (f *Frozen) TranslateNode(from, to int, id graph.NodeID) ([]float64, error)
 	if tr == nil {
 		return nil, fmt.Errorf("transn: translate: pair %d has no trained translator", p)
 	}
-	L := tr.PathLen()
-	in := mat.New(L, len(src))
-	for k := 0; k < L; k++ {
-		in.SetRow(k, src)
-	}
-	out := tr.Translate(in)
-	res := make([]float64, out.C)
-	for k := 0; k < out.R; k++ {
-		row := out.Row(k)
-		for c := range res {
-			res[c] += row[c]
-		}
-	}
-	inv := 1 / float64(out.R)
-	for c := range res {
-		res[c] *= inv
-	}
+	res := make([]float64, len(src))
+	tr.translateRowMean(res, src)
 	return res, nil
 }
 

@@ -59,6 +59,9 @@ type Model struct {
 	trans [][2]*Translator
 	// pairRngs[p] is pair p's persistent sampling stream (streamCross).
 	pairRngs []*rand.Rand
+	// pairWork[p] is pair p's cross-view workspace, reused by every
+	// segment the pair samples and trains.
+	pairWork []pairWork
 
 	// crossEmbedUpdates gates embedding updates in the cross-view step:
 	// during the first iteration only the translators train (warm-up),
@@ -377,6 +380,7 @@ func (m *Model) initPairs() {
 	m.subWalkers = make([][2]walk.Walker, len(m.pairs))
 	m.trans = make([][2]*Translator, len(m.pairs))
 	m.pairRngs = make([]*rand.Rand, len(m.pairs))
+	m.pairWork = make([]pairWork, len(m.pairs))
 	for p, pr := range m.pairs {
 		si := graph.PairedSubview(m.views[pr.I], pr.Common)
 		sj := graph.PairedSubview(m.views[pr.J], pr.Common)
@@ -389,6 +393,7 @@ func (m *Model) initPairs() {
 				rngstream.New(m.Cfg.Seed, streamTranslator, int64(p), 1)),
 		}
 		m.pairRngs[p] = rngstream.New(m.Cfg.Seed, streamCross, int64(p))
+		m.pairWork[p] = newPairWork(m.Cfg.CrossPathLen, m.Cfg.Dim, m.Cfg.CrossPathsPerPair)
 	}
 }
 

@@ -3,6 +3,7 @@ package transn
 import (
 	"math"
 	"math/rand"
+	"sync"
 
 	"transn/internal/autodiff"
 	"transn/internal/mat"
@@ -122,14 +123,82 @@ func (t *Translator) DiscardGrads() {
 }
 
 // Translate runs the forward pass outside any training loop, for
-// inference, diagnostics and tests. Unlike Apply it is safe for
-// concurrent callers: parameters are lifted onto a private tape as
-// constants and nothing is recorded into the translator's
-// gradient-tracking scratch, so concurrent calls share only the
-// read-only weight tables. (It previously routed through Apply, whose
-// lastW/lastB appends are training-path scratch — two concurrent
-// Translate calls raced on those slices.)
+// inference, diagnostics and tests, and returns a copy of the output.
+// Unlike Apply it is safe for concurrent callers: parameters are lifted
+// as constants onto a tape from the shared inference pool, and nothing
+// is recorded into the translator's gradient-tracking scratch, so
+// concurrent calls share only the read-only weight tables. (It
+// previously routed through Apply, whose lastW/lastB appends are
+// training-path scratch — two concurrent Translate calls raced on those
+// slices.)
 func (t *Translator) Translate(x *mat.Dense) *mat.Dense {
-	tp := autodiff.NewTape()
-	return t.forward(tp, tp.Constant(x), tp.Constant, nil).Value.Clone()
+	pool, it := getInferTape(t.PathLen(), x.C)
+	out := t.forward(&it.tp, it.tp.Constant(x), it.tp.Constant, nil).Value.Clone()
+	putInferTape(pool, it)
+	return out
+}
+
+// translateRowMean lifts src (one d-length embedding row) to a PathLen
+// path by repeating it, runs the forward pass, and writes the mean of
+// the output rows into dst (length d). Apart from a pool miss it
+// allocates nothing.
+//
+//lint:finite-checked Frozen.TranslateNode, the caller, serves a model Freeze verified finite via CheckFinite; the forward pass and row mean cannot create non-finite values from finite inputs
+func (t *Translator) translateRowMean(dst, src []float64) {
+	L := t.PathLen()
+	pool, it := getInferTape(L, len(src))
+	in := it.in.Resize(L, len(src))
+	for k := 0; k < L; k++ {
+		in.SetRow(k, src)
+	}
+	out := t.forward(&it.tp, it.tp.Constant(in), it.tp.Constant, nil).Value
+	for c := range dst {
+		dst[c] = 0
+	}
+	for k := 0; k < out.R; k++ {
+		row := out.Row(k)
+		for c := range dst {
+			dst[c] += row[c]
+		}
+	}
+	inv := 1 / float64(out.R)
+	for c := range dst {
+		dst[c] *= inv
+	}
+	putInferTape(pool, it)
+}
+
+// inferTape is one inference workspace: a tape, reused pass after pass,
+// and the path matrix translateRowMean lifts a node's row into.
+type inferTape struct {
+	tp autodiff.Tape
+	in mat.Dense
+}
+
+// tapeShape keys the inference pools: a tape only ever records passes
+// of one (PathLen, d), so its slots never change size.
+type tapeShape struct{ pathLen, dim int }
+
+// inferPools maps each tapeShape to its *sync.Pool of inferTapes.
+// Keying by shape keeps the tapes of one snapshot's translators apart
+// from another snapshot's with a different Dim or CrossPathLen.
+var inferPools sync.Map
+
+// getInferTape takes an inference workspace for paths of pathLen rows
+// of dim columns, returning it with the pool it must go back to.
+func getInferTape(pathLen, dim int) (*sync.Pool, *inferTape) {
+	key := tapeShape{pathLen, dim}
+	p, ok := inferPools.Load(key)
+	if !ok {
+		p, _ = inferPools.LoadOrStore(key, &sync.Pool{New: func() any { return new(inferTape) }})
+	}
+	pool := p.(*sync.Pool)
+	return pool, pool.Get().(*inferTape)
+}
+
+// putInferTape resets it, dropping its references to the caller's
+// matrices, and returns it to pool.
+func putInferTape(pool *sync.Pool, it *inferTape) {
+	it.tp.Reset()
+	pool.Put(it)
 }
