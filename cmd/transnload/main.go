@@ -21,7 +21,7 @@
 // run the harness fetches the server's /debug/requests and /debug/slow
 // trace rings and joins them against its own slowest -slow observations,
 // so the report's tail section attributes p99 latency to server-side
-// stages (cache, coalesce wait, forward pass, ...).
+// stages (decode, row-table lookup, forward pass, ...).
 //
 // Exit status: 0 on a clean run (and a passing gate), 1 on harness
 // errors, 2 on gate violations.
@@ -41,8 +41,8 @@ import (
 
 // profiles are the named workload shapes -profile accepts, as -mix
 // weight strings. knn-heavy exercises the ANN-backed /v1/knn path (with
-// a light embedding/translate background so caches and the coalescer
-// stay warm) — CI's knn p99 SLO gate runs under it.
+// a light embedding/translate background so the translate row table
+// stays warm) — CI's knn p99 SLO gate runs under it.
 var profiles = map[string]string{
 	"knn-heavy": "knn=8,embedding=1,translate=1",
 	"read-only": "embedding=3,translate=2,knn=2",

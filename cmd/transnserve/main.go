@@ -10,8 +10,13 @@
 // request falls back to the brute scan.
 // See API.md for the route reference and SNAPSHOT.md for the format.
 //
+// A translation is a pure function of the snapshot, so each
+// (pair, direction, node) row is computed on its first request and kept
+// in a per-snapshot table until the next reload; there is no cache size
+// to configure.
+//
 // Every request is traced through its handling stages (decode,
-// snapshot pin, cache, coalesce wait, forward, encode); sampled and
+// snapshot pin, row-table lookup, forward, encode); sampled and
 // slow traces land in in-memory rings served at /debug/requests and
 // /debug/slow as transn.trace.serve/v1 dumps, and -log emits
 // structured JSON access/slow log lines. -trace-rate -1 disables
@@ -63,8 +68,6 @@ func run(args []string) error {
 	graphPath := fs.String("graph", "", "network TSV the model was trained on (required)")
 	modelPath := fs.String("model", "", "trained model (transn.snap/v1) from `transn train -model` (required)")
 	addr := fs.String("addr", ":8080", "listen address (host:port; :0 picks a free port)")
-	cacheSize := fs.Int("cache", 0, "LRU capacity for computed vectors (0 = default 4096, negative disables)")
-	workers := fs.Int("translate-workers", 0, "max concurrent translator/inference computations (0 = default 4)")
 	timeout := fs.Duration("timeout", 0, "per-request deadline for /v1 endpoints (0 = default 10s)")
 	drain := fs.Duration("drain", 0, "max wait for in-flight requests on shutdown (0 = default 10s)")
 	maxK := fs.Int("maxk", 0, "cap on the k parameter of /v1/knn (0 = default 100)")
@@ -107,8 +110,6 @@ func run(args []string) error {
 	sv, err := serve.New(serve.Config{
 		GraphPath:             *graphPath,
 		ModelPath:             *modelPath,
-		CacheSize:             *cacheSize,
-		TranslateWorkers:      *workers,
 		RequestTimeout:        *timeout,
 		DrainTimeout:          *drain,
 		MaxK:                  *maxK,

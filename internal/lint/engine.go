@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 	"time"
 
@@ -381,10 +382,6 @@ type Options struct {
 	// _test.go files, so tests are never in scope).
 	DocPkgs []string
 
-	// AtomicPkgs are the packages where mixed atomic/plain access to a
-	// field is a finding. Empty means every loaded package — atomics
-	// must be consistent wherever they appear.
-	AtomicPkgs []string
 	// LifecyclePkgs are the long-lived packages where a `go` statement
 	// spinning an unstoppable background loop, or an unstopped
 	// time.NewTicker/NewTimer, is a finding.
@@ -405,7 +402,6 @@ func Defaults() Options {
 		GuardFiles:      []string{"finite.go"},
 		SchemaObsPkg:    "transn/internal/obs",
 		SchemaDiagPkg:   "transn/internal/diag",
-		AtomicPkgs:      nil, // every package: atomics must be consistent repo-wide
 		LifecyclePkgs:   []string{"transn/internal/obs", "transn/internal/serve", "transn/internal/load", "transn/internal/par"},
 		LockPkgs:        nil, // every package: lock discipline is repo-wide
 	}
@@ -418,7 +414,6 @@ func Analyzers() []*Analyzer {
 		analyzerFinite(),
 		analyzerSchema(),
 		analyzerDoccheck(),
-		analyzerAtomic(),
 		analyzerLifecycle(),
 		analyzerLockOrder(),
 		analyzerAllocPin(),
@@ -493,6 +488,12 @@ func (m *Module) findingAt(code string, p token.Pos, format string, args ...any)
 		Code: code, File: pos.Filename, Line: pos.Line, Col: pos.Column,
 		Message: fmt.Sprintf(format, args...),
 	}
+}
+
+// shortPos renders a position as file:line for messages.
+func (m *Module) shortPos(p token.Pos) string {
+	pos := m.Rel(m.Fset.Position(p))
+	return pos.Filename + ":" + strconv.Itoa(pos.Line)
 }
 
 // inScope reports whether pkg's import path is in the list; an empty

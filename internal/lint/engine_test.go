@@ -142,20 +142,6 @@ func TestDoccheckFixture(t *testing.T) {
 	}
 }
 
-// TestAtomicFixture covers the atomic-consistency analyzer: plain
-// access to an atomically-owned field or package variable (the
-// unpaired-access bug class), the 386 alignment check, the
-// composite-literal exemption, a reasoned suppression, and stale
-// suppressions for both codes.
-func TestAtomicFixture(t *testing.T) {
-	doc := testFixture(t, "atomic", Options{
-		AtomicPkgs: []string{"fixture/counter"},
-	}, []*Analyzer{analyzerAtomic()})
-	if doc.Suppressions != 1 {
-		t.Errorf("Suppressions = %d, want 1 (the construction-time write in Init)", doc.Suppressions)
-	}
-}
-
 // TestLifecycleFixture covers the goroutine-lifecycle analyzer: leaked
 // background loops (direct, through a named entry point, over a ticker
 // channel), unstopped tickers (local, field, inline), the clean
@@ -173,8 +159,9 @@ func TestLifecycleFixture(t *testing.T) {
 // TestLockOrderFixture covers the lock-order analyzer: the AB/BA
 // acquisition cycle, self-deadlock on re-acquisition, a lock leaked on
 // an early return, the clean early-unlock/defer/loop shapes, a
-// reasoned suppression for a lock handoff, and stale suppressions for
-// both codes.
+// reasoned suppression for a lock handoff, stale suppressions for
+// both lock codes, and raw sync/atomic calls next to the clean typed
+// wrappers.
 func TestLockOrderFixture(t *testing.T) {
 	doc := testFixture(t, "lockorder", Options{
 		LockPkgs: []string{"fixture/locks"},

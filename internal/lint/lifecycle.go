@@ -271,7 +271,7 @@ func checkTickerTarget(m *Module, pkg *Package, fd *ast.FuncDecl, lhs ast.Expr, 
 				tickerCtor(pkg, call), lhs.Name, fd.Name.Name, lhs.Name))
 		}
 	case *ast.SelectorExpr:
-		obj, _ := addressedVar(pkg, lhs)
+		obj := addressedVar(pkg, lhs)
 		if obj == nil {
 			return
 		}
@@ -356,7 +356,7 @@ func packageStopsField(pkg *Package, field *types.Var) bool {
 			if !ok || sel.Sel.Name != "Stop" {
 				return true
 			}
-			if obj, _ := addressedVar(pkg, ast.Unparen(sel.X)); obj == field {
+			if obj := addressedVar(pkg, ast.Unparen(sel.X)); obj == field {
 				found = true
 			}
 			return !found
@@ -366,4 +366,27 @@ func packageStopsField(pkg *Package, field *types.Var) bool {
 		}
 	}
 	return false
+}
+
+// addressedVar resolves an expression to the variable it names: a
+// struct field (through the type-checker's selection) or a
+// plain/package-level variable. nil for anything unkeyable (slice
+// elements, map values, dereferences).
+func addressedVar(pkg *Package, e ast.Expr) *types.Var {
+	switch e := e.(type) {
+	case *ast.SelectorExpr:
+		if sel, ok := pkg.Info.Selections[e]; ok && sel.Kind() == types.FieldVal {
+			if v, ok := sel.Obj().(*types.Var); ok {
+				return v
+			}
+		}
+		if v, ok := pkg.Info.Uses[e.Sel].(*types.Var); ok {
+			return v // qualified package-level var
+		}
+	case *ast.Ident:
+		if v, ok := pkg.Info.Uses[e].(*types.Var); ok {
+			return v
+		}
+	}
+	return nil
 }

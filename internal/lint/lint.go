@@ -16,16 +16,12 @@
 //   - doccheck (doccheck.go): every exported top-level symbol and every
 //     package carries a doc comment — the source-level half of the
 //     documented public API surface (API.md is the HTTP half).
-//   - atomic-consistency (atomic.go): a variable touched through raw
-//     sync/atomic anywhere is accessed atomically everywhere, and
-//     64-bit atomics on plain fields sit at 8-byte-aligned offsets
-//     under the 32-bit layout.
 //   - goroutine-lifecycle (lifecycle.go): `go` statements in the
 //     long-lived packages lead to stoppable loops, and every
 //     time.NewTicker/NewTimer has a matching Stop.
 //   - lock-order (lockorder.go): the static mutex acquisition graph is
-//     acyclic and every lock is released (or defer-released) on every
-//     return/panic path.
+//     acyclic, every lock is released (or defer-released) on every
+//     return/panic path, and no code calls a raw sync/atomic function.
 //   - alloc-pin (allocpin.go): //lint:alloc-free bodies stay free of
 //     heap escapes, checked against `go build -gcflags=-m` output, and
 //     call no builtin append.
@@ -106,17 +102,6 @@ const (
 	// API.md-style, at the source level.
 	CodeDocMissing = "doc.missing"
 
-	// CodeAtomicMixed: a variable or struct field accessed through raw
-	// sync/atomic functions somewhere and through a plain read/write
-	// somewhere else — the plain access races with the atomic ones, and
-	// the race detector only catches it if both sides run under -race.
-	CodeAtomicMixed = "atomic.mixed-access"
-	// CodeAtomicAlign: a plain int64/uint64 struct field used with
-	// 64-bit sync/atomic operations whose offset is not 8-byte aligned
-	// under the 32-bit (GOARCH=386) struct layout — such an access
-	// panics at runtime on 32-bit platforms.
-	CodeAtomicAlign = "atomic.alignment"
-
 	// CodeLifecycleLeak: a goroutine launched in a long-lived package
 	// whose body spins an unbounded background loop with no stop path —
 	// no receive from a done/ctx channel and no return/break — so the
@@ -136,6 +121,11 @@ const (
 	// (or fall off the end of the function) without the matching unlock
 	// and with no deferred unlock covering it.
 	CodeLockUnbalanced = "lock.unbalanced"
+	// CodeLockRawAtomic: a call to a raw sync/atomic package-level
+	// function (atomic.AddInt64(&x, 1) style). Shared atomics use the
+	// typed wrappers, which cannot be read plainly by mistake and carry
+	// their own 64-bit alignment.
+	CodeLockRawAtomic = "lock.raw-atomic"
 
 	// CodeAllocEscape: a heap escape the compiler reports inside the
 	// body of a //lint:alloc-free function — the static half of the

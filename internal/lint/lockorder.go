@@ -9,7 +9,7 @@ import (
 
 // lockorder.go — the lock-order analyzer. It keys every
 // sync.Mutex/RWMutex Lock/RLock/Unlock/RUnlock call to the variable
-// holding the mutex (a struct field like coalescer.mu, or a package
+// holding the mutex (a struct field like TraceRing.mu, or a package
 // variable), then does two things:
 //
 //   - a symbolic per-function walk tracking the held set across
@@ -21,6 +21,13 @@ import (
 //     while A is held — whose cycles are the classic AB/BA deadlocks
 //     (lock.cycle). Re-acquiring a write-held mutex is reported as a
 //     self-deadlock immediately.
+//
+// It also keeps shared counters and pointers on the typed sync/atomic
+// wrappers (atomic.Int64, atomic.Pointer, ...): a call to a raw
+// package-level function such as atomic.AddInt64 is lock.raw-atomic.
+// A raw atomic leaves its variable open to plain accesses that race
+// with it, and a 64-bit one panics on 32-bit platforms when the field
+// is misaligned; the wrappers rule out both.
 //
 // `go` statements and function literals run outside the caller's
 // critical section, so the walk skips into neither; literals are walked
@@ -129,6 +136,16 @@ func runLockOrder(m *Module, opts Options, report func(Finding)) {
 			continue
 		}
 		for _, f := range pkg.Files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				if call, ok := n.(*ast.CallExpr); ok {
+					if fn := calleeOf(pkg, call); fn != nil && fn.Pkg() != nil && fn.Pkg().Path() == "sync/atomic" &&
+						fn.Type().(*types.Signature).Recv() == nil {
+						report(m.finding(CodeLockRawAtomic, call,
+							"atomic.%s is a raw sync/atomic call; use a typed wrapper (atomic.Int64, atomic.Pointer, ...)", fn.Name()))
+					}
+				}
+				return true
+			})
 			for _, decl := range f.Decls {
 				fd, ok := decl.(*ast.FuncDecl)
 				if !ok || fd.Body == nil {

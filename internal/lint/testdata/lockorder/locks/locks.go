@@ -1,8 +1,11 @@
 // Package locks exercises the lock-order analyzer: AB/BA acquisition
-// cycles and locks not released on every path.
+// cycles, locks not released on every path, and raw sync/atomic calls.
 package locks
 
-import "sync"
+import (
+	"sync"
+	"sync/atomic"
+)
 
 // pair holds two mutexes the functions below acquire in both orders.
 type pair struct {
@@ -112,4 +115,18 @@ func (p *pair) Quiet() {
 	// want-next lint.unused-suppression
 	//lint:ignore lock.unbalanced nothing held on this line
 	p.n = 1
+}
+
+// counters holds one shared counter of each kind.
+type counters struct {
+	raw   int64
+	typed atomic.Int64
+}
+
+// Bump updates the typed wrapper (clean) and the plain field through
+// raw sync/atomic calls.
+func (c *counters) Bump() int64 {
+	c.typed.Add(1)
+	atomic.AddInt64(&c.raw, 1)      // want lock.raw-atomic
+	return atomic.LoadInt64(&c.raw) // want lock.raw-atomic
 }

@@ -90,7 +90,7 @@ func startServer(t testing.TB) (string, *graph.Graph) {
 	// Sample every request into a ring big enough to hold the whole
 	// run, so tail joins are deterministic.
 	sv, err := serve.New(serve.Config{
-		GraphPath: gp, ModelPath: mp, CacheSize: 64, TranslateWorkers: 2,
+		GraphPath: gp, ModelPath: mp,
 		TraceSampleRate: 1, TraceRingSize: 1 << 14,
 	})
 	if err != nil {
@@ -267,7 +267,10 @@ func TestRunEndToEnd(t *testing.T) {
 		t.Fatalf("server saw %d requests, harness sent %d measured", rep.Server.Requests, rep.Sent)
 	}
 	if rep.Server.CacheHits+rep.Server.CacheMisses == 0 {
-		t.Fatal("no cache traffic recorded on the server")
+		t.Fatal("no row-table lookups recorded on the server")
+	}
+	if rep.Server.Coalesced != 0 {
+		t.Fatalf("server coalesced = %d, want the frozen field's constant 0", rep.Server.Coalesced)
 	}
 
 	// Tail attribution: with the server sampling every request into a

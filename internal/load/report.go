@@ -55,12 +55,13 @@ type ServerStats struct {
 	Requests int64 `json:"requests"`
 	// Errors is the server's error-response count over the window.
 	Errors int64 `json:"errors"`
-	// CacheHits and CacheMisses are translate-cache accounting; the
-	// hit rate is CacheHits/(CacheHits+CacheMisses).
+	// CacheHits and CacheMisses count translate lookups in the server's
+	// row table; the hit rate is CacheHits/(CacheHits+CacheMisses).
 	CacheHits   int64 `json:"cache_hits"`
 	CacheMisses int64 `json:"cache_misses"`
-	// Coalesced counts requests that joined another request's in-flight
-	// translator execution instead of computing their own.
+	// Coalesced is always 0: the server has no request coalescer.
+	// The field stays because transn.bench.serve/v1 is frozen with it
+	// (BENCH_trajectory holds documents that carry it).
 	Coalesced int64 `json:"coalesced"`
 	// Reloads is the server's snapshot-reload count over the window
 	// (the harness's own mid-run reloads land here).

@@ -449,7 +449,6 @@ func serverDelta(before, after *obs.Report) *ServerStats {
 		Errors:      d(obs.MetricServeErrors),
 		CacheHits:   d(obs.MetricServeCacheHits),
 		CacheMisses: d(obs.MetricServeCacheMisses),
-		Coalesced:   d(obs.MetricServeCoalesced),
 		Reloads:     d(obs.MetricServeReloads),
 	}
 	if total := s.CacheHits + s.CacheMisses; total > 0 {

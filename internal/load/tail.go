@@ -36,8 +36,11 @@ type TailRequest struct {
 	ServerSeconds float64 `json:"server_seconds,omitempty"`
 	// Outcome is the server's trace outcome (ok, error, timeout, panic).
 	Outcome string `json:"outcome,omitempty"`
-	// CacheHit and Coalesced are the server's fast-path flags.
-	CacheHit  bool `json:"cache_hit,omitempty"`
+	// CacheHit is the server's row-table hit flag.
+	CacheHit bool `json:"cache_hit,omitempty"`
+	// Coalesced is always false (and so omitted): the server has no
+	// request coalescer. The field stays because transn.bench.serve/v1
+	// is frozen with it.
 	Coalesced bool `json:"coalesced,omitempty"`
 	// Stages is the server-side per-stage breakdown in seconds.
 	Stages map[string]float64 `json:"stages,omitempty"`
@@ -45,8 +48,8 @@ type TailRequest struct {
 
 // TailStats is the tail-latency attribution section of the report: the
 // slowest-N client observations joined against the server's sampled and
-// slow trace rings, with per-stage totals so "p99 is coalesce-wait-
-// bound" is a measured sentence rather than a guess.
+// slow trace rings, with per-stage totals so "p99 is forward-bound" is
+// a measured sentence rather than a guess.
 type TailStats struct {
 	// SlowestN is how many tail requests were requested (Profile.SlowN);
 	// Requests may be shorter when fewer measured requests completed.
@@ -154,7 +157,6 @@ func buildTail(slowN int, slowest []result, traces map[string]obs.TraceRecord) *
 			row.ServerSeconds = rec.TotalSeconds
 			row.Outcome = string(rec.Outcome)
 			row.CacheHit = rec.CacheHit
-			row.Coalesced = rec.Coalesced
 			row.Stages = rec.Stages
 			tail.Joined++
 			// ordered iteration: stage totals sum in a fixed order so

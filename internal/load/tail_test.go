@@ -38,10 +38,9 @@ func TestBuildTailJoinsAndAttributes(t *testing.T) {
 	}
 	traces := map[string]obs.TraceRecord{
 		"r1": {ID: "r1", TotalSeconds: 0.028, Outcome: obs.TraceOutcomeOK,
-			Coalesced: true,
 			Stages: map[string]float64{
-				string(obs.TraceStageCoalesceWait): 0.020,
-				string(obs.TraceStageForward):      0.007,
+				string(obs.TraceStageDecode):  0.020,
+				string(obs.TraceStageForward): 0.007,
 			}},
 		"r2": {ID: "r2", TotalSeconds: 0.018, Outcome: obs.TraceOutcomeOK,
 			Stages: map[string]float64{string(obs.TraceStageForward): 0.017}},
@@ -54,13 +53,13 @@ func TestBuildTailJoinsAndAttributes(t *testing.T) {
 	if tail.Joined != 2 {
 		t.Fatalf("joined = %d, want 2", tail.Joined)
 	}
-	if !tail.Requests[0].Joined || !tail.Requests[0].Coalesced {
+	if !tail.Requests[0].Joined || tail.Requests[0].ServerSeconds != 0.028 {
 		t.Fatalf("r1 row = %+v", tail.Requests[0])
 	}
 	if tail.Requests[2].Joined {
 		t.Fatal("r3 should not join")
 	}
-	// coalesce_wait total 0.020 < forward total 0.024 → forward dominates.
+	// decode total 0.020 < forward total 0.024 → forward dominates.
 	if tail.DominantStage != string(obs.TraceStageForward) {
 		t.Fatalf("dominant stage = %q, want forward", tail.DominantStage)
 	}

@@ -35,8 +35,9 @@ const (
 	// MetricServeLatency is the per-request wall-time histogram
 	// (seconds) across every serving endpoint.
 	MetricServeLatency = "serve.latency_seconds"
-	// MetricServeCacheHits / MetricServeCacheMisses count lookups in the
-	// per-snapshot LRU of translated vectors and inference results.
+	// MetricServeCacheHits / MetricServeCacheMisses count /v1/translate
+	// lookups in the per-snapshot table of translated rows: a hit reads
+	// a row already there, a miss runs the forward pass that fills it.
 	MetricServeCacheHits   = "serve.cache_hits"
 	MetricServeCacheMisses = "serve.cache_misses"
 	// MetricServeSnapshotGen is the generation number of the snapshot
@@ -44,9 +45,6 @@ const (
 	MetricServeSnapshotGen = "serve.snapshot_generation"
 	// MetricServeReloads counts successful snapshot hot reloads.
 	MetricServeReloads = "serve.reloads"
-	// MetricServeQueueDepth is the number of translation computations
-	// currently queued or running in the coalescing executor.
-	MetricServeQueueDepth = "serve.queue_depth"
 	// MetricServeKNNExactFallback counts /v1/knn requests answered by
 	// the exact brute-force scan instead of the ANN index — either the
 	// caller asked (exact=true) or the snapshot has no index.
@@ -62,10 +60,6 @@ const (
 	// MetricSnapMappedBytes is the byte size of the currently mapped
 	// .snap file (0 after a copied load).
 	MetricSnapMappedBytes = "snap.mapped_bytes"
-	// MetricServeCoalesced counts requests that joined an identical
-	// in-flight computation instead of running their own forward pass —
-	// the coalescer's deduplication hit count.
-	MetricServeCoalesced = "serve.coalesced"
 
 	// MetricLoadOffered counts requests the load harness scheduled in
 	// the measured window (the open-loop arrival process; see

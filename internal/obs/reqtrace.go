@@ -19,9 +19,9 @@ import (
 type TraceStage string
 
 // The serving request stages, in request order. Not every request
-// visits every stage: cache hits skip coalesce_wait and forward,
-// /v1/embedding never touches the cache at all — absent stages are
-// simply omitted from the record.
+// visits every stage: only /v1/translate looks up the row table (cache),
+// a hit skips forward, and no request enters coalesce_wait — absent
+// stages are simply omitted from the record.
 const (
 	// TraceStageDecode covers request parsing and validation: query
 	// parameters, JSON bodies, node/view name resolution.
@@ -29,11 +29,13 @@ const (
 	// TraceStageSnapshot covers pinning the live snapshot pointer and
 	// the readiness check.
 	TraceStageSnapshot TraceStage = "snapshot_pin"
-	// TraceStageCache covers the per-snapshot LRU lookup.
+	// TraceStageCache covers the /v1/translate lookup in the snapshot's
+	// table of translated rows.
 	TraceStageCache TraceStage = "cache"
-	// TraceStageCoalesceWait covers time blocked in the request
-	// coalescer: waiting on an identical in-flight leader, or waiting
-	// for a translator-concurrency slot.
+	// TraceStageCoalesceWait is never recorded: the server has no
+	// request coalescer. It stays in TraceStages because the stage
+	// vocabulary is schema-stable and the end-to-end benchmark derives
+	// stage.coalesce_wait_us from it (which reads 0).
 	TraceStageCoalesceWait TraceStage = "coalesce_wait"
 	// TraceStageForward covers the model computation itself — the
 	// Eq. 8–10 translator forward pass, a k-NN scan, or InferNode.
@@ -106,7 +108,7 @@ func traceOutcomeKnown(s TraceOutcome) bool {
 
 // ReqTrace is the live trace of one in-flight serving request. It is
 // created by TraceLog.Begin, threaded through the request (context →
-// handler → cache → coalescer → forward), and snapshotted into an
+// handler → row table → forward), and snapshotted into an
 // immutable TraceRecord by TraceLog.Finish. All methods are nil-safe —
 // with tracing disabled the instrumentation sites reduce to nil checks
 // and allocate nothing — and all mutation is atomic, so a handler
@@ -125,9 +127,8 @@ type ReqTrace struct {
 	stageStart [numTraceStages]atomic.Int64
 	stageDur   [numTraceStages]atomic.Int64
 
-	cacheHit  atomic.Bool
-	coalesced atomic.Bool
-	gen       atomic.Uint64
+	cacheHit atomic.Bool
+	gen      atomic.Uint64
 }
 
 // ID returns the request ID the trace was begun with ("" on nil).
@@ -185,7 +186,7 @@ func (tr *ReqTrace) EndStage(s TraceStage) {
 	tr.stageDur[i].Store(d + 1)
 }
 
-// SetCacheHit marks the request as served from the vector cache.
+// SetCacheHit marks a translate as served from the snapshot's row table.
 //
 //lint:alloc-free disabled-path no-op pinned by the trace AllocsPerRun test
 func (tr *ReqTrace) SetCacheHit() {
@@ -193,17 +194,6 @@ func (tr *ReqTrace) SetCacheHit() {
 		return
 	}
 	tr.cacheHit.Store(true)
-}
-
-// SetCoalesced marks the request as having joined an identical
-// in-flight computation instead of running its own forward pass.
-//
-//lint:alloc-free disabled-path no-op pinned by the trace AllocsPerRun test
-func (tr *ReqTrace) SetCoalesced() {
-	if tr == nil {
-		return
-	}
-	tr.coalesced.Store(true)
 }
 
 // SetGeneration records the snapshot generation that served the request.
@@ -239,9 +229,10 @@ type TraceRecord struct {
 	Status int `json:"status"`
 	// Code is the transn.serve/v1 envelope code for non-2xx outcomes.
 	Code string `json:"code,omitempty"`
-	// CacheHit and Coalesced record how the request met the serve
-	// fast paths.
-	CacheHit  bool `json:"cache_hit"`
+	// CacheHit records a translate answered from the row table.
+	CacheHit bool `json:"cache_hit"`
+	// Coalesced is always false: the server has no request coalescer.
+	// The field stays because this schema is append-only.
 	Coalesced bool `json:"coalesced"`
 	// Generation is the snapshot generation that served the request
 	// (0 if the request never pinned a snapshot).
@@ -338,7 +329,7 @@ func (r *TraceRing) Total() uint64 {
 // corresponding sampling dimension.
 type TraceConfig struct {
 	// SampleHead always samples the first SampleHead requests — the
-	// cold-start story (cache fills, first coalesce storms) is
+	// cold-start story (row-table fills after a reload) is
 	// disproportionately informative. 0 means 64; negative disables
 	// head sampling.
 	SampleHead int
@@ -456,7 +447,6 @@ func (tl *TraceLog) Finish(tr *ReqTrace, outcome TraceOutcome, status int, code 
 		Status:       status,
 		Code:         code,
 		CacheHit:     tr.cacheHit.Load(),
-		Coalesced:    tr.coalesced.Load(),
 		Generation:   tr.gen.Load(),
 		Sampled:      tr.sampled,
 		Slow:         slow,
@@ -650,7 +640,8 @@ const (
 	LogKeyCode = "code"
 	// LogKeyDurationMS carries the request duration in milliseconds.
 	LogKeyDurationMS = "duration_ms"
-	// LogKeyCacheHit and LogKeyCoalesced carry the fast-path flags.
+	// LogKeyCacheHit and LogKeyCoalesced carry the trace record's
+	// CacheHit and Coalesced flags; the latter is always false.
 	LogKeyCacheHit  = "cache_hit"
 	LogKeyCoalesced = "coalesced"
 	// LogKeyGeneration carries the serving snapshot generation.

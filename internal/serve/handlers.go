@@ -11,7 +11,6 @@ import (
 
 	"transn/internal/ann"
 	"transn/internal/diag"
-	"transn/internal/graph"
 	"transn/internal/obs"
 	"transn/internal/transn"
 )
@@ -167,8 +166,8 @@ func (sv *Server) routes() {
 // acquisition, the per-endpoint deadline, latency observation,
 // error-envelope rendering and access/slow logging. The handler runs on
 // its own goroutine; on timeout the client gets a 504 envelope while
-// the computation finishes in the background (still populating the
-// cache for the retry) — the trace is finalized at the deadline, so a
+// the computation finishes in the background (a translate still fills
+// its row for the retry) — the trace is finalized at the deadline, so a
 // still-open stage is recorded at its duration so far and the
 // background goroutine's later stage marks land on atomics that nobody
 // reads again (race-free by construction, verified under -race).
@@ -301,8 +300,9 @@ func (sv *Server) handleEmbedding(s *snapshot, r *http.Request) (any, error) {
 
 // handleTranslate serves GET /v1/translate?node=NAME&from=VIEW&to=VIEW:
 // the node's view-from embedding pushed through the trained translator
-// stack T_{from→to} (Eqs. 8–10). Results are cached per snapshot and
-// identical concurrent requests coalesce into one forward pass.
+// stack T_{from→to} (Eqs. 8–10). The answer is read from the snapshot's
+// row table; the first request for a row runs the forward pass and
+// publishes it there.
 func (sv *Server) handleTranslate(s *snapshot, r *http.Request) (any, error) {
 	tr := traceFrom(r.Context())
 	tr.StartStage(obs.TraceStageDecode)
@@ -328,36 +328,41 @@ func (sv *Server) handleTranslate(s *snapshot, r *http.Request) (any, error) {
 		return nil, errf(http.StatusBadRequest, CodeBadRequest,
 			"from and to are the same view %q", fromName)
 	}
-	if _, ok := s.frozen.PairFor(from, to); !ok {
+	p, ok := s.frozen.PairFor(from, to)
+	if !ok {
 		return nil, errf(http.StatusNotFound, CodeUntrainedPair,
 			"views %q and %q share no common nodes; no translator was trained", fromName, toName)
 	}
-	key := translateKey(s.gen, from, to, id)
+	slot := s.rowSlot(p, from, id)
+	if slot == nil {
+		// The message Frozen.TranslateNode gives for the same case.
+		return nil, errf(http.StatusNotFound, CodeUnknownNode,
+			"transn: translate: node %d is not in view %d", id, from)
+	}
 	tr.EndStage(obs.TraceStageDecode)
-	vec, err := sv.cached(tr, s, key, func() ([]float64, error) {
-		return s.frozen.TranslateNode(from, to, id)
-	})
-	if err != nil {
-		if _, ok := err.(*apiError); !ok {
-			// TranslateNode's remaining error is node-not-in-view.
-			err = errf(http.StatusNotFound, CodeUnknownNode, "%v", err)
+	tr.StartStage(obs.TraceStageCache)
+	row := slot.Load()
+	tr.EndStage(obs.TraceStageCache)
+	if row != nil {
+		sv.hits.Add(1)
+		tr.SetCacheHit()
+	} else {
+		sv.misses.Add(1)
+		tr.StartStage(obs.TraceStageForward)
+		vec, err := s.frozen.TranslateNode(from, to, id)
+		tr.EndStage(obs.TraceStageForward)
+		if err != nil {
+			return nil, errf(http.StatusNotFound, CodeUnknownNode, "%v", err)
 		}
-		return nil, err
+		// Concurrent misses compute bit-identical rows; the first to
+		// publish wins and the others answer with their own copy.
+		row = &vec
+		slot.CompareAndSwap(nil, row)
 	}
 	return TranslateResponse{
 		Schema: ErrorSchema, Node: name, From: fromName, To: toName,
-		Dim: len(vec), Embedding: vec,
+		Dim: len(*row), Embedding: *row,
 	}, nil
-}
-
-// translateKey is the cache key of T_{from→to}(id) in snapshot
-// generation gen: "t|gen|from|to|id".
-func translateKey(gen uint64, from, to int, id graph.NodeID) string {
-	b := strconv.AppendUint(append(make([]byte, 0, 32), "t|"...), gen, 10)
-	b = strconv.AppendInt(append(b, '|'), int64(from), 10)
-	b = strconv.AppendInt(append(b, '|'), int64(to), 10)
-	b = strconv.AppendInt(append(b, '|'), int64(id), 10)
-	return string(b)
 }
 
 // handleKNN serves GET /v1/knn?node=NAME[&k=N][&ef=N][&exact=BOOL]:
@@ -427,8 +432,8 @@ func (sv *Server) handleKNN(s *snapshot, r *http.Request) (any, error) {
 }
 
 // handleInfer serves POST /v1/infer: online fold-in of an unseen node
-// from its edges into the trained graph (Model.InferNode). Identical
-// concurrent payloads coalesce; results are cached per snapshot.
+// from its edges into the trained graph (Model.InferNode), computed
+// afresh for every request.
 func (sv *Server) handleInfer(s *snapshot, r *http.Request) (any, error) {
 	tr := traceFrom(r.Context())
 	tr.StartStage(obs.TraceStageDecode)
@@ -442,8 +447,6 @@ func (sv *Server) handleInfer(s *snapshot, r *http.Request) (any, error) {
 		return nil, errf(http.StatusBadRequest, CodeBadRequest, "edges must be non-empty")
 	}
 	edges := make([]transn.NeighborEdge, 0, len(req.Edges))
-	// The cache key is "i|gen", then "|id,view,weight" per edge.
-	key := strconv.AppendUint(append(make([]byte, 0, 64), "i|"...), s.gen, 10)
 	for _, e := range req.Edges {
 		id, err := s.node(e.Neighbor)
 		if err != nil {
@@ -464,19 +467,13 @@ func (sv *Server) handleInfer(s *snapshot, r *http.Request) (any, error) {
 		edges = append(edges, transn.NeighborEdge{
 			Neighbor: id, Type: s.frozen.Views()[vi].Type, Weight: w,
 		})
-		key = append(strconv.AppendInt(append(key, '|'), int64(id), 10), ',')
-		key = append(strconv.AppendInt(key, int64(vi), 10), ',')
-		key = strconv.AppendFloat(key, w, 'g', -1, 64)
 	}
 	tr.EndStage(obs.TraceStageDecode)
-	vec, err := sv.cached(tr, s, string(key), func() ([]float64, error) {
-		return s.frozen.InferNode(edges)
-	})
+	tr.StartStage(obs.TraceStageForward)
+	vec, err := s.frozen.InferNode(edges)
+	tr.EndStage(obs.TraceStageForward)
 	if err != nil {
-		if _, ok := err.(*apiError); !ok {
-			err = errf(http.StatusBadRequest, CodeBadRequest, "%v", err)
-		}
-		return nil, err
+		return nil, errf(http.StatusBadRequest, CodeBadRequest, "%v", err)
 	}
 	return InferResponse{Schema: ErrorSchema, Dim: len(vec), Embedding: vec}, nil
 }
@@ -568,29 +565,4 @@ func (sv *Server) handleNotFound(w http.ResponseWriter, r *http.Request) {
 	sv.reqs.Add(1)
 	sv.errs.Add(1)
 	writeError(w, requestID(r), errf(http.StatusNotFound, CodeNotFound, "no such route: %s", r.URL.Path))
-}
-
-// cached looks key up in the snapshot's LRU, and on a miss computes it
-// through the coalescer (deduplicating identical in-flight requests and
-// bounding translator concurrency) before caching the result. The
-// request's trace records the lookup as the cache stage and, on a miss,
-// the coalescer records the wait and forward stages.
-func (sv *Server) cached(tr *obs.ReqTrace, s *snapshot, key string, fn func() ([]float64, error)) ([]float64, error) {
-	tr.StartStage(obs.TraceStageCache)
-	vec, ok := s.cache.get(key)
-	tr.EndStage(obs.TraceStageCache)
-	if ok {
-		sv.hits.Add(1)
-		tr.SetCacheHit()
-		return vec, nil
-	}
-	sv.misses.Add(1)
-	return sv.coal.do(tr, key, func() ([]float64, error) {
-		vec, err := fn()
-		if err != nil {
-			return nil, err
-		}
-		s.cache.put(key, vec)
-		return vec, nil
-	})
 }

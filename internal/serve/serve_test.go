@@ -7,8 +7,6 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -114,112 +112,6 @@ func newTestServer(t testing.TB, cfg Config) (*Server, *transn.Model) {
 	return sv, m
 }
 
-func TestLRU(t *testing.T) {
-	c := newLRU(2)
-	c.put("a", []float64{1})
-	c.put("b", []float64{2})
-	if _, ok := c.get("a"); !ok {
-		t.Fatal("a evicted too early")
-	}
-	// a is now most recent; inserting c must evict b.
-	c.put("c", []float64{3})
-	if _, ok := c.get("b"); ok {
-		t.Fatal("b survived past capacity")
-	}
-	if v, ok := c.get("a"); !ok || v[0] != 1 {
-		t.Fatal("a lost")
-	}
-	if v, ok := c.get("c"); !ok || v[0] != 3 {
-		t.Fatal("c lost")
-	}
-	// Updating an existing key replaces in place, no eviction.
-	c.put("a", []float64{10})
-	if v, _ := c.get("a"); v[0] != 10 {
-		t.Fatal("update did not replace value")
-	}
-	if c.len() != 2 {
-		t.Fatalf("len = %d, want 2", c.len())
-	}
-	// A disabled cache never stores.
-	d := newLRU(-1)
-	d.put("x", []float64{1})
-	if _, ok := d.get("x"); ok {
-		t.Fatal("disabled cache stored an entry")
-	}
-}
-
-func TestCoalescerDedupes(t *testing.T) {
-	coalesced := &obs.Counter{}
-	c := newCoalescer(4, nil, coalesced)
-	var calls atomic.Int64
-	release := make(chan struct{})
-	const waiters = 8
-	var wg sync.WaitGroup
-	results := make([][]float64, waiters)
-	for i := 0; i < waiters; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			v, err := c.do(nil, "same-key", func() ([]float64, error) {
-				calls.Add(1)
-				<-release
-				return []float64{42}, nil
-			})
-			if err != nil {
-				t.Error(err)
-			}
-			results[i] = v
-		}(i)
-	}
-	// Let every waiter reach do before releasing the leader.
-	for calls.Load() == 0 {
-		time.Sleep(time.Millisecond)
-	}
-	time.Sleep(10 * time.Millisecond)
-	close(release)
-	wg.Wait()
-	if n := calls.Load(); n != 1 {
-		t.Fatalf("fn ran %d times for one key, want 1", n)
-	}
-	for i, v := range results {
-		if len(v) != 1 || v[0] != 42 {
-			t.Fatalf("waiter %d got %v", i, v)
-		}
-	}
-	if n := coalesced.Value(); n != waiters-1 {
-		t.Fatalf("coalesced counter = %d, want %d (every non-leader waiter)", n, waiters-1)
-	}
-}
-
-func TestCoalescerBoundsConcurrency(t *testing.T) {
-	const workers = 2
-	c := newCoalescer(workers, nil, nil)
-	var cur, peak atomic.Int64
-	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			_, _ = c.do(nil, string(rune('a'+i)), func() ([]float64, error) {
-				n := cur.Add(1)
-				for {
-					p := peak.Load()
-					if n <= p || peak.CompareAndSwap(p, n) {
-						break
-					}
-				}
-				time.Sleep(5 * time.Millisecond)
-				cur.Add(-1)
-				return nil, nil
-			})
-		}(i)
-	}
-	wg.Wait()
-	if p := peak.Load(); p > workers {
-		t.Fatalf("observed %d concurrent computations, bound is %d", p, workers)
-	}
-}
-
 func TestEndpointTimeout(t *testing.T) {
 	sv, _ := newTestServer(t, Config{})
 	h := sv.endpoint("test", http.MethodGet, 5*time.Millisecond, func(*snapshot, *http.Request) (any, error) {
@@ -322,18 +214,25 @@ func TestErrorEnvelopes(t *testing.T) {
 		name, method, target string
 		status               int
 		code                 string
+		// msg, when set, pins the envelope's message text.
+		msg string
 	}{
-		{"unknown node", http.MethodGet, "/v1/embedding?node=NOPE", 404, CodeUnknownNode},
-		{"missing node param", http.MethodGet, "/v1/embedding", 400, CodeBadRequest},
-		{"unknown view", http.MethodGet, "/v1/embedding?node=A1&view=bogus", 404, CodeUnknownView},
-		{"node outside view", http.MethodGet, "/v1/embedding?node=U1&view=authorship", 404, CodeUnknownNode},
-		{"same-view translate", http.MethodGet, "/v1/translate?node=A1&from=authorship&to=authorship", 400, CodeBadRequest},
-		{"untrained pair", http.MethodGet, "/v1/translate?node=P1&from=citation&to=affiliation", 404, CodeUntrainedPair},
-		{"bad k", http.MethodGet, "/v1/knn?node=A1&k=zero", 400, CodeBadRequest},
-		{"k over cap", http.MethodGet, "/v1/knn?node=A1&k=1000000", 400, CodeBadRequest},
-		{"wrong method", http.MethodPost, "/v1/embedding?node=A1", 405, CodeMethodNotAllowed},
-		{"reload wrong method", http.MethodGet, "/admin/reload", 405, CodeMethodNotAllowed},
-		{"unknown route", http.MethodGet, "/bogus", 404, CodeNotFound},
+		{"unknown node", http.MethodGet, "/v1/embedding?node=NOPE", 404, CodeUnknownNode, ""},
+		{"missing node param", http.MethodGet, "/v1/embedding", 400, CodeBadRequest, ""},
+		{"unknown view", http.MethodGet, "/v1/embedding?node=A1&view=bogus", 404, CodeUnknownView, ""},
+		{"node outside view", http.MethodGet, "/v1/embedding?node=U1&view=authorship", 404, CodeUnknownNode, ""},
+		{"same-view translate", http.MethodGet, "/v1/translate?node=A1&from=authorship&to=authorship", 400, CodeBadRequest, ""},
+		{"untrained pair", http.MethodGet, "/v1/translate?node=P1&from=citation&to=affiliation", 404, CodeUntrainedPair, ""},
+		// P1 is in authorship but not in affiliation: the row table has
+		// no slot for it, and the message is the one the translator's
+		// own check has always produced.
+		{"translate node outside from view", http.MethodGet, "/v1/translate?node=P1&from=affiliation&to=authorship", 404, CodeUnknownNode,
+			"transn: translate: node 3 is not in view 2"},
+		{"bad k", http.MethodGet, "/v1/knn?node=A1&k=zero", 400, CodeBadRequest, ""},
+		{"k over cap", http.MethodGet, "/v1/knn?node=A1&k=1000000", 400, CodeBadRequest, ""},
+		{"wrong method", http.MethodPost, "/v1/embedding?node=A1", 405, CodeMethodNotAllowed, ""},
+		{"reload wrong method", http.MethodGet, "/admin/reload", 405, CodeMethodNotAllowed, ""},
+		{"unknown route", http.MethodGet, "/bogus", 404, CodeNotFound, ""},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -353,6 +252,9 @@ func TestErrorEnvelopes(t *testing.T) {
 			}
 			if env.Error.Code != tc.code || env.Error.Status != tc.status {
 				t.Fatalf("error = %+v, want code %q status %d", env.Error, tc.code, tc.status)
+			}
+			if tc.msg != "" && env.Error.Message != tc.msg {
+				t.Fatalf("message = %q, want %q", env.Error.Message, tc.msg)
 			}
 			// Satellite: every error envelope carries the correlation ID
 			// the client supplied, and the header echoes it.

@@ -30,14 +30,6 @@ type Config struct {
 	// "" or FormatSnap and rejects anything else.
 	SnapshotFormat string
 
-	// CacheSize bounds the per-snapshot LRU of computed vectors
-	// (translations, inferred embeddings). 0 means the default (4096);
-	// negative disables caching.
-	CacheSize int
-	// TranslateWorkers bounds how many translator/inference
-	// computations run concurrently (excess requests queue; identical
-	// in-flight requests coalesce). 0 means the default (4).
-	TranslateWorkers int
 	// RequestTimeout is the per-request deadline for the /v1 endpoints.
 	// 0 means the default (10s).
 	RequestTimeout time.Duration
@@ -109,12 +101,6 @@ type Config struct {
 
 // withDefaults fills zero fields with production defaults.
 func (c Config) withDefaults() Config {
-	if c.CacheSize == 0 {
-		c.CacheSize = 4096
-	}
-	if c.TranslateWorkers == 0 {
-		c.TranslateWorkers = 4
-	}
 	if c.RequestTimeout == 0 {
 		c.RequestTimeout = 10 * time.Second
 	}
@@ -134,16 +120,15 @@ func (c Config) withDefaults() Config {
 }
 
 // Server is the embedding-serving HTTP service. It owns an atomically
-// swappable snapshot (see snapshot), a request coalescer, and the
-// telemetry run its metrics report through. Construct with New, mount
-// Handler (or call Start), hot-reload with Reload, stop with Shutdown.
-// All methods are safe for concurrent use.
+// swappable snapshot (see snapshot) and the telemetry run its metrics
+// report through. Construct with New, mount Handler (or call Start),
+// hot-reload with Reload, stop with Shutdown. All methods are safe for
+// concurrent use.
 type Server struct {
 	cfg Config
 	run *obs.Run
 
 	snap     atomic.Pointer[snapshot]
-	coal     *coalescer
 	draining atomic.Bool
 	reloadMu sync.Mutex // serializes Reload; requests never block on it
 
@@ -215,8 +200,6 @@ func New(cfg Config) (*Server, error) {
 	} else {
 		sv.stopRuntime = func() {}
 	}
-	sv.coal = newCoalescer(cfg.TranslateWorkers,
-		run.Reg.Gauge(obs.MetricServeQueueDepth), run.Reg.Counter(obs.MetricServeCoalesced))
 	snap, err := sv.loadSnapshot(1)
 	if err != nil {
 		return nil, err
@@ -229,9 +212,8 @@ func New(cfg Config) (*Server, error) {
 		// Register the watchdog's own metrics before the history resolves
 		// the registry's metric set: the flight recorder tracks only
 		// metrics that exist at its construction, and everything above
-		// (serve counters, coalescer, runtime gauges) is registered by
-		// now — the history is deliberately the last telemetry component
-		// built.
+		// (serve counters, runtime gauges) is registered by now — the
+		// history is deliberately the last telemetry component built.
 		trips := run.Reg.Counter(obs.MetricWatchTrips)
 		degraded := run.Reg.Gauge(obs.MetricWatchDegraded)
 		sv.history = obs.NewHistory(run.Reg, obs.HistoryConfig{

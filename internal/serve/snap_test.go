@@ -74,7 +74,7 @@ func TestSnapFormatServesIdentically(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ref.Shutdown()
-	mem, err := buildSnapshot(m, 1, ref.cfg.CacheSize)
+	mem, err := buildSnapshot(m, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,6 +5,7 @@ import (
 	"os"
 	"runtime"
 	"sort"
+	"sync/atomic"
 
 	"transn/internal/ann"
 	"transn/internal/graph"
@@ -16,12 +17,12 @@ import (
 
 // snapshot is one immutable generation of serving state: a frozen model
 // plus every index derived from it (name lookups, k-NN norms, the HNSW
-// index) and the per-snapshot LRU cache of computed vectors. Handlers
-// grab the current snapshot pointer once per request and work against
-// it for the whole request, so a concurrent hot reload never changes
-// state mid-request — the old snapshot stays valid until its last
-// in-flight request finishes, then the garbage collector reclaims it,
-// cache, index and (for file loads) mmap included.
+// index) and the table of translated rows filled in as requests ask for
+// them. Handlers grab the current snapshot pointer once per request and
+// work against it for the whole request, so a concurrent hot reload
+// never changes state mid-request — the old snapshot stays valid until
+// its last in-flight request finishes, then the garbage collector
+// reclaims it, row table, index and (for file loads) mmap included.
 type snapshot struct {
 	frozen *transn.Frozen
 	gen    uint64
@@ -48,7 +49,14 @@ type snapshot struct {
 	// an unmapped table. Nil only for snapshots built in memory.
 	snapf *snapfmt.Snapshot
 
-	cache *lru
+	// rows[p][side] holds T_{from→to} of trained pair p for every node
+	// of the source view, indexed by the node's local index there: side
+	// 0 translates view I into view J, side 1 translates J into I. A
+	// translation is a pure function of (pair, direction, node) on a
+	// frozen model, so a slot is filled once, on its first request, and
+	// never evicted; a nil slot has not been asked for yet. Memory is
+	// bounded by the model: (|V_I|+|V_J|)·d floats per pair at most.
+	rows [][2][]atomic.Pointer[[]float64]
 }
 
 // loadSnapshot builds a serving snapshot of the given generation from
@@ -90,7 +98,7 @@ func (sv *Server) loadSnapshot(gen uint64) (*snapshot, error) {
 	if err != nil {
 		return nil, fmt.Errorf("serve: freezing snapshot model: %w", err)
 	}
-	s := newSnapshot(f, gen, sv.cfg.CacheSize)
+	s := newSnapshot(f, gen)
 	asp := sv.run.Trace.Start(obs.SpanANNBuild)
 	if annData := snapf.ANN(); len(annData) > 0 {
 		s.index, err = ann.Decode(annData, f.FinalTable(), s.norms)
@@ -120,12 +128,12 @@ func (sv *Server) loadSnapshot(gen uint64) (*snapshot, error) {
 // buildSnapshot freezes an in-memory model and derives the serving
 // indexes with default ANN parameters. Split out so tests can serve
 // freshly trained models without a round-trip through disk.
-func buildSnapshot(m *transn.Model, gen uint64, cacheSize int) (*snapshot, error) {
+func buildSnapshot(m *transn.Model, gen uint64) (*snapshot, error) {
 	f, err := m.Freeze()
 	if err != nil {
 		return nil, fmt.Errorf("serve: freezing model: %w", err)
 	}
-	s := newSnapshot(f, gen, cacheSize)
+	s := newSnapshot(f, gen)
 	s.index, err = ann.Build(f.FinalTable(), s.norms, ann.Config{})
 	if err != nil {
 		return nil, fmt.Errorf("serve: building ann index: %w", err)
@@ -133,23 +141,28 @@ func buildSnapshot(m *transn.Model, gen uint64, cacheSize int) (*snapshot, error
 	return s, nil
 }
 
-// newSnapshot derives the name maps and norms every snapshot needs,
-// whether the model came from a file or from memory.
-func newSnapshot(f *transn.Frozen, gen uint64, cacheSize int) *snapshot {
+// newSnapshot derives the name maps, norms and empty row table every
+// snapshot needs, whether the model came from a file or from memory.
+func newSnapshot(f *transn.Frozen, gen uint64) *snapshot {
 	g := f.Graph()
+	views := f.Views()
 	s := &snapshot{
 		frozen:     f,
 		gen:        gen,
 		nodeByName: make(map[string]graph.NodeID, g.NumNodes()),
 		viewByName: map[string]int{},
-		cache:      newLRU(cacheSize),
+		rows:       make([][2][]atomic.Pointer[[]float64], len(f.ViewPairs())),
+	}
+	for p, pr := range f.ViewPairs() {
+		s.rows[p][0] = make([]atomic.Pointer[[]float64], views[pr.I].NumNodes())
+		s.rows[p][1] = make([]atomic.Pointer[[]float64], views[pr.J].NumNodes())
 	}
 	for _, n := range g.Nodes {
 		if _, dup := s.nodeByName[n.Name]; !dup {
 			s.nodeByName[n.Name] = n.ID
 		}
 	}
-	for vi, v := range f.Views() {
+	for vi, v := range views {
 		name := g.EdgeTypeNames[v.Type]
 		s.viewByName[name] = vi
 		s.viewNames = append(s.viewNames, name)
@@ -178,6 +191,20 @@ func (s *snapshot) view(name string) (int, error) {
 		return 0, errf(404, CodeUnknownView, "unknown view %q", name)
 	}
 	return vi, nil
+}
+
+// rowSlot returns the row-table slot of T_{from→to}(id) for trained
+// pair p, or nil when id is not in view from.
+func (s *snapshot) rowSlot(p, from int, id graph.NodeID) *atomic.Pointer[[]float64] {
+	l := s.frozen.Views()[from].Local(id)
+	if l < 0 {
+		return nil
+	}
+	side := 0
+	if s.frozen.ViewPairs()[p].I != from {
+		side = 1
+	}
+	return &s.rows[p][side][l]
 }
 
 // Neighbor is one k-NN result: a node and its cosine similarity to the

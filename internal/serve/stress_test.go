@@ -2,6 +2,7 @@ package serve
 
 import (
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -13,19 +14,18 @@ import (
 	"transn/internal/rngstream"
 )
 
-// TestServeStressCacheCoalescerAcrossReloads hammers the LRU cache and
-// the request coalescer from many goroutines while another goroutine
-// hot-swaps the snapshot over and over. A deliberately tiny cache
-// forces constant eviction churn, few translate workers force constant
-// coalescing, and the key set is small so concurrent clients collide on
-// the same in-flight computations across generation boundaries — the
-// exact LRU/coalescer/reload interaction the e2e test's modest traffic
-// never reaches. Run under -race this is the serving path's data-race
-// sweep (CI's race-full job); the functional assertions are zero
-// non-2xx responses and a cache that never exceeds capacity.
-func TestServeStressCacheCoalescerAcrossReloads(t *testing.T) {
-	const cacheCap = 8
-	sv, _ := newTestServer(t, Config{CacheSize: cacheCap, TranslateWorkers: 2})
+// TestServeStressRowTableAcrossReloads hammers the translated-row table
+// from many goroutines while another goroutine hot-swaps the snapshot
+// over and over. Every swap brings an empty table, and the translate
+// key set is small, so concurrent clients keep missing on the same rows
+// and racing to publish them across generation boundaries — the
+// table/reload interaction the e2e test's modest traffic never reaches.
+// Run under -race this is the serving path's data-race sweep (CI's
+// race-full job); the functional assertions are zero non-2xx responses
+// and a live table whose every filled row is bit-identical to a fresh
+// forward pass.
+func TestServeStressRowTableAcrossReloads(t *testing.T) {
+	sv, _ := newTestServer(t, Config{})
 	h := sv.Handler()
 
 	clients, opsPerClient, reloads := 12, 150, 25
@@ -33,9 +33,8 @@ func TestServeStressCacheCoalescerAcrossReloads(t *testing.T) {
 		clients, opsPerClient, reloads = 4, 40, 8
 	}
 
-	// A small rotating target set: repeated translate keys exercise the
-	// coalescer, distinct node/k combinations churn the 8-entry LRU,
-	// and infer adds POST traffic with a cacheable body.
+	// A small rotating target set: repeated translate keys collide on
+	// the same rows, and infer adds POST traffic.
 	getTargets := []string{
 		"/v1/embedding?node=A1",
 		"/v1/embedding?node=A2",
@@ -88,7 +87,7 @@ func TestServeStressCacheCoalescerAcrossReloads(t *testing.T) {
 	}
 
 	// The reload goroutine swaps generations as fast as it can while
-	// the clients run: every swap drops a fresh empty cache in and
+	// the clients run: every swap drops a fresh empty row table in and
 	// leaves in-flight requests on the old snapshot.
 	reloadDone := make(chan int, 1)
 	go func() {
@@ -116,13 +115,31 @@ func TestServeStressCacheCoalescerAcrossReloads(t *testing.T) {
 	if gen := sv.Generation(); gen != uint64(1+reloads) {
 		t.Fatalf("generation = %d after %d reloads, want %d", gen, reloads, 1+reloads)
 	}
-	if n := sv.snap.Load().cache.len(); n > cacheCap {
-		t.Fatalf("live cache len = %d exceeds capacity %d", n, cacheCap)
+	live := sv.snap.Load()
+	for p, pr := range live.frozen.ViewPairs() {
+		for side, from := range [2]int{pr.I, pr.J} {
+			to := pr.I + pr.J - from
+			for l := range live.rows[p][side] {
+				row := live.rows[p][side][l].Load()
+				if row == nil {
+					continue
+				}
+				want, err := live.frozen.TranslateNode(from, to, live.frozen.Views()[from].Global(l))
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i := range want {
+					if math.Float64bits((*row)[i]) != math.Float64bits(want[i]) {
+						t.Fatalf("pair %d side %d row %d differs from a fresh forward pass at %d", p, side, l, i)
+					}
+				}
+			}
+		}
 	}
 
 	// Telemetry stayed coherent: request accounting covers the traffic,
-	// nothing tripped the error counter, and the coalescer + cache
-	// counters are visible for the load harness to scrape.
+	// nothing tripped the error counter, and the row-table counters are
+	// visible for the load harness to scrape.
 	snap := sv.run.Reg.Snapshot()
 	wantReqs := int64(clients*opsPerClient + reloads)
 	if got := snap.Counters[obs.MetricServeRequests]; got < wantReqs {
@@ -136,7 +153,7 @@ func TestServeStressCacheCoalescerAcrossReloads(t *testing.T) {
 	}
 	misses := snap.Counters[obs.MetricServeCacheMisses]
 	if misses == 0 {
-		t.Fatal("no cache misses recorded; the stress mix never computed anything")
+		t.Fatal("no row-table misses recorded; the stress mix never computed anything")
 	}
 
 	// Drain the endpoint-timeout goroutines the middleware spawned: a
@@ -150,11 +167,11 @@ func TestServeStressCacheCoalescerAcrossReloads(t *testing.T) {
 
 // TestServeStressSameKeyAcrossReload aims every client at one translate
 // key while reloads swap the snapshot beneath them, maximizing the
-// window where a coalesced flight started on generation g completes
-// while generation g+1 is already live. Every response must still be a
-// 200 with a full-dimension embedding.
+// window where concurrent misses on generation g race to publish the
+// same row while generation g+1 is already live. Every response must
+// still be a 200 with a full-dimension embedding.
 func TestServeStressSameKeyAcrossReload(t *testing.T) {
-	sv, m := newTestServer(t, Config{CacheSize: 2, TranslateWorkers: 1})
+	sv, m := newTestServer(t, Config{})
 	h := sv.Handler()
 	const target = "/v1/translate?node=A1&from=authorship&to=affiliation"
 

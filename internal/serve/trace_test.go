@@ -63,44 +63,57 @@ func TestTraceRecordsServeStages(t *testing.T) {
 		sv.Handler().ServeHTTP(rec, httptest.NewRequest(method, target, rd))
 		return rec
 	}
-	// Miss then hit on the same translate key.
+	// Miss then hit on the same translate key, then a knn and an infer.
 	if rec := do(http.MethodGet, "/v1/translate?node=A1&from=authorship&to=affiliation", ""); rec.Code != 200 {
 		t.Fatalf("translate: %d %s", rec.Code, rec.Body)
 	}
 	if rec := do(http.MethodGet, "/v1/translate?node=A1&from=authorship&to=affiliation", ""); rec.Code != 200 {
-		t.Fatalf("translate (cached): %d %s", rec.Code, rec.Body)
+		t.Fatalf("translate (row filled): %d %s", rec.Code, rec.Body)
 	}
 	if rec := do(http.MethodGet, "/v1/knn?node=A1&k=3", ""); rec.Code != 200 {
 		t.Fatalf("knn: %d %s", rec.Code, rec.Body)
 	}
-	dump := sv.traces.DumpRequests()
-	if len(dump.Traces) != 3 {
-		t.Fatalf("trace ring has %d records, want 3", len(dump.Traces))
+	if rec := do(http.MethodPost, "/v1/infer", `{"edges":[{"neighbor":"P1","type":"authorship"}]}`); rec.Code != 200 {
+		t.Fatalf("infer: %d %s", rec.Code, rec.Body)
 	}
-	miss, hit, knn := dump.Traces[0], dump.Traces[1], dump.Traces[2]
+	dump := sv.traces.DumpRequests()
+	if len(dump.Traces) != 4 {
+		t.Fatalf("trace ring has %d records, want 4", len(dump.Traces))
+	}
+	miss, hit, knn, infer := dump.Traces[0], dump.Traces[1], dump.Traces[2], dump.Traces[3]
 	for _, want := range []string{
 		string(obs.TraceStageDecode), string(obs.TraceStageSnapshot),
-		string(obs.TraceStageCache), string(obs.TraceStageCoalesceWait),
-		string(obs.TraceStageForward), string(obs.TraceStageEncode),
+		string(obs.TraceStageCache), string(obs.TraceStageForward),
+		string(obs.TraceStageEncode),
 	} {
 		if _, ok := miss.Stages[want]; !ok {
-			t.Fatalf("cache-miss translate trace lacks stage %q: %+v", want, miss.Stages)
+			t.Fatalf("cold translate trace lacks stage %q: %+v", want, miss.Stages)
 		}
 	}
 	if miss.CacheHit || miss.Coalesced {
 		t.Fatalf("miss trace flags: %+v", miss)
 	}
-	if !hit.CacheHit {
-		t.Fatalf("second identical translate should be a cache hit: %+v", hit)
+	if !hit.CacheHit || hit.Coalesced {
+		t.Fatalf("second identical translate should hit the row table: %+v", hit)
+	}
+	if _, ok := hit.Stages[string(obs.TraceStageCache)]; !ok {
+		t.Fatalf("row-table hit trace lacks the cache stage: %+v", hit.Stages)
 	}
 	if _, ok := hit.Stages[string(obs.TraceStageForward)]; ok {
-		t.Fatal("cache-hit trace should have no forward stage")
+		t.Fatal("row-table hit trace should have no forward stage")
 	}
-	if _, ok := knn.Stages[string(obs.TraceStageForward)]; !ok {
-		t.Fatalf("knn trace lacks forward stage: %+v", knn.Stages)
+	for _, rec := range dump.Traces {
+		if _, ok := rec.Stages[string(obs.TraceStageCoalesceWait)]; ok {
+			t.Fatalf("%s trace records coalesce_wait, which no request waits in: %+v", rec.Endpoint, rec.Stages)
+		}
 	}
-	if _, ok := knn.Stages[string(obs.TraceStageCache)]; ok {
-		t.Fatal("knn trace should not touch the cache")
+	for _, rec := range []obs.TraceRecord{knn, infer} {
+		if _, ok := rec.Stages[string(obs.TraceStageForward)]; !ok {
+			t.Fatalf("%s trace lacks forward stage: %+v", rec.Endpoint, rec.Stages)
+		}
+		if _, ok := rec.Stages[string(obs.TraceStageCache)]; ok || rec.CacheHit {
+			t.Fatalf("%s trace should not touch the row table: %+v", rec.Endpoint, rec)
+		}
 	}
 	for _, rec := range dump.Traces {
 		if rec.Outcome != obs.TraceOutcomeOK || rec.Status != 200 || rec.Generation != 1 {
@@ -305,7 +318,6 @@ func TestDisabledTracingZeroAlloc(t *testing.T) {
 		tr.StartStage(obs.TraceStageForward)
 		tr.EndStage(obs.TraceStageForward)
 		tr.SetCacheHit()
-		tr.SetCoalesced()
 		tr.StartStage(obs.TraceStageEncode)
 		tr.EndStage(obs.TraceStageEncode)
 		sv.finishTrace(r, tr, id, "embedding", obs.TraceOutcomeOK, 200, "", time.Since(start))
@@ -336,4 +348,38 @@ func BenchmarkEndpointTracingDisabled(b *testing.B) {
 
 func BenchmarkEndpointTracingEnabled(b *testing.B) {
 	benchEndpoint(b, Config{TraceSampleRate: 1})
+}
+
+// BenchmarkTranslateEndpoint measures /v1/translate through the full
+// middleware with tracing off: "hit" reads a row already in the
+// snapshot's table, "miss" clears the slot before every request so
+// each one runs the forward pass and publishes the row.
+func BenchmarkTranslateEndpoint(b *testing.B) {
+	const target = "/v1/translate?node=A1&from=authorship&to=affiliation"
+	for _, miss := range []bool{false, true} {
+		name := "hit"
+		if miss {
+			name = "miss"
+		}
+		b.Run(name, func(b *testing.B) {
+			sv, _ := newTestServer(b, Config{TraceDisabled: true})
+			slot := a1Slot(sv.snap.Load())
+			serve := func() {
+				rec := httptest.NewRecorder()
+				sv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, target, nil))
+				if rec.Code != 200 {
+					b.Fatalf("status %d", rec.Code)
+				}
+			}
+			serve()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if miss {
+					slot.Store(nil)
+				}
+				serve()
+			}
+		})
+	}
 }
