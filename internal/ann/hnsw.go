@@ -356,17 +356,20 @@ func (ix *Index) searchLayer(q []float64, qn float64, eps []int32, ef, l int, sc
 			sc.visited[nb] = sc.epoch
 			it := item{dist: ix.dist(q, qn, nb), id: nb}
 			sc.distEvals++
-			if len(results) < ef || lessItem(it, results[0]) {
+			switch {
+			case len(results) < ef:
 				cands = pushMin(cands, it)
 				results = pushMax(results, it)
-				if len(results) > ef {
-					results, _ = popMax(results)
-				}
+			case lessItem(it, results[0]):
+				// Full: it evicts the worst kept result.
+				cands = pushMin(cands, it)
+				results[0] = it
+				siftDownMax(results, 0)
 			}
 		}
 	}
 	out := append(sc.sorted[:0], results...)
-	sortItems(out)
+	sortMaxHeap(out)
 	sc.cands = cands[:0]
 	sc.results = results[:0]
 	sc.sorted = out
@@ -391,13 +394,18 @@ func newScratch(n int) *scratch {
 	return &scratch{visited: make([]int32, n)}
 }
 
+// sortItems sorts s by (dist, id) ascending: heapsort, which keeps the
+// package free of sort.Slice's comparator allocation on hot paths.
 func sortItems(s []item) {
-	// Insertion-path siftdown-free sort would be overkill; a simple
-	// heapsort keeps the package free of sort.Slice's comparator
-	// allocation on hot paths.
 	for i := len(s)/2 - 1; i >= 0; i-- {
 		siftDownMax(s, i)
 	}
+	sortMaxHeap(s)
+}
+
+// sortMaxHeap sorts a slice that is already a max-heap by (dist, id)
+// into ascending order.
+func sortMaxHeap(s []item) {
 	for end := len(s) - 1; end > 0; end-- {
 		s[0], s[end] = s[end], s[0]
 		siftDownMax(s[:end], 0)
@@ -457,15 +465,6 @@ func pushMax(h []item, it item) []item {
 		i = p
 	}
 	return h
-}
-
-func popMax(h []item) ([]item, item) {
-	top := h[0]
-	last := len(h) - 1
-	h[0] = h[last]
-	h = h[:last]
-	siftDownMax(h, 0)
-	return h, top
 }
 
 func siftDownMax(h []item, i int) {

@@ -2,9 +2,13 @@ package ann
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
+	"hash/fnv"
+	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"transn/internal/mat"
@@ -300,5 +304,57 @@ func TestValidateBenchRejectsBadDocs(t *testing.T) {
 	}
 	if err := ValidateBench([]byte("{")); err == nil {
 		t.Error("malformed JSON accepted")
+	}
+}
+
+// TestBuildAndSearchPinned pins a seeded build's serialized graph and
+// a batch of searches, results and distance-evaluation counts alike,
+// by FNV-64a, so a change to the beam search or its heaps that alters
+// which candidates are kept, or in what order, fails here. The values
+// were recorded from the push-then-pop beam search; they assume
+// amd64's math.Log and Dot bits.
+func TestBuildAndSearchPinned(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skip("pinned values are amd64's")
+	}
+	const (
+		wantGraph  uint64 = 0x800b6ef7fb8e3a05
+		wantSearch uint64 = 0x0b2c8941c4a49833
+		wantEvals         = 24509
+	)
+	table := RandomTable(1500, 16, 13)
+	ix, err := Build(table, nil, Config{M: 8, EfConstruction: 48, Seed: 5})
+	if err != nil {
+		t.Fatalf("Build: %v", err)
+	}
+	g := fnv.New64a()
+	g.Write(ix.AppendTo(nil))
+
+	s := fnv.New64a()
+	var buf [8]byte
+	evals := 0
+	for row := 0; row < table.R; row += 29 {
+		for _, ef := range []int{10, 40} {
+			got, n, err := ix.Search(table.Row(row), ix.norms[row], 10, ef)
+			if err != nil {
+				t.Fatalf("Search: %v", err)
+			}
+			evals += n
+			for _, c := range got {
+				binary.LittleEndian.PutUint64(buf[:], uint64(c.ID))
+				s.Write(buf[:])
+				binary.LittleEndian.PutUint64(buf[:], math.Float64bits(c.Sim))
+				s.Write(buf[:])
+			}
+		}
+	}
+	if got := g.Sum64(); got != wantGraph {
+		t.Errorf("graph FNV-64a = %#x, want %#x", got, wantGraph)
+	}
+	if got := s.Sum64(); got != wantSearch {
+		t.Errorf("search FNV-64a = %#x, want %#x", got, wantSearch)
+	}
+	if evals != wantEvals {
+		t.Errorf("distance evaluations = %d, want %d", evals, wantEvals)
 	}
 }

@@ -3,6 +3,7 @@ package lint
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -184,8 +185,9 @@ func LoadRepo(dir string) (*Module, error) {
 	return Load(root, modPath)
 }
 
-// parseDir parses the non-test .go files of one directory into a
-// Package (nil if the directory holds no non-test Go files).
+// parseDir parses the non-test .go files of one directory that build
+// for the host platform (file-name suffixes and //go:build lines, as
+// the go command selects them) into a Package (nil if there are none).
 func (m *Module) parseDir(dir string) (*Package, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -195,6 +197,11 @@ func (m *Module) parseDir(dir string) (*Package, error) {
 	for _, e := range entries {
 		name := e.Name()
 		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		if ok, err := build.Default.MatchFile(dir, name); err != nil {
+			return nil, err
+		} else if !ok {
 			continue
 		}
 		path := filepath.Join(dir, name)

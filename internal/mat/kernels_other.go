@@ -1,0 +1,11 @@
+//go:build !amd64
+
+package mat
+
+// Off amd64 there is no assembly: useAVX2 is constant false, so Dot and
+// Axpy compile to the Go loops alone and these stubs never run.
+const useAVX2 = false
+
+func dotAVX2(x, y []float64) float64 { panic("mat: no assembly kernels on this architecture") }
+
+func axpyAVX2(a float64, x, y []float64) { panic("mat: no assembly kernels on this architecture") }

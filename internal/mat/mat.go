@@ -1,7 +1,7 @@
 // Package mat provides a dense, row-major float64 matrix and the small set
-// of linear-algebra kernels the rest of the repository needs. It is
-// deliberately BLAS-free: everything is plain Go over a single contiguous
-// backing slice so the code runs anywhere the standard library does.
+// of linear-algebra kernels the rest of the repository needs. It uses no
+// BLAS: everything works over a single contiguous backing slice, in plain
+// Go except for one amd64 path described below.
 //
 // Two vector kernels carry the repository's hot loops: Dot and Axpy.
 // The skip-gram pair update, the translators' matrix products (MatMul,
@@ -21,7 +21,23 @@
 //     by 4. Each element sees exactly one multiply and one add, so it is
 //     bit-identical to the plain loop.
 //
-// Both panic when the lengths differ and allocate nothing.
+// Every product is rounded to float64 before it is added: the Go loops
+// write it as an explicit float64 conversion, which the language
+// forbids the compiler to fuse into a multiply-add, so they give the
+// same bits under GOAMD64=v3 and on arm64 as on baseline amd64.
+//
+// On amd64 CPUs with AVX2, Dot and Axpy run assembly versions of the
+// same arithmetic (kernels_amd64.s), chosen once at start-up by a
+// CPUID/XGETBV check. Dot keeps s0..s3 in the four lanes of one YMM
+// register, so each lane adds its products in the order above; Axpy
+// multiplies four elements, then adds them. Neither uses FMA, whose
+// single rounding would change the bits. The results are bit-identical
+// to the Go loops (dotGeneric, axpyGeneric), which remain the only
+// other path: off amd64 and on amd64 CPUs without AVX2. Only the
+// payload of a NaN result may differ.
+//
+// Both panic when the lengths differ and allocate nothing. Axpy's x
+// and y must be the same slice or not overlap.
 package mat
 
 import (
@@ -313,50 +329,67 @@ func Relu(dst, a *Dense) *Dense {
 // Dot returns the inner product of vectors x and y, summed in the
 // fixed four-accumulator order described in the package doc.
 //
-// Both kernels reslice each block of four so its element accesses carry
-// no bounds checks; one slice check per block remains.
-//
 //lint:alloc-free shared vector kernel of SGNS, MatMulT and k-NN, pinned by TestKernelsAllocFree
 func Dot(x, y []float64) float64 {
-	n := len(x)
-	if len(y) != n {
-		lengthMismatch("Dot", n, len(y))
+	if len(y) != len(x) {
+		lengthMismatch("Dot", len(x), len(y))
 	}
+	if useAVX2 {
+		return dotAVX2(x, y)
+	}
+	return dotGeneric(x, y)
+}
+
+// Axpy performs y += a·x element by element. x and y must be the same
+// slice or not overlap.
+//
+//lint:alloc-free shared vector kernel of SGNS and MatMul/TMatMul, pinned by TestKernelsAllocFree
+func Axpy(a float64, x, y []float64) {
+	if len(y) != len(x) {
+		lengthMismatch("Axpy", len(x), len(y))
+	}
+	if useAVX2 {
+		axpyAVX2(a, x, y)
+		return
+	}
+	axpyGeneric(a, x, y)
+}
+
+// dotGeneric is Dot in Go, the reference the amd64 assembly matches.
+// It reslices each block of four so its element accesses carry no
+// bounds checks; one slice check per block remains.
+func dotGeneric(x, y []float64) float64 {
+	n := len(x)
 	x, y = x[:n:n], y[:n:n]
 	var s0, s1, s2, s3 float64
 	i := 0
 	for ; i <= n-4; i += 4 {
 		xs, ys := x[i:i+4:i+4], y[i:i+4:i+4]
-		s0 += xs[0] * ys[0]
-		s1 += xs[1] * ys[1]
-		s2 += xs[2] * ys[2]
-		s3 += xs[3] * ys[3]
+		s0 += float64(xs[0] * ys[0])
+		s1 += float64(xs[1] * ys[1])
+		s2 += float64(xs[2] * ys[2])
+		s3 += float64(xs[3] * ys[3])
 	}
 	for ; i < n; i++ {
-		s0 += x[i] * y[i]
+		s0 += float64(x[i] * y[i])
 	}
 	return (s0 + s1) + (s2 + s3)
 }
 
-// Axpy performs y += a·x element by element, unrolled by 4.
-//
-//lint:alloc-free shared vector kernel of SGNS and MatMul/TMatMul, pinned by TestKernelsAllocFree
-func Axpy(a float64, x, y []float64) {
+// axpyGeneric is Axpy in Go, unrolled by 4 like dotGeneric.
+func axpyGeneric(a float64, x, y []float64) {
 	n := len(x)
-	if len(y) != n {
-		lengthMismatch("Axpy", n, len(y))
-	}
 	x, y = x[:n:n], y[:n:n]
 	i := 0
 	for ; i <= n-4; i += 4 {
 		xs, ys := x[i:i+4:i+4], y[i:i+4:i+4]
-		ys[0] += a * xs[0]
-		ys[1] += a * xs[1]
-		ys[2] += a * xs[2]
-		ys[3] += a * xs[3]
+		ys[0] += float64(a * xs[0])
+		ys[1] += float64(a * xs[1])
+		ys[2] += float64(a * xs[2])
+		ys[3] += float64(a * xs[3])
 	}
 	for ; i < n; i++ {
-		y[i] += a * x[i]
+		y[i] += float64(a * x[i])
 	}
 }
 

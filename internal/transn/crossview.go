@@ -23,15 +23,19 @@ type crossResult struct {
 
 // pairWork is one view-pair's cross-view workspace. Every segment of a
 // pair records the same op graph for a fixed (λ, H, L, d), so one tape
-// and one set of segment buffers serve them all: after the first
-// segment has grown the tape, sampling and trainSegment allocate only
-// what the walker does.
+// and one set of segment buffers serve them all: once the first
+// segments have grown the tape and the walk buffers, sampling and
+// trainSegment allocate nothing.
 type pairWork struct {
 	tp autodiff.Tape
 	// A and Atgt (L×d) hold a segment's src- and dst-view embedding
 	// rows; srcLoc and dstLoc the rows' local indices in each view.
 	A, Atgt        *mat.Dense
 	srcLoc, dstLoc []int
+	// path and probs are the walker's buffers: one walk's local
+	// nodes and its π₁·π₂ step weights.
+	path  []int
+	probs []float64
 	// shared collects one walk's common nodes; segIDs backs the sampled
 	// segments, which are consecutive L-long windows of it.
 	shared []graph.NodeID
@@ -121,10 +125,10 @@ func (m *Model) sampleCommonSegments(pi, side int, rng *rand.Rand) [][]graph.Nod
 	for len(segs) < want && budget > 0 {
 		budget--
 		start := rng.Intn(sub.NumNodes())
-		p := walker.Walk(sub, start, m.Cfg.WalkLength, rng)
+		w.path, w.probs = walker.AppendWalk(w.path[:0], w.probs, sub, start, m.Cfg.WalkLength, rng)
 		// Keep only nodes present in both subviews.
 		shared := w.shared[:0]
-		for _, l := range p {
+		for _, l := range w.path {
 			gid := sub.Global(l)
 			if other.Contains(gid) {
 				shared = append(shared, gid)

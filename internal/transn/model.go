@@ -54,7 +54,7 @@ type Model struct {
 	// walkers[v] samples single-view paths in view v.
 	walkers []walk.Walker
 	// subWalkers[p] sample cross-view paths in each paired-subview.
-	subWalkers [][2]walk.Walker
+	subWalkers [][2]*walk.Correlated
 	// trans[p] = {T_{i→j}, T_{j→i}} for pairs[p].
 	trans [][2]*Translator
 	// pairRngs[p] is pair p's persistent sampling stream (streamCross).
@@ -377,7 +377,7 @@ func (m *Model) initViews() {
 func (m *Model) initPairs() {
 	m.pairs = m.Graph.ViewPairs()
 	m.subviews = make([][2]*graph.View, len(m.pairs))
-	m.subWalkers = make([][2]walk.Walker, len(m.pairs))
+	m.subWalkers = make([][2]*walk.Correlated, len(m.pairs))
 	m.trans = make([][2]*Translator, len(m.pairs))
 	m.pairRngs = make([]*rand.Rand, len(m.pairs))
 	m.pairWork = make([]pairWork, len(m.pairs))
@@ -385,7 +385,7 @@ func (m *Model) initPairs() {
 		si := graph.PairedSubview(m.views[pr.I], pr.Common)
 		sj := graph.PairedSubview(m.views[pr.J], pr.Common)
 		m.subviews[p] = [2]*graph.View{si, sj}
-		m.subWalkers[p] = [2]walk.Walker{walk.NewCorrelated(si), walk.NewCorrelated(sj)}
+		m.subWalkers[p] = [2]*walk.Correlated{walk.NewCorrelated(si), walk.NewCorrelated(sj)}
 		m.trans[p] = [2]*Translator{
 			NewTranslator(m.Cfg.Encoders, m.Cfg.CrossPathLen, m.Cfg.SimpleTranslator, m.Cfg.LRCross,
 				rngstream.New(m.Cfg.Seed, streamTranslator, int64(p), 0)),

@@ -29,6 +29,27 @@ func TestTrainSegmentAllocFree(t *testing.T) {
 	}
 }
 
+// TestSampleCommonSegmentsAllocFree pins cross-view sampling: once a
+// pair's walk and segment buffers have grown, sampling a step's
+// segments allocates nothing.
+func TestSampleCommonSegmentsAllocFree(t *testing.T) {
+	m, _ := trainedFrozen(t)
+	rng := rngstream.New(1, 3)
+	sample := func() {
+		for side := 0; side < 2; side++ {
+			if len(m.sampleCommonSegments(0, side, rng)) == 0 {
+				t.Fatal("no common-node segments sampled")
+			}
+		}
+	}
+	for i := 0; i < 10; i++ {
+		sample()
+	}
+	if n := testing.AllocsPerRun(50, sample); n != 0 {
+		t.Fatalf("sampleCommonSegments allocates %v times per step after warm-up, want 0", n)
+	}
+}
+
 // TestTranslateNodeAllocs pins the serving forward pass: with the
 // inference tape pool warm, TranslateNode allocates only its result.
 func TestTranslateNodeAllocs(t *testing.T) {

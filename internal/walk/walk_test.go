@@ -3,6 +3,7 @@ package walk
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -374,6 +375,36 @@ func TestMetaPathWalkFollowsPattern(t *testing.T) {
 	// Starting from a wrong-typed node yields nil.
 	if got := mp.Walk(ps[0], 5, rng); got != nil {
 		t.Fatalf("wrong-type start should return nil, got %v", got)
+	}
+}
+
+// TestAppendWalkMatchesWalk checks that AppendWalk with reused buffers
+// makes the walks and rng draws Walk makes with fresh ones, keeps what
+// dst already held, and allocates nothing once its buffers are grown.
+func TestAppendWalkMatchesWalk(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		v := randomView(seed)
+		cw := NewCorrelated(v)
+		fresh, reused := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
+		dst := []int{-1}
+		var probs []float64
+		for i := 0; i < 50; i++ {
+			start, length := i%v.NumNodes(), 2+i%9
+			want := cw.Walk(v, start, length, fresh)
+			dst, probs = cw.AppendWalk(dst[:1], probs, v, start, length, reused)
+			if dst[0] != -1 || !slices.Equal(dst[1:], want) {
+				t.Fatalf("seed %d walk %d: AppendWalk gave %v after the prefix, Walk %v", seed, i, dst, want)
+			}
+			if a, b := fresh.Int63(), reused.Int63(); a != b {
+				t.Fatalf("seed %d walk %d: rng streams diverged", seed, i)
+			}
+		}
+		allocs := testing.AllocsPerRun(20, func() {
+			dst, probs = cw.AppendWalk(dst[:0], probs, v, 0, 16, reused)
+		})
+		if allocs != 0 {
+			t.Fatalf("seed %d: AppendWalk allocates %v times with grown buffers", seed, allocs)
+		}
 	}
 }
 

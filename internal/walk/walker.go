@@ -154,14 +154,24 @@ func (c *Correlated) deltaOf(v *graph.View, l int) float64 {
 
 // Walk implements Walker.
 func (c *Correlated) Walk(v *graph.View, start, length int, rng *rand.Rand) []int {
+	path, _ := c.AppendWalk(make([]int, 0, length), nil, v, start, length, rng)
+	return path
+}
+
+// AppendWalk appends the walk Walk would return to dst, making the same
+// rng draws, and returns the extended slice. probs is scratch for the
+// π₁·π₂ steps; AppendWalk grows it when a node has more neighbors than
+// it holds and returns it for reuse, so a caller that keeps both
+// buffers walks without allocating.
+func (c *Correlated) AppendWalk(dst []int, probs []float64, v *graph.View, start, length int, rng *rand.Rand) ([]int, []float64) {
 	if v != c.biased.view {
 		panic("walk: Correlated walker used on a different view")
 	}
-	path := make([]int, 0, length)
-	path = append(path, start)
+	n0 := len(dst)
+	dst = append(dst, start)
 	cur := start
 	prevWeight := -1.0 // weight of edge (prev, cur); <0 on the first step
-	for len(path) < length {
+	for len(dst)-n0 < length {
 		ns, ws := v.Neighbors(cur)
 		if len(ns) == 0 {
 			break
@@ -176,7 +186,10 @@ func (c *Correlated) Walk(v *graph.View, start, length int, rng *rand.Rand) []in
 		} else {
 			// π₁·π₂ (Equation 4, second case). Weights are recomputed per
 			// step because π₂ depends on the previous edge.
-			probs := make([]float64, len(ns))
+			if cap(probs) < len(ns) {
+				probs = make([]float64, len(ns))
+			}
+			probs = probs[:len(ns)]
 			var total float64
 			for i, w := range ws {
 				diff := w - prevWeight
@@ -209,9 +222,9 @@ func (c *Correlated) Walk(v *graph.View, start, length int, rng *rand.Rand) []in
 		}
 		prevWeight = nextW
 		cur = next
-		path = append(path, cur)
+		dst = append(dst, cur)
 	}
-	return path
+	return dst, probs
 }
 
 // Node2Vec performs the (p, q)-biased second-order walks of Grover &
