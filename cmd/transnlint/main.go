@@ -1,11 +1,9 @@
 // Command transnlint runs the repo's custom static analyzers
 // (internal/lint) over the whole module and reports findings with
 // stable codes: determinism (global rand, wall-clock seeds, map
-// iteration order), finite-write hygiene, schema-registry consistency,
-// doc coverage of the exported API surface (doccheck), atomic-access
-// consistency with 386 alignment, goroutine/ticker lifecycle,
-// lock-ordering and release balance, and compiler-verified
-// //lint:alloc-free pins. See DESIGN.md §9.
+// iteration order), schema-registry consistency, doc coverage of the
+// exported API surface (doccheck), goroutine/ticker lifecycle, and
+// lock ordering, release balance and typed atomics. See DESIGN.md §9.
 //
 // Usage:
 //

@@ -99,7 +99,7 @@ func NewTape() *Tape { return &Tape{} }
 // does not pin them. Tensors from the previous pass are invalid after
 // Reset.
 //
-//lint:alloc-free rewinds the pooled serving tape and every training segment's tape, pinned by TestTapeReuseAllocFree
+// Allocation-free; pinned by TestTapeReuseAllocFree.
 func (tp *Tape) Reset() {
 	for _, t := range tp.nodes[:tp.n] {
 		if t.op == opLeaf {
@@ -175,7 +175,8 @@ func ensureGrad(t *Tensor) {
 // Backward runs reverse-mode accumulation from loss, which must be a 1x1
 // tensor produced by this tape. The seed gradient is 1.
 //
-//lint:alloc-free steady-state backward of every translator segment; its scratch grows on the first pass only, pinned by TestTapeReuseAllocFree
+// Its scratch grows on the first pass only; later passes are
+// allocation-free, pinned by TestTapeReuseAllocFree.
 func (tp *Tape) Backward(loss *Tensor) {
 	if loss.Value.R != 1 || loss.Value.C != 1 {
 		nonScalarLoss(loss.Value.R, loss.Value.C)
@@ -209,7 +210,7 @@ func nonScalarLoss(r, c int) {
 
 // backward propagates out.Grad into the gradients of out's inputs.
 //
-//lint:alloc-free per-op backward dispatch, pinned by TestTapeReuseAllocFree
+// Allocation-free; pinned by TestTapeReuseAllocFree.
 func (tp *Tape) backward(out *Tensor) {
 	a, b := out.a, out.b
 	switch out.op {

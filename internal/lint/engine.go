@@ -49,9 +49,6 @@ type Module struct {
 	// the tree; the runner matches them against findings after every
 	// analyzer has run.
 	Suppressions []*Suppression
-	// Annotations maps a function declaration to its //lint: function
-	// annotations ("finite-checked", "alloc-free").
-	Annotations map[*ast.FuncDecl][]string
 	// directiveFindings are malformed //lint: comments, reported as
 	// lint.bad-directive by the runner.
 	directiveFindings []Finding
@@ -91,11 +88,10 @@ func Load(root, modPath string) (*Module, error) {
 		return nil, err
 	}
 	m := &Module{
-		Root:        root,
-		Path:        modPath,
-		Fset:        token.NewFileSet(),
-		byPath:      map[string]*Package{},
-		Annotations: map[*ast.FuncDecl][]string{},
+		Root:   root,
+		Path:   modPath,
+		Fset:   token.NewFileSet(),
+		byPath: map[string]*Package{},
 	}
 	var dirs []string
 	err = filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
@@ -276,18 +272,10 @@ func (mi *moduleImporter) check(path string) (*types.Package, error) {
 }
 
 // harvestDirectives scans every comment in the tree for //lint:
-// directives: suppressions, function annotations, and malformed forms.
+// directives: suppressions, and malformed or unknown forms.
 func (m *Module) harvestDirectives() {
 	for _, pkg := range m.Pkgs {
 		for _, f := range pkg.Files {
-			// Map function declarations to their doc comments so
-			// annotations can be attached (and strays detected).
-			docOwner := map[*ast.CommentGroup]*ast.FuncDecl{}
-			for _, decl := range f.Decls {
-				if fd, ok := decl.(*ast.FuncDecl); ok && fd.Doc != nil {
-					docOwner[fd.Doc] = fd
-				}
-			}
 			for _, cg := range f.Comments {
 				for _, c := range cg.List {
 					text, ok := strings.CutPrefix(c.Text, "//lint:")
@@ -295,52 +283,25 @@ func (m *Module) harvestDirectives() {
 						continue
 					}
 					pos := m.Rel(m.Fset.Position(c.Pos()))
-					verb, rest, _ := strings.Cut(text, " ")
-					rest = strings.TrimSpace(rest)
-					switch verb {
-					case "ignore":
-						code, reason, _ := strings.Cut(rest, " ")
-						if code == "" || strings.TrimSpace(reason) == "" {
-							m.directiveFindings = append(m.directiveFindings, Finding{
-								Analyzer: "lint", Code: CodeBadDirective,
-								File: pos.Filename, Line: pos.Line, Col: pos.Column,
-								Message: "//lint:ignore needs a finding code and a reason: //lint:ignore CODE reason",
-							})
-							continue
-						}
-						m.Suppressions = append(m.Suppressions, &Suppression{
-							File: pos.Filename, Line: pos.Line, Code: code,
-						})
-					case "finite-checked", "alloc-free":
-						fd := docOwner[cg]
-						if fd == nil {
-							m.directiveFindings = append(m.directiveFindings, Finding{
-								Analyzer: "lint", Code: CodeBadDirective,
-								File: pos.Filename, Line: pos.Line, Col: pos.Column,
-								Message: fmt.Sprintf("//lint:%s must be part of a function's doc comment", verb),
-							})
-							continue
-						}
-						if rest == "" {
-							reason := "a reason naming who checks the writes"
-							if verb == "alloc-free" {
-								reason = "a reason naming the AllocsPerRun pin or hot path"
-							}
-							m.directiveFindings = append(m.directiveFindings, Finding{
-								Analyzer: "lint", Code: CodeBadDirective,
-								File: pos.Filename, Line: pos.Line, Col: pos.Column,
-								Message: fmt.Sprintf("//lint:%s needs %s", verb, reason),
-							})
-							continue
-						}
-						m.Annotations[fd] = append(m.Annotations[fd], verb)
-					default:
+					bad := func(msg string) {
 						m.directiveFindings = append(m.directiveFindings, Finding{
 							Analyzer: "lint", Code: CodeBadDirective,
-							File: pos.Filename, Line: pos.Line, Col: pos.Column,
-							Message: fmt.Sprintf("unknown //lint: directive %q (know: ignore, finite-checked, alloc-free)", verb),
+							File: pos.Filename, Line: pos.Line, Col: pos.Column, Message: msg,
 						})
 					}
+					verb, rest, _ := strings.Cut(text, " ")
+					if verb != "ignore" {
+						bad(fmt.Sprintf("unknown //lint: directive %q (ignore is the only one)", verb))
+						continue
+					}
+					code, reason, _ := strings.Cut(strings.TrimSpace(rest), " ")
+					if code == "" || strings.TrimSpace(reason) == "" {
+						bad("//lint:ignore needs a finding code and a reason: //lint:ignore CODE reason")
+						continue
+					}
+					m.Suppressions = append(m.Suppressions, &Suppression{
+						File: pos.Filename, Line: pos.Line, Code: code,
+					})
 				}
 			}
 		}
@@ -369,16 +330,6 @@ type Options struct {
 	// Empty means every loaded package.
 	MapOrderPkgs []string
 
-	// FinitePkgs are the weight-owning packages where unguarded float
-	// writes into slices are findings.
-	FinitePkgs []string
-	// GuardFuncs are function names whose presence in a body counts as
-	// flowing through the finite guard.
-	GuardFuncs []string
-	// GuardFiles are base filenames whose functions are the guard
-	// itself and therefore exempt.
-	GuardFiles []string
-
 	// SchemaObsPkg / SchemaDiagPkg name the packages declaring the
 	// metric/span/stage/level and finding-code constant sets.
 	SchemaObsPkg  string
@@ -404,9 +355,6 @@ func Defaults() Options {
 	return Options{
 		DeterminismPkgs: []string{"transn/internal/transn", "transn/internal/walk", "transn/internal/skipgram", "transn/internal/rngstream", "transn/internal/par", "transn/internal/mat", "transn/internal/graph", "transn/internal/ann", "transn/internal/snapfmt"},
 		MapOrderPkgs:    nil, // every package: reports, CLIs and examples all emit ordered output
-		FinitePkgs:      []string{"transn/internal/transn", "transn/internal/skipgram"},
-		GuardFuncs:      []string{"isFinite", "finiteSlice", "CheckFinite", "guardIteration"},
-		GuardFiles:      []string{"finite.go"},
 		SchemaObsPkg:    "transn/internal/obs",
 		SchemaDiagPkg:   "transn/internal/diag",
 		LifecyclePkgs:   []string{"transn/internal/obs", "transn/internal/serve", "transn/internal/load", "transn/internal/par"},
@@ -418,12 +366,10 @@ func Defaults() Options {
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		analyzerDeterminism(),
-		analyzerFinite(),
 		analyzerSchema(),
 		analyzerDoccheck(),
 		analyzerLifecycle(),
 		analyzerLockOrder(),
-		analyzerAllocPin(),
 	}
 }
 

@@ -115,14 +115,6 @@ func TestDeterminismFixture(t *testing.T) {
 	}, []*Analyzer{analyzerDeterminism()})
 }
 
-func TestFiniteFixture(t *testing.T) {
-	testFixture(t, "finite", Options{
-		FinitePkgs: []string{"fixture/weights"},
-		GuardFuncs: []string{"checkFinite"},
-		GuardFiles: []string{"finite.go"},
-	}, []*Analyzer{analyzerFinite()})
-}
-
 func TestSchemaFixture(t *testing.T) {
 	testFixture(t, "schema", Options{
 		SchemaObsPkg:  "fixture/obs",
@@ -171,21 +163,6 @@ func TestLockOrderFixture(t *testing.T) {
 	}
 }
 
-// TestAllocPinFixture covers the alloc-pin analyzer end to end: the
-// fixture is its own module (testdata/allocpin/go.mod), so the driver
-// really runs `go build -gcflags=-m` and the escaping alloc in the
-// annotated function becomes a finding, as does an append in one,
-// while the unannotated allocator stays silent.
-func TestAllocPinFixture(t *testing.T) {
-	if testing.Short() {
-		t.Skip("invokes the go compiler; run without -short")
-	}
-	doc := testFixture(t, "allocpin", Options{}, []*Analyzer{analyzerAllocPin()})
-	if doc.Suppressions != 2 {
-		t.Errorf("Suppressions = %d, want 2 (the amortized warmup allocation and the reused buffer)", doc.Suppressions)
-	}
-}
-
 // TestSuppressFixture is the negative fixture: a reasoned //lint:ignore
 // silences its finding (and counts in Document.Suppressions), a stale
 // one is a lint.unused-suppression finding, and malformed directives
@@ -197,23 +174,5 @@ func TestSuppressFixture(t *testing.T) {
 	}, []*Analyzer{analyzerDeterminism()})
 	if doc.Suppressions != 1 {
 		t.Errorf("Suppressions = %d, want 1 (the reasoned ignore in sorted)", doc.Suppressions)
-	}
-}
-
-// TestLoadRepoFindsModule checks LoadRepo resolves the module root and
-// path from go.mod starting inside a subdirectory.
-func TestLoadRepoFindsModule(t *testing.T) {
-	if testing.Short() {
-		t.Skip("whole-module load is slow; run without -short")
-	}
-	m, err := LoadRepo(".")
-	if err != nil {
-		t.Fatalf("LoadRepo: %v", err)
-	}
-	if m.Path != "transn" {
-		t.Errorf("module path = %q, want %q", m.Path, "transn")
-	}
-	if m.Lookup("transn/internal/lint") == nil {
-		t.Errorf("module did not load its own package transn/internal/lint")
 	}
 }

@@ -1,15 +1,12 @@
 // Package lint is the repo's custom static-analysis engine: it loads
 // the whole module through go/parser + go/types (stdlib only, like the
-// rest of the repo) and runs a suite of repo-specific analyzers that
-// machine-check the invariants PRs 1–3 established by convention:
+// rest of the repo) and runs five analyzers that machine-check the
+// repo's conventions:
 //
 //   - determinism (determinism.go): no global math/rand calls, no
 //     time-derived seeds, and no order-sensitive iteration over maps —
 //     the failure class that silently breaks training's byte-identity
 //     contract and Algorithm 1 reproducibility.
-//   - finite-hygiene (finitecheck.go): float arithmetic writing into
-//     weight tables happens only in functions covered by the finite.go
-//     guard or annotated //lint:finite-checked.
 //   - schema-registry consistency (schema.go): metric names, span
 //     names, event stages/levels and finding codes are the declared
 //     constants, never drifting string literals.
@@ -22,9 +19,10 @@
 //   - lock-order (lockorder.go): the static mutex acquisition graph is
 //     acyclic, every lock is released (or defer-released) on every
 //     return/panic path, and no code calls a raw sync/atomic function.
-//   - alloc-pin (allocpin.go): //lint:alloc-free bodies stay free of
-//     heap escapes, checked against `go build -gcflags=-m` output, and
-//     call no builtin append.
+//
+// Finite weights and allocation-free hot loops are not analyzers: the
+// run-time guard (transn's guardIteration/CheckFinite) and the
+// AllocsPerRun tests pin them by running the code.
 //
 // Findings carry stable codes and are reported as a schema-stable
 // transn.lint/v1 JSON document, mirroring the obs/diag report
@@ -62,11 +60,6 @@ const (
 	// Iterating a sorted key slice (internal/ordered.Keys) is the
 	// sanctioned escape hatch.
 	CodeMapOrder = "determinism.map-order"
-
-	// CodeFiniteUnguarded: float arithmetic written into a slice
-	// element in a weight-owning package, in a function neither covered
-	// by the finite.go guard nor annotated //lint:finite-checked.
-	CodeFiniteUnguarded = "finite.unguarded"
 
 	// CodeSchemaMetric: a constant metric name at a Registry call site
 	// (or report map index) that is not a declared obs Metric* constant.
@@ -127,25 +120,11 @@ const (
 	// their own 64-bit alignment.
 	CodeLockRawAtomic = "lock.raw-atomic"
 
-	// CodeAllocEscape: a heap escape the compiler reports inside the
-	// body of a //lint:alloc-free function — the static half of the
-	// AllocsPerRun zero-allocation pins.
-	CodeAllocEscape = "alloc.escape"
-	// CodeAllocAppend: a builtin append call inside the body of a
-	// //lint:alloc-free function. An append that grows its slice
-	// allocates without any escape line in -gcflags=-m output, so the
-	// call itself is the finding.
-	CodeAllocAppend = "alloc.append"
-	// CodeAllocDriver: the compiler-assisted alloc-pin driver could not
-	// run (go toolchain missing or the build failed), so annotated
-	// functions were not verified.
-	CodeAllocDriver = "alloc.driver"
-
 	// CodeUnusedSuppression: a //lint:ignore comment that suppressed
 	// nothing — stale suppressions hide future regressions.
 	CodeUnusedSuppression = "lint.unused-suppression"
-	// CodeBadDirective: a malformed //lint: comment (unknown verb,
-	// missing code or reason, or an annotation in the wrong place).
+	// CodeBadDirective: a malformed //lint: comment (a verb other than
+	// ignore, or an ignore without a code or reason).
 	CodeBadDirective = "lint.bad-directive"
 )
 

@@ -15,7 +15,7 @@ func sampleDoc() *Document {
 		Findings: []Finding{
 			{Analyzer: "determinism", Code: CodeMapOrder, File: "b.go", Line: 10, Col: 2, Message: "m"},
 			{Analyzer: "determinism", Code: CodeGlobalRand, File: "a.go", Line: 5, Col: 9, Message: "m"},
-			{Analyzer: "finite-hygiene", Code: CodeFiniteUnguarded, File: "a.go", Line: 5, Col: 2, Message: "m"},
+			{Analyzer: "lock-order", Code: CodeLockRawAtomic, File: "a.go", Line: 5, Col: 2, Message: "m"},
 		},
 	}
 }

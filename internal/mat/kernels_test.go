@@ -116,8 +116,7 @@ func TestKernelsPanicOnLengthMismatch(t *testing.T) {
 	}
 }
 
-// TestKernelsAllocFree is the dynamic half of the //lint:alloc-free
-// pins on Dot and Axpy.
+// TestKernelsAllocFree pins Dot and Axpy at zero allocations per call.
 func TestKernelsAllocFree(t *testing.T) {
 	x, y := make([]float64, 67), make([]float64, 67)
 	for i := range x {

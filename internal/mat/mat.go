@@ -329,7 +329,7 @@ func Relu(dst, a *Dense) *Dense {
 // Dot returns the inner product of vectors x and y, summed in the
 // fixed four-accumulator order described in the package doc.
 //
-//lint:alloc-free shared vector kernel of SGNS, MatMulT and k-NN, pinned by TestKernelsAllocFree
+// Allocation-free; pinned by TestKernelsAllocFree.
 func Dot(x, y []float64) float64 {
 	if len(y) != len(x) {
 		lengthMismatch("Dot", len(x), len(y))
@@ -343,7 +343,7 @@ func Dot(x, y []float64) float64 {
 // Axpy performs y += a·x element by element. x and y must be the same
 // slice or not overlap.
 //
-//lint:alloc-free shared vector kernel of SGNS and MatMul/TMatMul, pinned by TestKernelsAllocFree
+// Allocation-free; pinned by TestKernelsAllocFree.
 func Axpy(a float64, x, y []float64) {
 	if len(y) != len(x) {
 		lengthMismatch("Axpy", len(x), len(y))

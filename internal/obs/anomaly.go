@@ -86,9 +86,11 @@ func sanitizeRuleName(name string) string {
 // Capture writes one bundle for the event and prunes old bundles. The
 // extras map attaches additional documents by file name (e.g.
 // "history.json"); each writer runs with the file already open, and an
-// extra's error aborts the capture. Captures within the cooldown of the
-// previous one are skipped (returned dir is empty, error nil). A nil
-// capturer skips silently.
+// extra's error aborts the capture. Each file is written under a temp
+// name and renamed into place, so a file in a bundle is always
+// complete. Captures within the cooldown of the previous one are
+// skipped (returned dir is empty, error nil). A nil capturer skips
+// silently.
 func (a *AnomalyCapturer) Capture(ev WatchEvent, extras map[string]func(io.Writer) error) (string, error) {
 	if a == nil {
 		return "", nil
@@ -107,15 +109,7 @@ func (a *AnomalyCapturer) Capture(ev WatchEvent, extras map[string]func(io.Write
 		return "", fmt.Errorf("obs: anomaly bundle: %w", err)
 	}
 	writeFile := func(name string, fn func(io.Writer) error) error {
-		f, err := os.Create(filepath.Join(dir, name))
-		if err != nil {
-			return fmt.Errorf("obs: anomaly bundle %s: %w", name, err)
-		}
-		if err := fn(f); err != nil {
-			f.Close()
-			return fmt.Errorf("obs: anomaly bundle %s: %w", name, err)
-		}
-		if err := f.Close(); err != nil {
+		if err := writeFileAtomic(filepath.Join(dir, name), fn); err != nil {
 			return fmt.Errorf("obs: anomaly bundle %s: %w", name, err)
 		}
 		return nil
@@ -146,6 +140,32 @@ func (a *AnomalyCapturer) Capture(ev WatchEvent, extras map[string]func(io.Write
 		return "", err
 	}
 	return dir, nil
+}
+
+// writeFileAtomic writes path through a temp file beside it: fn fills
+// the temp file, which is synced and then renamed over path. A reader
+// polling for path therefore sees the complete file or none, and a
+// failed write leaves neither path nor the temp file behind.
+func writeFileAtomic(path string, fn func(io.Writer) error) error {
+	tmp := filepath.Join(filepath.Dir(path), "."+filepath.Base(path)+".tmp")
+	f, err := os.Create(tmp)
+	if err != nil {
+		return err
+	}
+	err = fn(f)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
+		os.Remove(tmp)
+	}
+	return err
 }
 
 // prune deletes the oldest bundle directories beyond the retention

@@ -69,12 +69,28 @@ func TestAnomalyCaptureBundle(t *testing.T) {
 		}
 	}
 
-	// A failing extra aborts the capture with its error.
+	// A failing extra aborts the capture with its error, and the bytes
+	// it wrote before failing land in no file: neither broken.json nor
+	// its temp file exists in any bundle.
 	time.Sleep(time.Microsecond)
 	if _, err := a.Capture(ev, map[string]func(io.Writer) error{
-		"broken.json": func(io.Writer) error { return io.ErrUnexpectedEOF },
+		"broken.json": func(w io.Writer) error {
+			if _, err := w.Write([]byte(`{"torn":`)); err != nil {
+				return err
+			}
+			return io.ErrUnexpectedEOF
+		},
 	}); err == nil {
 		t.Fatal("failing extra did not abort the capture")
+	}
+	files, err := filepath.Glob(filepath.Join(dir, anomalyPrefix+"*", "*"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range files {
+		if name := filepath.Base(f); name == "broken.json" || strings.HasPrefix(name, ".") {
+			t.Fatalf("failed capture left %s behind", f)
+		}
 	}
 
 	// Nil capturer skips silently.

@@ -163,7 +163,7 @@ func (h *History) newRing(interval time.Duration, capacity int) *sampleRing {
 // sample takes one reading into the ring's next slot. All reads are
 // atomic loads; all writes land in preallocated storage.
 //
-//lint:alloc-free the flight-recorder tick, pinned by TestHistorySampleZeroAlloc
+// Allocation-free; pinned by TestHistorySampleZeroAlloc.
 func (h *History) sample(r *sampleRing) {
 	r.mu.Lock()
 	s := &r.slots[int(r.total%uint64(len(r.slots)))]

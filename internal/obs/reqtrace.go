@@ -151,7 +151,8 @@ func (tr *ReqTrace) Sampled() bool {
 // StartStage marks the stage as entered now. Re-entering a stage
 // restarts its clock; unknown stages are ignored.
 //
-//lint:alloc-free per-stage timing on every traced request; nil path runs per untraced request
+// Allocation-free; pinned by TestHotPathsAllocFree and, on a nil
+// trace, by serve's TestDisabledTracingZeroAlloc.
 func (tr *ReqTrace) StartStage(s TraceStage) {
 	if tr == nil {
 		return
@@ -166,7 +167,8 @@ func (tr *ReqTrace) StartStage(s TraceStage) {
 // EndStage records the stage's duration since its StartStage. Without a
 // prior StartStage it is a no-op.
 //
-//lint:alloc-free per-stage timing on every traced request; nil path runs per untraced request
+// Allocation-free; pinned by TestHotPathsAllocFree and, on a nil
+// trace, by serve's TestDisabledTracingZeroAlloc.
 func (tr *ReqTrace) EndStage(s TraceStage) {
 	if tr == nil {
 		return
@@ -188,7 +190,8 @@ func (tr *ReqTrace) EndStage(s TraceStage) {
 
 // SetCacheHit marks a translate as served from the snapshot's row table.
 //
-//lint:alloc-free disabled-path no-op pinned by the trace AllocsPerRun test
+// Allocation-free; pinned by TestHotPathsAllocFree and, on a nil
+// trace, by serve's TestDisabledTracingZeroAlloc.
 func (tr *ReqTrace) SetCacheHit() {
 	if tr == nil {
 		return
@@ -198,7 +201,8 @@ func (tr *ReqTrace) SetCacheHit() {
 
 // SetGeneration records the snapshot generation that served the request.
 //
-//lint:alloc-free disabled-path no-op pinned by the trace AllocsPerRun test
+// Allocation-free; pinned by TestHotPathsAllocFree and, on a nil
+// trace, by serve's TestDisabledTracingZeroAlloc.
 func (tr *ReqTrace) SetGeneration(gen uint64) {
 	if tr == nil {
 		return

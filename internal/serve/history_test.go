@@ -184,6 +184,16 @@ func TestWatchdogDegradesReadyzAndCapturesBundle(t *testing.T) {
 			t.Fatalf("bundle file %s is empty", name)
 		}
 	}
+	// Files land by rename, so none of their temp files is left over.
+	entries, err := os.ReadDir(bundle)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		if strings.HasPrefix(e.Name(), ".") {
+			t.Fatalf("bundle holds leftover temp file %s", e.Name())
+		}
+	}
 	data, err := os.ReadFile(filepath.Join(bundle, "watchdog.json"))
 	if err != nil {
 		t.Fatal(err)

@@ -113,7 +113,8 @@ func (h *HSoftmax) CodeLen(n int) int { return len(h.codes[n]) }
 // is a caller-owned d-length buffer, cleared here; TrainCorpus reuses one
 // for the whole pass.
 //
-//lint:finite-checked sigmoid/log are clamped here and the trainer's per-iteration guard (transn/finite.go) sweeps losses and sampled rows
+// The sigmoid and log are clamped, and the trainer's per-iteration
+// guard (transn/finite.go) checks the losses and sampled rows.
 func (h *HSoftmax) trainPair(m *Model, center, context int, lr float64, grad []float64) float64 {
 	in := m.In.Row(center)
 	clear(grad)

@@ -119,7 +119,7 @@ const foldBelow = 1e-280
 // the product, and so the loss, NaN, which the trainer's finite guard
 // (transn/finite.go) reports.
 //
-//lint:alloc-free SGNS per-pair hot path, pinned by TestTrainCorpusAllocsConstant
+// Allocation-free; pinned by TestTrainCorpusAllocsConstant.
 func (m *Model) trainPair(center, context, neg int, lr float64, s *NegSampler, rng *rand.Rand, grad []float64) float64 {
 	in := m.In.Row(center)
 	clear(grad)
@@ -154,8 +154,7 @@ func (m *Model) trainPair(center, context, neg int, lr float64, s *NegSampler, r
 // updates are mat.Axpy calls, the gradient first so it reads the
 // target row before the row moves.
 //
-//lint:finite-checked pair losses roll up into the iteration mean swept by the trainer's guard (transn/finite.go)
-//lint:alloc-free SGNS per-update leaf, pinned by TestTrainCorpusAllocsConstant
+// Allocation-free; pinned by TestTrainCorpusAllocsConstant.
 func pairUpdate(in, out, grad []float64, label, lr float64) float64 {
 	score := tableSigmoid(mat.Dot(in, out))
 	g := (score - label) * lr
@@ -177,8 +176,7 @@ func pairUpdate(in, out, grad []float64, label, lr float64) float64 {
 // applyRowGrad subtracts the accumulated center gradient from the input
 // row.
 //
-//lint:finite-checked the written rows are sampled by the trainer's per-iteration guard (transn/finite.go)
-//lint:alloc-free SGNS per-pair leaf, pinned by TestTrainCorpusAllocsConstant
+// Allocation-free; pinned by TestTrainCorpusAllocsConstant.
 func applyRowGrad(in, grad []float64) {
 	mat.Axpy(-1, grad, in)
 }

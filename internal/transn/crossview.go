@@ -157,7 +157,7 @@ func (m *Model) sampleCommonSegments(pi, side int, rng *rand.Rand) [][]graph.Nod
 // zero. seg has CrossPathLen nodes; its tape and buffers are w's,
 // reused segment after segment.
 //
-//lint:alloc-free cross-view per-segment step, pinned by TestTrainSegmentAllocFree
+// Allocation-free in steady state; pinned by TestTrainSegmentAllocFree.
 func (m *Model) trainSegment(w *pairWork, seg []graph.NodeID, src, dst int, fwd, bwd *Translator) (total, transLoss, reconLoss float64) {
 	srcView, dstView := m.views[src], m.views[dst]
 	srcEmb, dstEmb := m.emb[src], m.emb[dst]
@@ -236,7 +236,8 @@ func (m *Model) trainSegment(w *pairWork, seg []graph.NodeID, src, dst int, fwd,
 // scatterRowGrads applies dst.Row(loc[k]) -= lr * grad.Row(k) for every
 // segment position k.
 //
-//lint:finite-checked guardIteration (finite.go) sweeps translator params, losses and sampled embedding rows every iteration
+// guardIteration (finite.go) checks sampled embedding rows, the
+// translator parameters and the losses every iteration.
 func scatterRowGrads(dst *mat.Dense, loc []int, grad *mat.Dense, lr float64) {
 	for k, l := range loc {
 		row := dst.Row(l)
@@ -271,7 +272,7 @@ func (m *Model) walkerFor(vi int) walk.Walker { return m.walkers[vi] }
 // normalizeRows rescales each row of x in place to zero mean and unit
 // variance (matching LayerNormRows), returning x.
 //
-//lint:finite-checked eps keeps the divisor positive; inputs are embedding rows swept by guardIteration (finite.go)
+// eps keeps the divisor positive, so finite rows stay finite.
 func normalizeRows(x *mat.Dense) *mat.Dense {
 	const eps = 1e-5
 	for i := 0; i < x.R; i++ {

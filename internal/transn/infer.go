@@ -25,7 +25,8 @@ type NeighborEdge struct {
 // a node co-occurs on walks with its neighbors, so its embedding
 // gravitates to their (weighted) barycenter.
 //
-//lint:finite-checked inputs are validated positive weights and trained (guarded) embedding rows; the averages cannot introduce non-finite values
+// The weights are validated positive and the rows are trained
+// embeddings, so the averages stay finite.
 func (m *Model) InferNode(edges []NeighborEdge) ([]float64, error) {
 	if len(edges) == 0 {
 		return nil, fmt.Errorf("transn: cannot infer a node with no edges")

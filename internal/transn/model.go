@@ -459,8 +459,6 @@ func (m *Model) singleViewStep(vi, iter int, lr float64) *viewResult {
 // Embeddings returns the final node embeddings: one row per global node,
 // each the average of the node's view-specific embeddings (Section
 // III-C). Nodes absent from every view get a zero row.
-//
-//lint:finite-checked averages view embeddings that trained under the per-iteration guard (finite.go); no new float math beyond the mean
 func (m *Model) Embeddings() *mat.Dense {
 	out := mat.New(m.Graph.NumNodes(), m.Cfg.Dim)
 	counts := make([]int, m.Graph.NumNodes())

@@ -143,7 +143,9 @@ func (t *Translator) Translate(x *mat.Dense) *mat.Dense {
 // the output rows into dst (length d). Apart from a pool miss it
 // allocates nothing.
 //
-//lint:finite-checked Frozen.TranslateNode, the caller, serves a model Freeze verified finite via CheckFinite; the forward pass and row mean cannot create non-finite values from finite inputs
+// Its caller, Frozen.TranslateNode, serves a model that Freeze checked
+// with CheckFinite, and from finite inputs the forward pass and row mean
+// stay finite.
 func (t *Translator) translateRowMean(dst, src []float64) {
 	L := t.PathLen()
 	pool, it := getInferTape(L, len(src))
