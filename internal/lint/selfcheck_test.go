@@ -2,8 +2,41 @@ package lint
 
 import (
 	"strings"
+	"sync"
 	"testing"
 )
+
+var (
+	selfOnce sync.Once
+	selfMod  *Module
+	selfErr  error
+)
+
+// loadSelf type-checks this module once per test binary; the tests
+// that need the whole module share the one load.
+func loadSelf(t *testing.T) *Module {
+	t.Helper()
+	if testing.Short() {
+		t.Skip("whole-module typecheck is slow; run without -short")
+	}
+	selfOnce.Do(func() { selfMod, selfErr = LoadRepo(".") })
+	if selfErr != nil {
+		t.Fatalf("LoadRepo: %v", selfErr)
+	}
+	return selfMod
+}
+
+// TestLoadRepoFindsModule checks LoadRepo resolves the module root and
+// path from go.mod starting inside a subdirectory.
+func TestLoadRepoFindsModule(t *testing.T) {
+	m := loadSelf(t)
+	if m.Path != "transn" {
+		t.Errorf("module path = %q, want %q", m.Path, "transn")
+	}
+	if m.Lookup("transn/internal/lint") == nil {
+		t.Errorf("module did not load its own package transn/internal/lint")
+	}
+}
 
 // TestSelfCheck runs the full analyzer suite over this repository with
 // the production options — the same check CI's transnlint job and the
@@ -11,22 +44,9 @@ import (
 // the analyzers encode (determinism, schema-registry consistency, doc
 // coverage, goroutine lifecycle, lock ordering and typed atomics)
 // holds at HEAD, and every suppression in the tree is still earning its
-// keep. The one whole-module load also checks that LoadRepo finds the
-// module root and path from go.mod when started in a subdirectory.
+// keep.
 func TestSelfCheck(t *testing.T) {
-	if testing.Short() {
-		t.Skip("whole-module typecheck is slow; run without -short")
-	}
-	m, err := LoadRepo(".")
-	if err != nil {
-		t.Fatalf("LoadRepo: %v", err)
-	}
-	if m.Path != "transn" {
-		t.Errorf("module path = %q, want %q", m.Path, "transn")
-	}
-	if m.Lookup("transn/internal/lint") == nil {
-		t.Errorf("module did not load its own package transn/internal/lint")
-	}
+	m := loadSelf(t)
 	doc := Run(m, Defaults(), Analyzers(), "selfcheck")
 	for _, f := range doc.Findings {
 		t.Errorf("%s", f)
