@@ -12,16 +12,20 @@
 //
 //	transnload -target http://127.0.0.1:8080 -graph network.tsv \
 //	    [-rate 200] [-duration 10s] [-warmup 2s] \
-//	    [-mix embedding=4,translate=3,knn=2,infer=1 | -profile knn-heavy] \
-//	    [-seed 1] \
-//	    [-reloads 0] [-timeout 10s] [-report bench.json] [-gate slo.json] \
-//	    [-slow 10]
+//	    [-mix embedding=4,translate=3,knn=2,infer=1] [-seed 1] \
+//	    [-reloads 0] [-report bench.json] [-gate slo.json] [-name load]
 //
-// Every request carries a deterministic X-Transn-Request-Id; after the
-// run the harness fetches the server's /debug/requests and /debug/slow
-// trace rings and joins them against its own slowest -slow observations,
-// so the report's tail section attributes p99 latency to server-side
-// stages (decode, row-table lookup, forward pass, ...).
+// CI's knn p99 gate runs the knn-heavy mix
+// -mix knn=8,embedding=1,translate=1: the ANN-backed /v1/knn path with
+// a light embedding/translate background that keeps the translate row
+// table warm.
+//
+// Every request carries a deterministic X-Transn-Request-Id and has a
+// 10s client timeout; after the run the harness fetches the server's
+// /debug/requests and /debug/slow trace rings and joins them against
+// its own 10 slowest observations, so the report's tail section
+// attributes p99 latency to server-side stages (decode, row-table
+// lookup, forward pass, ...).
 //
 // Exit status: 0 on a clean run (and a passing gate), 1 on harness
 // errors, 2 on gate violations.
@@ -31,27 +35,11 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 	"time"
 
 	"transn/internal/graph"
 	"transn/internal/load"
-	"transn/internal/ordered"
 )
-
-// profiles are the named workload shapes -profile accepts, as -mix
-// weight strings. knn-heavy exercises the ANN-backed /v1/knn path (with
-// a light embedding/translate background so the translate row table
-// stays warm) — CI's knn p99 SLO gate runs under it.
-var profiles = map[string]string{
-	"knn-heavy": "knn=8,embedding=1,translate=1",
-	"read-only": "embedding=3,translate=2,knn=2",
-}
-
-// profileNames lists the -profile vocabulary for usage and errors.
-func profileNames() string {
-	return strings.Join(ordered.Keys(profiles), ", ")
-}
 
 func main() {
 	code, err := run(os.Args[1:])
@@ -69,34 +57,17 @@ func run(args []string) (int, error) {
 	duration := fs.Duration("duration", 10*time.Second, "measured window length")
 	warmup := fs.Duration("warmup", 2*time.Second, "initial window excluded from the report")
 	mixFlag := fs.String("mix", "", "endpoint weights, e.g. embedding=4,translate=3,knn=2,infer=1 (default that mix)")
-	profile := fs.String("profile", "", "named workload profile instead of -mix: "+profileNames())
 	seed := fs.Int64("seed", 1, "workload seed; a fixed seed replays the identical request stream")
 	reloads := fs.Int("reloads", 0, "POST /admin/reload this many times, evenly spaced across the measured window")
-	timeout := fs.Duration("timeout", 10*time.Second, "per-request client timeout")
 	reportOut := fs.String("report", "", "write the transn.bench.serve/v1 report JSON to this path (- or empty: stdout)")
 	gatePath := fs.String("gate", "", "SLO budget JSON; violations print to stderr and exit 2")
 	name := fs.String("name", "load", "run name recorded in the report")
-	slowN := fs.Int("slow", 10, "join the N slowest requests against server-side traces in the report's tail section (negative disables)")
 	fs.Parse(args)
 	if *target == "" || *graphPath == "" {
 		return 1, fmt.Errorf("-target and -graph are required")
 	}
 
-	if *mixFlag != "" && *profile != "" {
-		return 1, fmt.Errorf("-mix and -profile are mutually exclusive")
-	}
 	mix := load.DefaultMix()
-	if *profile != "" {
-		weights, ok := profiles[*profile]
-		if !ok {
-			return 1, fmt.Errorf("unknown profile %q (want one of: %s)", *profile, profileNames())
-		}
-		m, err := load.ParseMix(weights)
-		if err != nil {
-			return 1, err
-		}
-		mix = m
-	}
 	if *mixFlag != "" {
 		m, err := load.ParseMix(*mixFlag)
 		if err != nil {
@@ -140,9 +111,7 @@ func run(args []string) (int, error) {
 		Mix:      mix,
 		Seed:     *seed,
 		Reloads:  *reloads,
-		Timeout:  *timeout,
 		Name:     *name,
-		SlowN:    *slowN,
 	}, inv)
 	if err != nil {
 		return 1, err

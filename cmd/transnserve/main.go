@@ -23,7 +23,7 @@
 // tracing entirely (the disabled path allocates nothing).
 //
 // A metrics flight recorder samples the registry into two
-// fixed-capacity rings (default 1s×300 and 10s×360) served at
+// fixed-capacity rings (1s×300 by default, and 10s×360) served at
 // /debug/history as transn.history/v1 dumps (`transn watch` renders
 // them live). -watchdog-rules loads declarative SLO burn-rate rules
 // evaluated over those windows; a tripped rule WARNs, flips the
@@ -34,13 +34,10 @@
 // Usage:
 //
 //	transnserve -graph network.tsv -model model.snap [-addr :8080] \
-//	    [-trace-head 64] [-trace-rate 64] [-trace-ring 256] \
-//	    [-slow-ring 64] [-slow-threshold 250ms] [-log] \
-//	    [-history-fine 1s] [-history-fine-ring 300] \
-//	    [-history-coarse 10s] [-history-coarse-ring 360] \
+//	    [-trace-rate 64] [-trace-ring 256] [-slow-threshold 250ms] \
+//	    [-log] [-history-fine 1s] \
 //	    [-watchdog-rules rules.json] [-watchdog-interval 1s] \
-//	    [-anomaly-dir dir] [-anomaly-keep 8] [-anomaly-cooldown 30s] \
-//	    [-runtime-poll 5s]
+//	    [-anomaly-dir dir]
 package main
 
 import (
@@ -63,79 +60,59 @@ func main() {
 	}
 }
 
-func run(args []string) error {
+// options holds the parsed transnserve flags: the serve.Config fields a
+// flag sets directly, plus the ones run turns into config values.
+type options struct {
+	serve.Config
+	addr       string
+	logJSON    bool
+	watchRules string
+}
+
+// newFlagSet registers every transnserve flag, bound to o's fields.
+func newFlagSet(o *options) *flag.FlagSet {
 	fs := flag.NewFlagSet("transnserve", flag.ExitOnError)
-	graphPath := fs.String("graph", "", "network TSV the model was trained on (required)")
-	modelPath := fs.String("model", "", "trained model (transn.snap/v1) from `transn train -model` (required)")
-	addr := fs.String("addr", ":8080", "listen address (host:port; :0 picks a free port)")
-	timeout := fs.Duration("timeout", 0, "per-request deadline for /v1 endpoints (0 = default 10s)")
-	drain := fs.Duration("drain", 0, "max wait for in-flight requests on shutdown (0 = default 10s)")
-	maxK := fs.Int("maxk", 0, "cap on the k parameter of /v1/knn (0 = default 100)")
-	traceHead := fs.Int("trace-head", 0, "always sample the first N requests (0 = default 64, negative disables head sampling)")
-	traceRate := fs.Int("trace-rate", 0, "sample every Nth request after the head (0 = default 64, 1 = all, negative disables tracing entirely)")
-	traceRing := fs.Int("trace-ring", 0, "sampled-trace ring capacity served at /debug/requests (0 = default 256)")
-	slowRing := fs.Int("slow-ring", 0, "slow-trace ring capacity served at /debug/slow (0 = default 64)")
-	slowThreshold := fs.Duration("slow-threshold", 0, "requests at or above this duration are always kept and logged as slow (0 = default 250ms, negative disables)")
-	logJSON := fs.Bool("log", false, "emit structured JSON access/slow log lines on stderr")
-	historyFine := fs.Duration("history-fine", 0, "fine history sampling interval (0 = default 1s, negative disables the recorder)")
-	historyFineRing := fs.Int("history-fine-ring", 0, "fine history ring capacity (0 = default 300)")
-	historyCoarse := fs.Duration("history-coarse", 0, "coarse history sampling interval (0 = default 10s)")
-	historyCoarseRing := fs.Int("history-coarse-ring", 0, "coarse history ring capacity (0 = default 360)")
-	watchRules := fs.String("watchdog-rules", "", "SLO burn-rate rules JSON file; tripped rules WARN and flip the /readyz degraded detail")
-	watchInterval := fs.Duration("watchdog-interval", 0, "watchdog evaluation period (0 = default 1s)")
-	anomalyDir := fs.String("anomaly-dir", "", "directory for anomaly bundles captured when a watchdog rule trips (empty disables capture)")
-	anomalyKeep := fs.Int("anomaly-keep", 0, "max anomaly bundles retained, oldest deleted first (0 = default 8)")
-	anomalyCooldown := fs.Duration("anomaly-cooldown", 0, "min spacing between anomaly captures (0 = default 30s)")
-	runtimePoll := fs.Duration("runtime-poll", 0, "runtime health gauge polling interval (0 = default 5s, negative disables)")
-	fs.Parse(args)
-	if *graphPath == "" || *modelPath == "" {
+	fs.StringVar(&o.GraphPath, "graph", "", "network TSV the model was trained on (required)")
+	fs.StringVar(&o.ModelPath, "model", "", "trained model (transn.snap/v1) from `transn train -model` (required)")
+	fs.StringVar(&o.addr, "addr", ":8080", "listen address (host:port; :0 picks a free port)")
+	fs.IntVar(&o.TraceSampleRate, "trace-rate", 0, "sample every Nth request after the first 64 (0 = default 64, 1 = all, negative disables tracing entirely)")
+	fs.IntVar(&o.TraceRingSize, "trace-ring", 0, "sampled-trace ring capacity served at /debug/requests (0 = default 256)")
+	fs.DurationVar(&o.TraceSlowThreshold, "slow-threshold", 0, "requests at or above this duration are always kept and logged as slow (0 = default 250ms, negative disables)")
+	fs.BoolVar(&o.logJSON, "log", false, "emit structured JSON access/slow log lines on stderr")
+	fs.DurationVar(&o.HistoryFineInterval, "history-fine", 0, "fine history sampling interval (0 = default 1s, negative disables the recorder)")
+	fs.StringVar(&o.watchRules, "watchdog-rules", "", "SLO burn-rate rules JSON file; tripped rules WARN and flip the /readyz degraded detail")
+	fs.DurationVar(&o.WatchInterval, "watchdog-interval", 0, "watchdog evaluation period (0 = default 1s)")
+	fs.StringVar(&o.AnomalyDir, "anomaly-dir", "", "directory for anomaly bundles captured when a watchdog rule trips (empty disables capture)")
+	return fs
+}
+
+func run(args []string) error {
+	var o options
+	newFlagSet(&o).Parse(args)
+	if o.GraphPath == "" || o.ModelPath == "" {
 		return fmt.Errorf("-graph and -model are required")
 	}
-
-	var logger *slog.Logger
-	if *logJSON {
-		logger = slog.New(slog.NewJSONHandler(os.Stderr, nil))
+	cfg := o.Config
+	cfg.TraceDisabled = o.TraceSampleRate < 0
+	cfg.HistoryDisabled = o.HistoryFineInterval < 0
+	if o.logJSON {
+		cfg.Logger = slog.New(slog.NewJSONHandler(os.Stderr, nil))
 	}
-	var rules *obs.WatchConfig
-	if *watchRules != "" {
-		data, err := os.ReadFile(*watchRules)
+	if o.watchRules != "" {
+		data, err := os.ReadFile(o.watchRules)
 		if err != nil {
 			return fmt.Errorf("reading -watchdog-rules: %w", err)
 		}
-		rules, err = obs.ParseWatchRules(data)
+		cfg.WatchRules, err = obs.ParseWatchRules(data)
 		if err != nil {
 			return err
 		}
 	}
-	sv, err := serve.New(serve.Config{
-		GraphPath:             *graphPath,
-		ModelPath:             *modelPath,
-		RequestTimeout:        *timeout,
-		DrainTimeout:          *drain,
-		MaxK:                  *maxK,
-		TraceDisabled:         *traceRate < 0,
-		TraceSampleHead:       *traceHead,
-		TraceSampleRate:       *traceRate,
-		TraceRingSize:         *traceRing,
-		TraceSlowRingSize:     *slowRing,
-		TraceSlowThreshold:    *slowThreshold,
-		Logger:                logger,
-		RuntimePollInterval:   *runtimePoll,
-		HistoryDisabled:       *historyFine < 0,
-		HistoryFineInterval:   *historyFine,
-		HistoryFineRing:       *historyFineRing,
-		HistoryCoarseInterval: *historyCoarse,
-		HistoryCoarseRing:     *historyCoarseRing,
-		WatchRules:            rules,
-		WatchInterval:         *watchInterval,
-		AnomalyDir:            *anomalyDir,
-		AnomalyKeep:           *anomalyKeep,
-		AnomalyCooldown:       *anomalyCooldown,
-	})
+	sv, err := serve.New(cfg)
 	if err != nil {
 		return err
 	}
-	bound, err := sv.Start(*addr)
+	bound, err := sv.Start(o.addr)
 	if err != nil {
 		return err
 	}

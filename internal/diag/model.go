@@ -299,10 +299,10 @@ func meanSqDiff(a, b *mat.Dense) float64 {
 }
 
 // layerNormRows rescales each row of x in place to zero mean and unit
-// variance — the same normalization training applies to translation
-// targets (transn's normalizeRows is unexported), so diagnostic
-// residuals are measured in the space the Eq. 11–14 objectives
-// optimized.
+// variance with the arithmetic of autodiff's LayerNormRows, which
+// training applies to translation targets, so diagnostic residuals are
+// measured in the space the Eq. 11–14 objectives optimized. It is the
+// one copy outside the tape: diagnostics run without recording a graph.
 func layerNormRows(x *mat.Dense) *mat.Dense {
 	const eps = 1e-5
 	for i := 0; i < x.R; i++ {

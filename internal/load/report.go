@@ -124,10 +124,10 @@ type Report struct {
 	Server *ServerStats `json:"server,omitempty"`
 
 	// Tail is the slowest-N client observations joined against the
-	// server's trace rings, with per-stage attribution. Nil when the
-	// tail was disabled (SlowN < 0) or nothing was measured; present
-	// with Joined == 0 when the server kept no traces (tracing
-	// disabled or the run's IDs aged out of the rings).
+	// server's trace rings, with per-stage attribution. Nil when
+	// nothing was measured; present with Joined == 0 when the server
+	// kept no traces (tracing disabled or the run's IDs aged out of the
+	// rings).
 	Tail *TailStats `json:"tail,omitempty"`
 
 	// History is the server's /debug/history flight-recorder dump

@@ -34,29 +34,25 @@ type Profile struct {
 	// spaced across the measured window, to exercise hot reload under
 	// live traffic. Zero disables.
 	Reloads int
-	// Timeout is the per-request client timeout; zero means 10s.
-	Timeout time.Duration
 	// Name labels the report; empty means "load".
 	Name string
-	// SlowN is how many of the slowest measured requests to join
-	// against the server's trace rings for the report's tail section.
-	// 0 means the default (10); negative disables the tail section.
-	SlowN int
 }
+
+const (
+	// requestTimeout is the per-request client timeout.
+	requestTimeout = 10 * time.Second
+	// tailN is how many of the slowest measured requests the report's
+	// tail section joins against the server's trace rings.
+	tailN = 10
+)
 
 // withDefaults fills zero-value fields with their documented defaults.
 func (p Profile) withDefaults() Profile {
 	if p.Mix == nil {
 		p.Mix = DefaultMix()
 	}
-	if p.Timeout <= 0 {
-		p.Timeout = 10 * time.Second
-	}
 	if p.Name == "" {
 		p.Name = "load"
-	}
-	if p.SlowN == 0 {
-		p.SlowN = 10
 	}
 	return p
 }
@@ -175,14 +171,14 @@ func Run(p Profile, inv *Inventory) (*Report, error) {
 		aggs[ep] = &epAgg{hist: h, local: h.Local()}
 	}
 
-	client := &http.Client{Timeout: p.Timeout}
+	client := &http.Client{Timeout: requestTimeout}
 	before, _ := scrapeMetrics(client, target) // nil on failure: optional
 
 	// The collector goroutine single-threads all accounting, so the
 	// shard-local histograms and max/sum tracking need no locks.
 	results := make(chan result, 256)
 	collectDone := make(chan collectOut, 1)
-	go collect(results, aggs, window, p.SlowN, collectDone)
+	go collect(results, aggs, window, collectDone)
 
 	reloadDone := make(chan reloadOut, 1)
 	start := time.Now()
@@ -274,7 +270,7 @@ func Run(p Profile, inv *Inventory) (*Report, error) {
 	if before != nil && after != nil {
 		rep.Server = serverDelta(before, after)
 	}
-	rep.Tail = buildTail(p.SlowN, out.slowest, fetchServerTraces(client, target))
+	rep.Tail = buildTail(tailN, out.slowest, fetchServerTraces(client, target))
 	rep.History = fetchHistoryDump(client, target)
 	return rep, nil
 }
@@ -284,7 +280,7 @@ type collectOut struct {
 	sent, ok, errors  int64
 	completedInWindow int64
 	byCode            map[string]int64
-	slowest           []result // the SlowN slowest measured requests, slowest first
+	slowest           []result // the tailN slowest measured requests, slowest first
 }
 
 // collect drains the results channel, folding measured-window requests
@@ -294,9 +290,9 @@ type collectOut struct {
 // *response* also arrived before the window closed: on a saturated
 // server responses pile up past the end of the window, which is exactly
 // how achieved rate falls below offered rate.
-func collect(results <-chan result, aggs map[Endpoint]*epAgg, window time.Duration, slowN int, done chan<- collectOut) {
+func collect(results <-chan result, aggs map[Endpoint]*epAgg, window time.Duration, done chan<- collectOut) {
 	out := collectOut{byCode: map[string]int64{}}
-	slow := &slowTracker{n: slowN}
+	slow := &slowTracker{n: tailN}
 	for r := range results {
 		if !r.measured {
 			continue

@@ -51,7 +51,7 @@ type TailRequest struct {
 // slow trace rings, with per-stage totals so "p99 is forward-bound" is
 // a measured sentence rather than a guess.
 type TailStats struct {
-	// SlowestN is how many tail requests were requested (Profile.SlowN);
+	// SlowestN is how many tail requests were requested (always 10);
 	// Requests may be shorter when fewer measured requests completed.
 	SlowestN int `json:"slowest_n"`
 	// Joined counts Requests rows with a server-side trace.
@@ -139,9 +139,9 @@ func fetchHistoryDump(client *http.Client, base string) *obs.HistoryDump {
 
 // buildTail joins the collector's slowest-N client observations against
 // the server traces. slowest must be sorted slowest-first. Returns nil
-// when the tail was disabled or nothing was measured.
+// when nothing was measured.
 func buildTail(slowN int, slowest []result, traces map[string]obs.TraceRecord) *TailStats {
-	if slowN <= 0 || len(slowest) == 0 {
+	if len(slowest) == 0 {
 		return nil
 	}
 	tail := &TailStats{SlowestN: slowN}
@@ -191,9 +191,6 @@ type slowTracker struct {
 
 // add offers one measured result to the tracker.
 func (st *slowTracker) add(r result) {
-	if st.n <= 0 {
-		return
-	}
 	if len(st.reqs) < st.n || r.latency > st.reqs[len(st.reqs)-1].latency {
 		st.reqs = append(st.reqs, r)
 		sort.SliceStable(st.reqs, func(i, j int) bool {

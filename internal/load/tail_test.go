@@ -22,12 +22,6 @@ func TestSlowTrackerKeepsNSlowest(t *testing.T) {
 			t.Fatalf("slowest[%d] = %v, want %dms", i, st.reqs[i].latency, wantMS)
 		}
 	}
-	// Disabled tracker stores nothing.
-	off := &slowTracker{n: -1}
-	off.add(result{latency: time.Second})
-	if len(off.reqs) != 0 {
-		t.Fatal("disabled tracker stored a result")
-	}
 }
 
 func TestBuildTailJoinsAndAttributes(t *testing.T) {
@@ -66,9 +60,9 @@ func TestBuildTailJoinsAndAttributes(t *testing.T) {
 	if got := tail.StageTotals[string(obs.TraceStageForward)]; got < 0.023 || got > 0.025 {
 		t.Fatalf("forward total = %v", got)
 	}
-	// Disabled or empty inputs yield no section.
-	if buildTail(-1, slowest, traces) != nil || buildTail(5, nil, traces) != nil {
-		t.Fatal("disabled/empty tail should be nil")
+	// An empty run yields no section.
+	if buildTail(5, nil, traces) != nil {
+		t.Fatal("empty tail should be nil")
 	}
 }
 

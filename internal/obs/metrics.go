@@ -122,8 +122,8 @@ const (
 	SpanServeReload = "serve.reload"
 	// SpanServeSelfcheck covers one /admin/selfcheck diagnostics run.
 	// Per-request timing deliberately goes to the serve.latency_seconds
-	// histogram instead of spans: the span log is append-only and sized
-	// for bounded training runs, not an unbounded request stream.
+	// histogram instead of spans: a span name keeps only count, total,
+	// min and max, while the histogram keeps the latency distribution.
 	SpanServeSelfcheck = "serve.selfcheck"
 	// SpanLoadWarmup / SpanLoadMeasure cover the load harness's warmup
 	// and measured windows; SpanLoadReload covers one mid-run

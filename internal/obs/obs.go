@@ -1,8 +1,9 @@
 // Package obs is the training telemetry layer: a metrics registry
-// (counters, gauges, fixed-bucket histograms), a span tracer that times
-// every stage of Algorithm 1 with worker attribution, a typed event
-// stream (TrainEvent) for loss curves, and sinks — a schema-stable JSON
-// run report and an optional pprof/metrics HTTP endpoint.
+// (counters, gauges, fixed-bucket histograms), a span tracer that sums
+// the time of every stage of Algorithm 1 by stage name, per-worker
+// busy/idle accounting for the worker pool, a typed event stream
+// (TrainEvent) for loss curves, and sinks — a schema-stable JSON run
+// report and an optional pprof/metrics HTTP endpoint.
 //
 // The package is stdlib-only and race-safe. The design keeps telemetry
 // off the training hot path: shard loops accumulate into plain local

@@ -15,8 +15,8 @@ func sampleRun() *Run {
 	r.Reg.Counter("walk.paths").Add(50)
 	r.Reg.Gauge("loss.single").Set(0.7)
 	r.Reg.Histogram("cross.segment_loss", []float64{0.5, 1, 2, 4}).Observe(0.9)
-	r.Trace.Start("skipgram").View(0).Epoch(0).End()
-	r.Trace.Start("walk").View(0).Epoch(0).End()
+	r.Trace.Start("skipgram").End()
+	r.Trace.Start("walk").End()
 	r.RecordPool(2*time.Millisecond, []WorkerSample{
 		{Worker: 0, Busy: time.Millisecond, Shards: 3},
 		{Worker: 1, Busy: 2 * time.Millisecond, Shards: 2},

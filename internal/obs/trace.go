@@ -8,103 +8,58 @@ import (
 	"transn/internal/ordered"
 )
 
-// Span is one completed timed region: a stage of Algorithm 1 (a walk
-// corpus, a skip-gram pass, a cross-view pair step, an iteration) or a
-// benchmark experiment. View/Pair/Epoch/Worker are -1 when not
-// applicable.
-type Span struct {
-	Name     string        `json:"name"`
-	View     int           `json:"view"`
-	Pair     int           `json:"pair"`
-	Epoch    int           `json:"epoch"`
-	Worker   int           `json:"worker"`
-	Start    time.Time     `json:"start"`
-	Duration time.Duration `json:"duration"`
-}
-
-// Tracer records spans. Starting a span allocates nothing shared;
-// finishing one appends under a mutex — spans end at stage boundaries,
+// Tracer times named regions: the stages of Algorithm 1 (a walk corpus,
+// a skip-gram pass, a cross-view pair step, an iteration), a benchmark
+// experiment, or a server reload. It keeps one StageSummary per name,
+// updated when a span ends, so its memory is bounded by the number of
+// names however long the process runs. Spans end at stage boundaries,
 // never inside shard loops, so the lock is uncontended in practice.
 type Tracer struct {
-	mu    sync.Mutex
-	spans []Span
+	mu     sync.Mutex
+	stages map[string]*StageSummary
 }
 
 // NewTracer returns an empty tracer.
-func NewTracer() *Tracer { return &Tracer{} }
+func NewTracer() *Tracer { return &Tracer{stages: map[string]*StageSummary{}} }
 
-// ActiveSpan is an in-progress span. Attribute setters chain and, like
-// End, are nil-safe so instrumentation reads naturally with a nil
-// tracer: tr.Start("walk").View(vi).Epoch(it) ... sp.End().
+// ActiveSpan is an in-progress span. End is nil-safe, so
+// instrumentation reads naturally with a nil tracer:
+// sp := tr.Start("walk") ... sp.End().
 type ActiveSpan struct {
-	t *Tracer
-	s Span
+	t     *Tracer
+	name  string
+	start time.Time
 }
 
-// Start begins a span. On a nil tracer it returns nil, and every method
-// of a nil *ActiveSpan no-ops.
+// Start begins a span. On a nil tracer it returns nil, and End on a nil
+// *ActiveSpan no-ops.
 func (t *Tracer) Start(name string) *ActiveSpan {
 	if t == nil {
 		return nil
 	}
-	return &ActiveSpan{t: t, s: Span{
-		Name: name, View: -1, Pair: -1, Epoch: -1, Worker: -1, Start: time.Now(),
-	}}
+	return &ActiveSpan{t: t, name: name, start: time.Now()}
 }
 
-// View attributes the span to a view index.
-func (a *ActiveSpan) View(v int) *ActiveSpan {
-	if a != nil {
-		a.s.View = v
-	}
-	return a
-}
-
-// Pair attributes the span to a view-pair index.
-func (a *ActiveSpan) Pair(p int) *ActiveSpan {
-	if a != nil {
-		a.s.Pair = p
-	}
-	return a
-}
-
-// Epoch attributes the span to an Algorithm 1 iteration.
-func (a *ActiveSpan) Epoch(e int) *ActiveSpan {
-	if a != nil {
-		a.s.Epoch = e
-	}
-	return a
-}
-
-// Worker attributes the span to a worker index.
-func (a *ActiveSpan) Worker(w int) *ActiveSpan {
-	if a != nil {
-		a.s.Worker = w
-	}
-	return a
-}
-
-// End finishes the span, records it, and returns its duration. A nil
-// span returns 0.
+// End finishes the span, folds it into its name's summary, and returns
+// its duration. A nil span returns 0.
 func (a *ActiveSpan) End() time.Duration {
 	if a == nil {
 		return 0
 	}
-	a.s.Duration = time.Since(a.s.Start)
+	d := time.Since(a.start)
+	sec := d.Seconds()
 	a.t.mu.Lock()
-	a.t.spans = append(a.t.spans, a.s)
-	a.t.mu.Unlock()
-	return a.s.Duration
-}
-
-// Spans returns a copy of every recorded span in completion order.
-func (t *Tracer) Spans() []Span {
-	if t == nil {
-		return nil
+	sum := a.t.stages[a.name]
+	if sum == nil {
+		sum = &StageSummary{Name: a.name, MinSeconds: sec}
+		a.t.stages[a.name] = sum
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return append([]Span(nil), t.spans...)
+	sum.Count++
+	sum.TotalSeconds += sec
+	sum.MinSeconds = min(sum.MinSeconds, sec)
+	sum.MaxSeconds = max(sum.MaxSeconds, sec)
+	a.t.mu.Unlock()
+	return d
 }
 
 // StageSummary aggregates all spans sharing a name.
@@ -116,35 +71,18 @@ type StageSummary struct {
 	MaxSeconds   float64 `json:"max_seconds"`
 }
 
-// Stages aggregates spans by name, sorted by total time descending
-// (ties broken by name) — the profile view of where a run's wall time
-// went.
+// Stages returns the per-name summaries, sorted by total time
+// descending (ties broken by name) — the profile view of where a run's
+// wall time went.
 func (t *Tracer) Stages() []StageSummary {
 	if t == nil {
 		return nil
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	byName := map[string]*StageSummary{}
-	for _, s := range t.spans {
-		sum := byName[s.Name]
-		if sum == nil {
-			sum = &StageSummary{Name: s.Name, MinSeconds: s.Duration.Seconds()}
-			byName[s.Name] = sum
-		}
-		d := s.Duration.Seconds()
-		sum.Count++
-		sum.TotalSeconds += d
-		if d < sum.MinSeconds {
-			sum.MinSeconds = d
-		}
-		if d > sum.MaxSeconds {
-			sum.MaxSeconds = d
-		}
-	}
-	out := make([]StageSummary, 0, len(byName))
-	for _, name := range ordered.Keys(byName) {
-		out = append(out, *byName[name])
+	out := make([]StageSummary, 0, len(t.stages))
+	for _, name := range ordered.Keys(t.stages) {
+		out = append(out, *t.stages[name])
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].TotalSeconds != out[j].TotalSeconds {

@@ -145,12 +145,12 @@ type snapHandler func(s *snapshot, r *http.Request) (any, error)
 
 // routes mounts every endpoint on the server mux.
 func (sv *Server) routes() {
-	sv.mux.Handle("/v1/embedding", sv.endpoint("embedding", http.MethodGet, sv.cfg.RequestTimeout, sv.handleEmbedding))
-	sv.mux.Handle("/v1/translate", sv.endpoint("translate", http.MethodGet, sv.cfg.RequestTimeout, sv.handleTranslate))
-	sv.mux.Handle("/v1/knn", sv.endpoint("knn", http.MethodGet, sv.cfg.RequestTimeout, sv.handleKNN))
-	sv.mux.Handle("/v1/infer", sv.endpoint("infer", http.MethodPost, sv.cfg.RequestTimeout, sv.handleInfer))
-	sv.mux.Handle("/v1/model", sv.endpoint("model", http.MethodGet, sv.cfg.RequestTimeout, sv.handleModel))
-	sv.mux.Handle("/admin/selfcheck", sv.endpoint("selfcheck", http.MethodGet, sv.cfg.SelfcheckTimeout, sv.handleSelfcheck))
+	sv.mux.Handle("/v1/embedding", sv.endpoint("embedding", http.MethodGet, requestTimeout, sv.handleEmbedding))
+	sv.mux.Handle("/v1/translate", sv.endpoint("translate", http.MethodGet, requestTimeout, sv.handleTranslate))
+	sv.mux.Handle("/v1/knn", sv.endpoint("knn", http.MethodGet, requestTimeout, sv.handleKNN))
+	sv.mux.Handle("/v1/infer", sv.endpoint("infer", http.MethodPost, requestTimeout, sv.handleInfer))
+	sv.mux.Handle("/v1/model", sv.endpoint("model", http.MethodGet, requestTimeout, sv.handleModel))
+	sv.mux.Handle("/admin/selfcheck", sv.endpoint("selfcheck", http.MethodGet, selfcheckTimeout, sv.handleSelfcheck))
 	sv.mux.HandleFunc("/admin/reload", sv.handleReload)
 	sv.mux.HandleFunc("/healthz", sv.handleHealthz)
 	sv.mux.HandleFunc("/readyz", sv.handleReadyz)
@@ -391,9 +391,9 @@ func (sv *Server) handleKNN(s *snapshot, r *http.Request) (any, error) {
 				"k must be a positive integer, got %q", ks)
 		}
 	}
-	if k > sv.cfg.MaxK {
+	if k > maxK {
 		return nil, errf(http.StatusBadRequest, CodeBadRequest,
-			"k=%d exceeds the server cap of %d", k, sv.cfg.MaxK)
+			"k=%d exceeds the server cap of %d", k, maxK)
 	}
 	ef := 0
 	if efs := q.Get("ef"); efs != "" {

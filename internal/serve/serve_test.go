@@ -230,6 +230,8 @@ func TestErrorEnvelopes(t *testing.T) {
 			"transn: translate: node 3 is not in view 2"},
 		{"bad k", http.MethodGet, "/v1/knn?node=A1&k=zero", 400, CodeBadRequest, ""},
 		{"k over cap", http.MethodGet, "/v1/knn?node=A1&k=1000000", 400, CodeBadRequest, ""},
+		{"k one over cap", http.MethodGet, "/v1/knn?node=A1&k=101", 400, CodeBadRequest,
+			"k=101 exceeds the server cap of 100"},
 		{"wrong method", http.MethodPost, "/v1/embedding?node=A1", 405, CodeMethodNotAllowed, ""},
 		{"reload wrong method", http.MethodGet, "/admin/reload", 405, CodeMethodNotAllowed, ""},
 		{"unknown route", http.MethodGet, "/bogus", 404, CodeNotFound, ""},
@@ -265,6 +267,12 @@ func TestErrorEnvelopes(t *testing.T) {
 				t.Fatalf("response header %s = %q, want %q", HeaderRequestID, got, "env-"+tc.code)
 			}
 		})
+	}
+	// k at the cap is served.
+	rec := httptest.NewRecorder()
+	sv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/knn?node=A1&k=100", nil))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("k=100: status = %d, want 200 (body %s)", rec.Code, rec.Body)
 	}
 }
 

@@ -30,33 +30,19 @@ type Config struct {
 	// "" or FormatSnap and rejects anything else.
 	SnapshotFormat string
 
-	// RequestTimeout is the per-request deadline for the /v1 endpoints.
-	// 0 means the default (10s).
-	RequestTimeout time.Duration
-	// SelfcheckTimeout is the deadline for /admin/selfcheck, which runs
-	// full model diagnostics. 0 means the default (1m).
-	SelfcheckTimeout time.Duration
-	// DrainTimeout bounds how long Shutdown waits for in-flight
-	// requests to finish. 0 means the default (10s).
-	DrainTimeout time.Duration
-	// MaxK caps the k parameter of /v1/knn. 0 means the default (100).
-	MaxK int
-
 	// TraceDisabled turns off request-scoped tracing entirely: no
 	// request IDs are minted, /debug/requests and /debug/slow answer
 	// 404, and the per-request instrumentation reduces to nil checks
 	// with zero allocations (pinned by a benchmark). Client-supplied
 	// X-Transn-Request-Id headers are still echoed in error envelopes.
 	TraceDisabled bool
-	// TraceSampleHead / TraceSampleRate / TraceRingSize /
-	// TraceSlowRingSize / TraceSlowThreshold configure the trace
-	// sampler and rings; zero values take the obs.TraceConfig defaults
-	// (head 64, rate 1/64, ring 256, slow ring 64, threshold 250ms) and
-	// negative values disable that dimension.
-	TraceSampleHead    int
+	// TraceSampleRate / TraceRingSize / TraceSlowThreshold configure
+	// the trace sampler and rings; zero values take the obs.TraceConfig
+	// defaults (rate 1/64, ring 256, threshold 250ms) and negative
+	// values disable that dimension. The head (first 64 requests) and
+	// the slow ring (64 traces) always take their defaults.
 	TraceSampleRate    int
 	TraceRingSize      int
-	TraceSlowRingSize  int
 	TraceSlowThreshold time.Duration
 	// Logger, when non-nil, receives the structured JSON access log
 	// (one LogLevelAccess line per API request) and the slow-request
@@ -72,13 +58,11 @@ type Config struct {
 	// runs, /debug/history answers 404, and watchdog rules are rejected
 	// (they need windows to judge).
 	HistoryDisabled bool
-	// HistoryFineInterval / HistoryFineRing and HistoryCoarseInterval /
-	// HistoryCoarseRing size the recorder's two rings; zero values take
-	// the obs.HistoryConfig defaults (1s×300 and 10s×360).
-	HistoryFineInterval   time.Duration
-	HistoryFineRing       int
-	HistoryCoarseInterval time.Duration
-	HistoryCoarseRing     int
+	// HistoryFineInterval is the fine ring's sampling period; 0 takes
+	// the obs.HistoryConfig default (1s). The ring sizes and the coarse
+	// ring's period always take their defaults (300 fine samples, 10s×360
+	// coarse).
+	HistoryFineInterval time.Duration
 
 	// WatchRules, when non-nil, starts the SLO burn-rate watchdog over
 	// the recorder's windows (parse files with obs.ParseWatchRules). A
@@ -92,32 +76,28 @@ type Config struct {
 	// bounded-retention anomaly bundles (heap + goroutine profiles,
 	// history dump, slow-ring dump). Empty disables capture.
 	AnomalyDir string
-	// AnomalyKeep / AnomalyCooldown bound bundle retention and capture
-	// spacing; zero values take the obs.AnomalyConfig defaults (keep 8,
-	// 30s cooldown).
-	AnomalyKeep     int
+	// AnomalyCooldown is the minimum spacing between captures; 0 takes
+	// the obs.AnomalyConfig default (30s). Retention always keeps the
+	// newest 8 bundles.
 	AnomalyCooldown time.Duration
 }
 
-// withDefaults fills zero fields with production defaults.
-func (c Config) withDefaults() Config {
-	if c.RequestTimeout == 0 {
-		c.RequestTimeout = 10 * time.Second
-	}
-	if c.SelfcheckTimeout == 0 {
-		c.SelfcheckTimeout = time.Minute
-	}
-	if c.DrainTimeout == 0 {
-		c.DrainTimeout = 10 * time.Second
-	}
-	if c.MaxK == 0 {
-		c.MaxK = 100
-	}
-	if c.RuntimePollInterval == 0 {
-		c.RuntimePollInterval = 5 * time.Second
-	}
-	return c
-}
+// Fixed serving limits.
+const (
+	// requestTimeout is the per-request deadline for the /v1 endpoints.
+	requestTimeout = 10 * time.Second
+	// selfcheckTimeout is the deadline for /admin/selfcheck, which runs
+	// full model diagnostics.
+	selfcheckTimeout = time.Minute
+	// drainTimeout bounds how long Shutdown waits for in-flight
+	// requests to finish.
+	drainTimeout = 10 * time.Second
+	// maxK caps the k parameter of /v1/knn.
+	maxK = 100
+	// defaultRuntimePoll is the runtime gauge polling interval when
+	// Config.RuntimePollInterval is 0.
+	defaultRuntimePoll = 5 * time.Second
+)
 
 // Server is the embedding-serving HTTP service. It owns an atomically
 // swappable snapshot (see snapshot) and the telemetry run its metrics
@@ -158,7 +138,6 @@ type Server struct {
 // server. The returned server is not yet listening — call Start, or
 // mount Handler on a listener of your own.
 func New(cfg Config) (*Server, error) {
-	cfg = cfg.withDefaults()
 	if cfg.GraphPath == "" || cfg.ModelPath == "" {
 		return nil, fmt.Errorf("serve: GraphPath and ModelPath are required")
 	}
@@ -188,17 +167,18 @@ func New(cfg Config) (*Server, error) {
 	}
 	if !cfg.TraceDisabled {
 		sv.traces = obs.NewTraceLog(obs.TraceConfig{
-			SampleHead:    cfg.TraceSampleHead,
 			SampleRate:    cfg.TraceSampleRate,
 			RingSize:      cfg.TraceRingSize,
-			SlowRingSize:  cfg.TraceSlowRingSize,
 			SlowThreshold: cfg.TraceSlowThreshold,
 		})
 	}
-	if cfg.RuntimePollInterval > 0 {
-		sv.stopRuntime = run.PollRuntime(cfg.RuntimePollInterval)
-	} else {
-		sv.stopRuntime = func() {}
+	poll := cfg.RuntimePollInterval
+	if poll == 0 {
+		poll = defaultRuntimePoll
+	}
+	sv.stopRuntime = func() {}
+	if poll > 0 {
+		sv.stopRuntime = run.PollRuntime(poll)
 	}
 	snap, err := sv.loadSnapshot(1)
 	if err != nil {
@@ -216,17 +196,12 @@ func New(cfg Config) (*Server, error) {
 		// history is deliberately the last telemetry component built.
 		trips := run.Reg.Counter(obs.MetricWatchTrips)
 		degraded := run.Reg.Gauge(obs.MetricWatchDegraded)
-		sv.history = obs.NewHistory(run.Reg, obs.HistoryConfig{
-			FineInterval:   cfg.HistoryFineInterval,
-			FineCapacity:   cfg.HistoryFineRing,
-			CoarseInterval: cfg.HistoryCoarseInterval,
-			CoarseCapacity: cfg.HistoryCoarseRing,
-		})
+		sv.history = obs.NewHistory(run.Reg, obs.HistoryConfig{FineInterval: cfg.HistoryFineInterval})
 		sv.stopHistory = sv.history.Start()
 		if cfg.WatchRules != nil {
 			if cfg.AnomalyDir != "" {
 				ac, err := obs.NewAnomalyCapturer(obs.AnomalyConfig{
-					Dir: cfg.AnomalyDir, Keep: cfg.AnomalyKeep, Cooldown: cfg.AnomalyCooldown,
+					Dir: cfg.AnomalyDir, Cooldown: cfg.AnomalyCooldown,
 				})
 				if err != nil {
 					return nil, fmt.Errorf("serve: %w", err)
@@ -303,7 +278,7 @@ func (sv *Server) Reload() error {
 
 // Shutdown drains the server gracefully: readiness flips to 503 (so
 // load balancers stop routing here), in-flight requests get up to
-// DrainTimeout to finish, then the listener closes. The runtime health
+// drainTimeout to finish, then the listener closes. The runtime health
 // poller stops. Safe to call when Start was never called (it only
 // flips readiness) and safe to call more than once.
 func (sv *Server) Shutdown() error {
@@ -314,7 +289,7 @@ func (sv *Server) Shutdown() error {
 	if sv.httpSrv == nil {
 		return nil
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), sv.cfg.DrainTimeout)
+	ctx, cancel := context.WithTimeout(context.Background(), drainTimeout)
 	defer cancel()
 	return sv.httpSrv.Shutdown(ctx)
 }

@@ -1,9 +1,8 @@
 // Package skipgram implements the skip-gram objective (Equation 3) used
 // by the paper's single-view algorithm and by the walk-based baselines.
 // Context selection follows Definition 6: window 1 on homo-views and
-// window 2 on heter-views. Two estimators of the softmax are provided:
-// negative sampling (default, word2vec-style) and hierarchical softmax
-// (matching the log₂ μ term of Theorem 1).
+// window 2 on heter-views. The softmax is estimated by negative
+// sampling (word2vec-style, unigram^0.75 table).
 package skipgram
 
 import (

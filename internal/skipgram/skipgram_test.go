@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-	"testing/quick"
 
 	"transn/internal/mat"
 	"transn/internal/rngstream"
@@ -145,104 +144,6 @@ func TestTrainCorpusEmptyPaths(t *testing.T) {
 	}
 }
 
-func TestHuffmanCodesPrefixFree(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	freq := []float64{50, 20, 10, 5, 5, 3, 3, 2, 1, 1}
-	h := NewHSoftmax(freq, 4, rng)
-	// Prefix-freeness: no code is a prefix of another.
-	for i := range freq {
-		for j := range freq {
-			if i == j {
-				continue
-			}
-			if isPrefix(h.codes[i], h.codes[j]) {
-				t.Fatalf("code %d is a prefix of code %d", i, j)
-			}
-		}
-	}
-	// Optimality property: strictly more frequent symbols never have
-	// strictly longer codes (ties may break either way).
-	for i := 1; i < len(freq); i++ {
-		if freq[i-1] > freq[i] && h.CodeLen(i-1) > h.CodeLen(i) {
-			t.Fatalf("freq %g has code len %d but freq %g has %d",
-				freq[i-1], h.CodeLen(i-1), freq[i], h.CodeLen(i))
-		}
-	}
-}
-
-func isPrefix(a, b []bool) bool {
-	if len(a) > len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func TestHuffmanKraftEquality(t *testing.T) {
-	// A full binary Huffman tree satisfies Σ 2^(-len) = 1 exactly.
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 2 + rng.Intn(30)
-		freq := make([]float64, n)
-		for i := range freq {
-			freq[i] = rng.Float64() + 0.01
-		}
-		h := NewHSoftmax(freq, 2, rng)
-		var kraft float64
-		for i := range freq {
-			kraft += math.Pow(2, -float64(h.CodeLen(i)))
-		}
-		return math.Abs(kraft-1) < 1e-9
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestHSoftmaxSeparatesClusters(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	paths := twoClusterCorpus(rng, 60, 12)
-	m := NewModel(6, 16, rng)
-	h := NewHSoftmax(CorpusFrequencies(paths, 6), 16, rng)
-	for epoch := 0; epoch < 10; epoch++ {
-		lr := 0.05 * (1 - float64(epoch)/10)
-		h.TrainCorpus(m, paths, SymmetricOffsets(2), lr)
-	}
-	intra := mat.CosineSim(m.In.Row(0), m.In.Row(2))
-	inter := mat.CosineSim(m.In.Row(0), m.In.Row(5))
-	if intra <= inter {
-		t.Fatalf("hsoftmax intra %.4f should exceed inter %.4f", intra, inter)
-	}
-}
-
-func TestHSoftmaxLossDecreases(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	paths := twoClusterCorpus(rng, 40, 10)
-	m := NewModel(6, 8, rng)
-	h := NewHSoftmax(CorpusFrequencies(paths, 6), 8, rng)
-	first := h.TrainCorpus(m, paths, SymmetricOffsets(1), 0.05)
-	var last float64
-	for i := 0; i < 10; i++ {
-		last = h.TrainCorpus(m, paths, SymmetricOffsets(1), 0.05)
-	}
-	if last >= first {
-		t.Fatalf("hsoftmax loss did not decrease: %.4f → %.4f", first, last)
-	}
-}
-
-func TestNewHSoftmaxPanicsOnTiny(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	NewHSoftmax([]float64{1}, 2, rand.New(rand.NewSource(9)))
-}
-
 func TestModelDim(t *testing.T) {
 	m := NewModel(3, 7, rand.New(rand.NewSource(10)))
 	if m.Dim() != 7 {
@@ -284,27 +185,6 @@ func TestTrainCorpusSkipsSelfPairs(t *testing.T) {
 	loss := m.TrainCorpus([][]int{{0, 0, 0, 0}}, SymmetricOffsets(1), 2, 0.1, s, rng)
 	if loss != 0 {
 		t.Fatalf("self-pair corpus should produce zero pairs, got loss %v", loss)
-	}
-}
-
-// TestHSoftmaxSkipsSelfPairs mirrors TestTrainCorpusSkipsSelfPairs for
-// the hierarchical-softmax pass.
-func TestHSoftmaxSkipsSelfPairs(t *testing.T) {
-	rng := rand.New(rand.NewSource(36))
-	m := NewModel(2, 4, rng)
-	h := NewHSoftmax([]float64{1, 1}, 4, rng)
-	before := append([]float64(nil), m.In.Data...)
-	loss := h.TrainCorpus(m, [][]int{{0, 0, 0, 0}}, SymmetricOffsets(1), 0.1)
-	if loss != 0 {
-		t.Fatalf("self-pair corpus should produce zero pairs, got loss %v", loss)
-	}
-	for i := range before {
-		if m.In.Data[i] != before[i] {
-			t.Fatalf("self-pair corpus changed In[%d]", i)
-		}
-	}
-	if h.Vec.MaxAbs() != 0 {
-		t.Fatal("self-pair corpus changed the internal-vertex vectors")
 	}
 }
 

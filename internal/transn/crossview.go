@@ -1,7 +1,6 @@
 package transn
 
 import (
-	"math"
 	"math/rand"
 
 	"transn/internal/autodiff"
@@ -63,7 +62,7 @@ func newPairWork(pathLen, dim, perPair int) pairWork {
 // segment losses accumulate in a local histogram view flushed once at
 // the end of the step.
 func (m *Model) crossViewStep(pi, iter int) crossResult {
-	span := m.tel.trace().Start(obs.SpanCrossPair).Pair(pi).Epoch(iter)
+	span := m.tel.trace().Start(obs.SpanCrossPair)
 	segLoss := m.tel.segLoss.Local()
 	pr := m.pairs[pi]
 	rng := m.pairRngs[pi]
@@ -268,30 +267,3 @@ func (m *Model) similarityLoss(tp *autodiff.Tape, translated, target *autodiff.T
 
 // walkerFor exposes the view walker type for tests.
 func (m *Model) walkerFor(vi int) walk.Walker { return m.walkers[vi] }
-
-// normalizeRows rescales each row of x in place to zero mean and unit
-// variance (matching LayerNormRows), returning x.
-//
-// eps keeps the divisor positive, so finite rows stay finite.
-func normalizeRows(x *mat.Dense) *mat.Dense {
-	const eps = 1e-5
-	for i := 0; i < x.R; i++ {
-		row := x.Row(i)
-		var mean float64
-		for _, v := range row {
-			mean += v
-		}
-		mean /= float64(len(row))
-		var varr float64
-		for _, v := range row {
-			d := v - mean
-			varr += d * d
-		}
-		varr /= float64(len(row))
-		is := 1 / math.Sqrt(varr+eps)
-		for j := range row {
-			row[j] = (row[j] - mean) * is
-		}
-	}
-	return x
-}

@@ -233,7 +233,7 @@ func Train(g *graph.Graph, cfg Config) (*Model, error) {
 		if lrS < cfg.LRSingle*1e-4 {
 			lrS = cfg.LRSingle * 1e-4
 		}
-		iterSpan := m.tel.trace().Start(obs.SpanIteration).Epoch(iter)
+		iterSpan := m.tel.trace().Start(obs.SpanIteration)
 		var st IterStats
 		st.Iteration = iter
 		st.ViewLoss = make([]float64, len(m.views))
@@ -414,7 +414,7 @@ func (m *Model) singleViewStep(vi, iter int, lr float64) *viewResult {
 	}
 	walkSeed := rngstream.Derive(m.Cfg.Seed, streamWalk, int64(vi), int64(iter))
 	trainSeed := rngstream.Derive(m.Cfg.Seed, streamTrain, int64(vi), int64(iter))
-	walkSpan := m.tel.trace().Start(obs.SpanWalk).View(vi).Epoch(iter)
+	walkSpan := m.tel.trace().Start(obs.SpanWalk)
 	var paths [][]int
 	if m.Cfg.SimpleWalk {
 		// Ablation: uniformly random starting nodes, weights ignored.
@@ -443,7 +443,7 @@ func (m *Model) singleViewStep(vi, iter int, lr float64) *viewResult {
 	}, walkSpan.End()}
 
 	offsets := skipgram.ContextOffsets(v.Hetero)
-	sgSpan := m.tel.trace().Start(obs.SpanSkipGram).View(vi).Epoch(iter)
+	sgSpan := m.tel.trace().Start(obs.SpanSkipGram)
 	var sst par.Stats
 	r.loss, r.pairs, sst = m.emb[vi].TrainCorpusParallelStats(paths, offsets, m.Cfg.NegativeSamples, lr,
 		m.samplers[vi], trainSeed, m.Cfg.Workers)

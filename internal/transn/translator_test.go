@@ -36,6 +36,14 @@ func TestSimpleTranslatorSingleLayer(t *testing.T) {
 	}
 }
 
+// layerNorm returns x with each row at zero mean and unit variance,
+// through the tape's LayerNormRows: the normalization training applies
+// to translation targets.
+func layerNorm(x *mat.Dense) *mat.Dense {
+	tp := autodiff.NewTape()
+	return tp.LayerNormRows(tp.Constant(x)).Value
+}
+
 func TestTranslatorTrainsTowardTarget(t *testing.T) {
 	// A translator should learn toward a fixed target matrix for a fixed
 	// input: loss must at least halve over 200 Adam steps. The output is
@@ -45,7 +53,7 @@ func TestTranslatorTrainsTowardTarget(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	tr := NewTranslator(2, 6, false, 0.02, rng)
 	x := mat.RandN(6, 8, 0.3, rng)
-	target := normalizeRows(mat.RandN(6, 8, 0.3, rng))
+	target := layerNorm(mat.RandN(6, 8, 0.3, rng))
 	lossAt := func() float64 {
 		tp := autodiff.NewTape()
 		out := tr.Apply(tp, tp.Constant(x))
@@ -98,7 +106,7 @@ func TestTranslatorReconstructionIdentityTrainable(t *testing.T) {
 	fwd := NewTranslator(1, 5, false, 0.02, rng)
 	bwd := NewTranslator(1, 5, false, 0.02, rng)
 	x := mat.RandN(5, 6, 0.3, rng)
-	xn := normalizeRows(x.Clone())
+	xn := layerNorm(x)
 	var first, last float64
 	for i := 0; i < 300; i++ {
 		tp := autodiff.NewTape()
