@@ -19,3 +19,17 @@ func dotAVX2(x, y []float64) float64
 //
 //go:noescape
 func axpyAVX2(a float64, x, y []float64)
+
+// dotRowsAVX2 is DotRows's loop in AVX2 over t, the matrix's backing
+// array with row stride len(x). Rows and lengths are checked by
+// DotRows; rows must be non-empty.
+//
+//go:noescape
+func dotRowsAVX2(x, t []float64, rows []int, dst []float64)
+
+// updateRowsAVX2 is UpdateRows's loop in AVX2 over t, the matrix's
+// backing array with row stride len(x). Rows and lengths are checked by
+// UpdateRows; rows must be non-empty.
+//
+//go:noescape
+func updateRowsAVX2(x, t []float64, rows []int, a, acc []float64)

@@ -146,3 +146,295 @@ axpyloop1:
 axpydone:
 	VZEROUPPER
 	RET
+
+// ROWPTR(off, reg) sets reg to the address of row rows[off/8]: BX
+// points into rows, CX holds the row stride in bytes, SI the base of t.
+#define ROWPTR(off, reg) \
+	MOVQ  off(BX), reg; \
+	IMULQ CX, reg;      \
+	ADDQ  SI, reg
+
+// DOTROW(p, acc, tmp) adds x·row for one block of four: Y6 holds the x
+// block, p points at the row and AX is the byte offset.
+#define DOTROW(p, acc, tmp) \
+	VMULPD (p)(AX*1), Y6, tmp; \
+	VADDPD tmp, acc, acc
+
+// DOTTAIL(p, acc) adds x[i]·row[i] into lane 0 of acc, X6 holding x[i].
+#define DOTTAIL(p, acc) \
+	VMULSD (p)(AX*1), X6, X13; \
+	VADDSD X13, acc, acc
+
+// DOTSUM(acc, hi) leaves (s0+s1)+(s2+s3) in lane 0 of acc, hi holding
+// (s2, s3).
+#define DOTSUM(acc, hi) \
+	VHADDPD   hi, acc, acc; \
+	VPERMILPD $1, acc, X13; \
+	VADDSD    X13, acc, acc
+
+// func dotRowsAVX2(x, t []float64, rows []int, dst []float64)
+//
+// Each sweep scores up to six rows, pointed to by R8..R13, against x:
+// Y0..Y5 are their accumulators, each in dotAVX2's lane order, and Y6
+// holds the current block of x, loaded once for all six. A sweep over
+// fewer than six rows repeats its last row in the spare slots and
+// stores only the real ones. The tail and the reduction are dotAVX2's,
+// row by row. len(rows) must be at least 1.
+TEXT ·dotRowsAVX2(SB), NOSPLIT, $0-96
+	MOVQ rows_base+48(FP), BX
+	MOVQ rows_len+56(FP), DX
+	MOVQ dst_base+72(FP), DI
+
+drsweep:
+	MOVQ t_base+24(FP), SI
+	MOVQ x_len+8(FP), CX
+	SHLQ $3, CX
+	ROWPTR(0, R8)
+	MOVQ R8, R9
+	MOVQ R8, R10
+	MOVQ R8, R11
+	MOVQ R8, R12
+	MOVQ R8, R13
+	CMPQ DX, $2
+	JLT  drrows
+	ROWPTR(8, R9)
+	MOVQ R9, R10
+	MOVQ R9, R11
+	MOVQ R9, R12
+	MOVQ R9, R13
+	CMPQ DX, $3
+	JLT  drrows
+	ROWPTR(16, R10)
+	MOVQ R10, R11
+	MOVQ R10, R12
+	MOVQ R10, R13
+	CMPQ DX, $4
+	JLT  drrows
+	ROWPTR(24, R11)
+	MOVQ R11, R12
+	MOVQ R11, R13
+	CMPQ DX, $5
+	JLT  drrows
+	ROWPTR(32, R12)
+	MOVQ R12, R13
+	CMPQ DX, $6
+	JLT  drrows
+	ROWPTR(40, R13)
+
+drrows:
+	MOVQ   x_base+0(FP), SI
+	MOVQ   x_len+8(FP), CX
+	SHRQ   $2, CX
+	SHLQ   $5, CX           // bytes in the whole blocks of four
+	XORQ   AX, AX
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	VXORPD Y4, Y4, Y4
+	VXORPD Y5, Y5, Y5
+	TESTQ  CX, CX
+	JZ     drtail
+
+drloop:
+	VMOVUPD (SI)(AX*1), Y6
+	DOTROW(R8, Y0, Y7)
+	DOTROW(R9, Y1, Y8)
+	DOTROW(R10, Y2, Y9)
+	DOTROW(R11, Y3, Y10)
+	DOTROW(R12, Y4, Y11)
+	DOTROW(R13, Y5, Y12)
+	ADDQ    $32, AX
+	CMPQ    AX, CX
+	JLT     drloop
+
+drtail:
+	// X7..X12 = (s2, s3) of each row, before the scalar adds below
+	// clear the upper halves of Y0..Y5.
+	VEXTRACTF128 $1, Y0, X7
+	VEXTRACTF128 $1, Y1, X8
+	VEXTRACTF128 $1, Y2, X9
+	VEXTRACTF128 $1, Y3, X10
+	VEXTRACTF128 $1, Y4, X11
+	VEXTRACTF128 $1, Y5, X12
+	MOVQ         x_len+8(FP), CX
+	ANDQ         $3, CX
+	JZ           drsum
+
+drtailloop:
+	VMOVSD (SI)(AX*1), X6
+	DOTTAIL(R8, X0)
+	DOTTAIL(R9, X1)
+	DOTTAIL(R10, X2)
+	DOTTAIL(R11, X3)
+	DOTTAIL(R12, X4)
+	DOTTAIL(R13, X5)
+	ADDQ   $8, AX
+	DECQ   CX
+	JNZ    drtailloop
+
+drsum:
+	DOTSUM(X0, X7)
+	DOTSUM(X1, X8)
+	DOTSUM(X2, X9)
+	DOTSUM(X3, X10)
+	DOTSUM(X4, X11)
+	DOTSUM(X5, X12)
+	VMOVSD X0, (DI)
+	CMPQ   DX, $2
+	JLT    drnext
+	VMOVSD X1, 8(DI)
+	CMPQ   DX, $3
+	JLT    drnext
+	VMOVSD X2, 16(DI)
+	CMPQ   DX, $4
+	JLT    drnext
+	VMOVSD X3, 24(DI)
+	CMPQ   DX, $5
+	JLT    drnext
+	VMOVSD X4, 32(DI)
+	CMPQ   DX, $6
+	JLT    drnext
+	VMOVSD X5, 40(DI)
+
+drnext:
+	ADDQ $48, BX
+	ADDQ $48, DI
+	SUBQ $6, DX
+	JG   drsweep
+	VZEROUPPER
+	RET
+
+// UPDROW(off, acc, r, p) applies one row's update to four columns at
+// byte offset AX+off: with Y4 = a_j and Y5 = −a_j broadcast and R8
+// pointing at row j, acc += a_j·row and row += (−a_j)·x, each product
+// rounded before its add, with axpyAVX2's operand order.
+#define UPDROW(off, acc, r, p) \
+	VMOVUPD off(R8)(AX*1), r;   \
+	VMULPD  r, Y4, p;           \
+	VADDPD  acc, p, acc;        \
+	VMULPD  off(SI)(AX*1), Y5, p; \
+	VADDPD  r, p, p;            \
+	VMOVUPD p, off(R8)(AX*1)
+
+// NEXTROW loads row j's address into R8, a_j into Y4 and −a_j, a_j
+// with the sign bit flipped (Y15 holds the mask), into Y5.
+#define NEXTROW \
+	MOVQ         (BX), R8;  \
+	IMULQ        CX, R8;    \
+	ADDQ         DI, R8;    \
+	VBROADCASTSD (DX), Y4;  \
+	VXORPD       Y15, Y4, Y5
+
+// func updateRowsAVX2(x, t []float64, rows []int, a, acc []float64)
+//
+// Column block by column block, the block of acc stays in registers
+// while the rows go by in order: 32 columns in Y0..Y3 and Y6..Y9, then
+// four in Y0, then one at a time. Each row's block is loaded once, feeds
+// acc, gets its own update and is stored before the next row loads, so
+// a repeated row sees its own update. x is reloaded for every row.
+// len(rows) must be at least 1.
+TEXT ·updateRowsAVX2(SB), NOSPLIT, $0-120
+	MOVQ         x_base+0(FP), SI
+	MOVQ         x_len+8(FP), CX
+	SHLQ         $3, CX           // row stride in bytes
+	MOVQ         t_base+24(FP), DI
+	MOVQ         acc_base+96(FP), R10
+	MOVQ         $0x8000000000000000, R8
+	MOVQ         R8, X15
+	VBROADCASTSD X15, Y15
+	XORQ         AX, AX
+	MOVQ         CX, R11
+	ANDQ         $-256, R11       // bytes in the whole blocks of 32
+	JZ           ur4
+
+ur32:
+	VMOVUPD (R10)(AX*1), Y0
+	VMOVUPD 32(R10)(AX*1), Y1
+	VMOVUPD 64(R10)(AX*1), Y2
+	VMOVUPD 96(R10)(AX*1), Y3
+	VMOVUPD 128(R10)(AX*1), Y6
+	VMOVUPD 160(R10)(AX*1), Y7
+	VMOVUPD 192(R10)(AX*1), Y8
+	VMOVUPD 224(R10)(AX*1), Y9
+	MOVQ    rows_base+48(FP), BX
+	MOVQ    a_base+72(FP), DX
+	MOVQ    rows_len+56(FP), R9
+
+ur32row:
+	NEXTROW
+	UPDROW(0, Y0, Y10, Y11)
+	UPDROW(32, Y1, Y12, Y13)
+	UPDROW(64, Y2, Y10, Y11)
+	UPDROW(96, Y3, Y12, Y13)
+	UPDROW(128, Y6, Y10, Y11)
+	UPDROW(160, Y7, Y12, Y13)
+	UPDROW(192, Y8, Y10, Y11)
+	UPDROW(224, Y9, Y12, Y13)
+	ADDQ    $8, BX
+	ADDQ    $8, DX
+	DECQ    R9
+	JNZ     ur32row
+	VMOVUPD Y0, (R10)(AX*1)
+	VMOVUPD Y1, 32(R10)(AX*1)
+	VMOVUPD Y2, 64(R10)(AX*1)
+	VMOVUPD Y3, 96(R10)(AX*1)
+	VMOVUPD Y6, 128(R10)(AX*1)
+	VMOVUPD Y7, 160(R10)(AX*1)
+	VMOVUPD Y8, 192(R10)(AX*1)
+	VMOVUPD Y9, 224(R10)(AX*1)
+	ADDQ    $256, AX
+	CMPQ    AX, R11
+	JLT     ur32
+
+ur4:
+	MOVQ CX, R11
+	ANDQ $-32, R11                // bytes in the whole blocks of four
+	CMPQ AX, R11
+	JGE  urtail
+
+ur4block:
+	VMOVUPD (R10)(AX*1), Y0
+	MOVQ    rows_base+48(FP), BX
+	MOVQ    a_base+72(FP), DX
+	MOVQ    rows_len+56(FP), R9
+
+ur4row:
+	NEXTROW
+	UPDROW(0, Y0, Y10, Y11)
+	ADDQ    $8, BX
+	ADDQ    $8, DX
+	DECQ    R9
+	JNZ     ur4row
+	VMOVUPD Y0, (R10)(AX*1)
+	ADDQ    $32, AX
+	CMPQ    AX, R11
+	JLT     ur4block
+
+urtail:
+	CMPQ   AX, CX
+	JGE    urdone
+	VMOVSD (R10)(AX*1), X0
+	MOVQ    rows_base+48(FP), BX
+	MOVQ    a_base+72(FP), DX
+	MOVQ    rows_len+56(FP), R9
+
+urtailrow:
+	NEXTROW
+	VMOVSD (R8)(AX*1), X6
+	VMULSD X6, X4, X10
+	VADDSD X0, X10, X0
+	VMULSD (SI)(AX*1), X5, X10
+	VADDSD X6, X10, X10
+	VMOVSD X10, (R8)(AX*1)
+	ADDQ   $8, BX
+	ADDQ   $8, DX
+	DECQ   R9
+	JNZ    urtailrow
+	VMOVSD X0, (R10)(AX*1)
+	ADDQ   $8, AX
+	JMP    urtail
+
+urdone:
+	VZEROUPPER
+	RET

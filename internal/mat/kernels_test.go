@@ -101,14 +101,28 @@ func TestDotSummationOrder(t *testing.T) {
 }
 
 func TestKernelsPanicOnLengthMismatch(t *testing.T) {
+	tab := New(3, 4)
+	x, v2, v4 := make([]float64, 4), make([]float64, 2), make([]float64, 4)
+	rows := []int{0, 2}
 	for name, f := range map[string]func(){
-		"Dot":  func() { Dot(make([]float64, 5), make([]float64, 4)) },
-		"Axpy": func() { Axpy(1, make([]float64, 4), make([]float64, 5)) },
+		"Dot":                 func() { Dot(make([]float64, 5), make([]float64, 4)) },
+		"Axpy":                func() { Axpy(1, make([]float64, 4), make([]float64, 5)) },
+		"DotRows x":           func() { DotRows(make([]float64, 5), tab, rows, v2) },
+		"DotRows dst":         func() { DotRows(x, tab, rows, make([]float64, 3)) },
+		"DotRows short data":  func() { DotRows(x, &Dense{R: 3, C: 4, Data: make([]float64, 11)}, rows, v2) },
+		"UpdateRows x":        func() { UpdateRows(make([]float64, 3), tab, rows, v2, v4) },
+		"UpdateRows a":        func() { UpdateRows(x, tab, rows, make([]float64, 1), v4) },
+		"UpdateRows acc":      func() { UpdateRows(x, tab, rows, v2, make([]float64, 5)) },
+		"DotRows row 3":       func() { DotRows(x, tab, []int{0, 3}, v2) },
+		"DotRows row -1":      func() { DotRows(x, tab, []int{-1, 0}, v2) },
+		"UpdateRows row 3":    func() { UpdateRows(x, tab, []int{1, 3}, v2, v4) },
+		"UpdateRows row -1":   func() { UpdateRows(x, tab, []int{1, -1}, v2, v4) },
+		"UpdateRows row huge": func() { UpdateRows(x, tab, []int{1 << 62, 0}, v2, v4) },
 	} {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Fatalf("%s with mismatched lengths did not panic", name)
+					t.Fatalf("%s: mismatched lengths or a bad row index did not panic", name)
 				}
 			}()
 			f()
@@ -116,7 +130,8 @@ func TestKernelsPanicOnLengthMismatch(t *testing.T) {
 	}
 }
 
-// TestKernelsAllocFree pins Dot and Axpy at zero allocations per call.
+// TestKernelsAllocFree pins Dot, Axpy, DotRows and UpdateRows at zero
+// allocations per call.
 func TestKernelsAllocFree(t *testing.T) {
 	x, y := make([]float64, 67), make([]float64, 67)
 	for i := range x {
@@ -129,14 +144,29 @@ func TestKernelsAllocFree(t *testing.T) {
 	if n := testing.AllocsPerRun(100, func() { Axpy(1e-3, x, y) }); n != 0 {
 		t.Fatalf("Axpy allocates %v objects per call", n)
 	}
+	tab := New(8, 67)
+	var rows [7]int
+	var vals [7]float64
+	for j := range rows {
+		rows[j] = j % 5
+		vals[j] = 1e-9
+	}
+	if n := testing.AllocsPerRun(100, func() { DotRows(x, tab, rows[:], vals[:]) }); n != 0 {
+		t.Fatalf("DotRows allocates %v objects per call", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { UpdateRows(x, tab, rows[:], vals[:], y) }); n != 0 {
+		t.Fatalf("UpdateRows allocates %v objects per call", n)
+	}
 	_ = sink
 }
 
 // FuzzKernels decodes data as consecutive little-endian (xᵢ, yᵢ)
-// float64 pairs, any bit pattern included, and checks both kernels
-// against the naive loops as checkKernels does. The committed corpus
-// in testdata/fuzz/FuzzKernels covers every tail length, NaN, ±Inf,
-// subnormals and cancellation.
+// float64 pairs, any bit pattern included, and checks both vector
+// kernels against the naive loops as checkKernels does. It then runs
+// the row kernels over a table whose rows are y, x and y again, with
+// repeated rows and steps ±a and ±0, against per-row Dot and Axpy (see
+// checkRowKernels). The committed corpus in testdata/fuzz/FuzzKernels
+// covers every tail length, NaN, ±Inf, subnormals and cancellation.
 func FuzzKernels(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte, a float64) {
 		n := len(data) / 16
@@ -146,7 +176,162 @@ func FuzzKernels(f *testing.F) {
 			y[i] = math.Float64frombits(binary.LittleEndian.Uint64(data[16*i+8:]))
 		}
 		checkKernels(t, a, x, y)
+
+		tab := make([]float64, 0, 3*n)
+		tab = append(append(append(tab, y...), x...), y...)
+		negZero := math.Copysign(0, -1)
+		checkRowKernels(t, x, tab, 3,
+			[]int{0, 1, 2, 1, 1, 0, 2},
+			[]float64{a, -a, 0, negZero, a, a, -a},
+			append([]float64(nil), y...))
 	})
+}
+
+// checkRowKernels runs every implementation of DotRows and UpdateRows,
+// and the exported wrappers, on copies of one input and requires the
+// bits of per-row Dot and Axpy calls: dst[j] = Dot(x, row_j), and for
+// j in order Axpy(a[j], row_j, acc), Axpy(-a[j], x, row_j). tab is the
+// backing array of a tabRows-row table; x must not overlap it.
+func checkRowKernels(t *testing.T, x, tab []float64, tabRows int, rows []int, a, acc []float64) {
+	t.Helper()
+	n := len(x)
+	row := func(tb []float64, r int) []float64 { return tb[r*n : (r+1)*n] }
+	wantDots := make([]float64, len(rows))
+	for j, r := range rows {
+		wantDots[j] = Dot(x, row(tab, r))
+	}
+	wantTab := append([]float64(nil), tab...)
+	wantAcc := append([]float64(nil), acc...)
+	for j, r := range rows {
+		Axpy(a[j], row(wantTab, r), wantAcc)
+		Axpy(-a[j], x, row(wantTab, r))
+	}
+
+	impls := kernelImpls()
+	if len(rows) == 0 {
+		// The assembly requires a row; the exported kernels return early.
+		impls = impls[:0]
+	}
+	impls = append(impls, kernelImpl{
+		name: "exported",
+		dotRows: func(x, tb []float64, rows []int, dst []float64) {
+			DotRows(x, &Dense{R: tabRows, C: n, Data: tb}, rows, dst)
+		},
+		updateRows: func(x, tb []float64, rows []int, a, acc []float64) {
+			UpdateRows(x, &Dense{R: tabRows, C: n, Data: tb}, rows, a, acc)
+		},
+	})
+	for _, im := range impls {
+		dots := make([]float64, len(rows))
+		im.dotRows(x, tab, rows, dots)
+		for j := range dots {
+			if !sameBits(dots[j], wantDots[j]) {
+				t.Fatalf("%s: len %d rows %v: dot %d = %v (%#x), Dot %v (%#x)", im.name, n, rows, j,
+					dots[j], math.Float64bits(dots[j]), wantDots[j], math.Float64bits(wantDots[j]))
+			}
+		}
+		gotTab := append([]float64(nil), tab...)
+		gotAcc := append([]float64(nil), acc...)
+		im.updateRows(x, gotTab, rows, a, gotAcc)
+		for i := range wantTab {
+			if !sameBits(gotTab[i], wantTab[i]) {
+				t.Fatalf("%s: len %d rows %v a %v: table element %d (row %d col %d) = %v, Axpy %v",
+					im.name, n, rows, a, i, i/n, i%n, gotTab[i], wantTab[i])
+			}
+		}
+		for i := range wantAcc {
+			if !sameBits(gotAcc[i], wantAcc[i]) {
+				t.Fatalf("%s: len %d rows %v a %v: acc element %d = %v, Axpy %v", im.name, n, rows, a, i, gotAcc[i], wantAcc[i])
+			}
+		}
+	}
+}
+
+// TestRowKernelsMatchPerRow pins DotRows and UpdateRows, on the Go path
+// and the AVX2 path, to per-row Dot and Axpy bit for bit: every row
+// length from 0 to 67, tables at element offsets 0–3 into a larger
+// array so loads are unaligned, 1 to 14 rows (so the six-row sweeps run
+// full, partial and several times) with repeated rows, steps of ±0,
+// and planted NaN, ±Inf and subnormal values.
+func TestRowKernelsMatchPerRow(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	negZero := math.Copysign(0, -1)
+	const tabRows = 5
+	for n := 0; n <= 67; n++ {
+		for off := 0; off <= 3; off++ {
+			for trial := 0; trial < 6; trial++ {
+				bx, bt := make([]float64, n+off), make([]float64, tabRows*n+off)
+				for i := range bx {
+					bx[i] = rng.NormFloat64() * math.Exp(4*rng.NormFloat64())
+				}
+				for i := range bt {
+					bt[i] = rng.NormFloat64()
+				}
+				x, tab := bx[off:], bt[off:]
+				if trial >= 4 && n > 0 {
+					for k := 0; k <= trial-3; k++ {
+						x[rng.Intn(n)] = specialValues[rng.Intn(len(specialValues))]
+						tab[rng.Intn(len(tab))] = specialValues[rng.Intn(len(specialValues))]
+					}
+				}
+				rows := make([]int, 1+rng.Intn(14))
+				a := make([]float64, len(rows))
+				for j := range rows {
+					rows[j] = rng.Intn(tabRows)
+					switch rng.Intn(6) {
+					case 0:
+						a[j] = 0
+					case 1:
+						a[j] = negZero
+					default:
+						a[j] = rng.NormFloat64()
+					}
+				}
+				if trial == 5 {
+					a[rng.Intn(len(a))] = specialValues[rng.Intn(len(specialValues))]
+				}
+				acc := make([]float64, n)
+				for i := range acc {
+					acc[i] = rng.NormFloat64()
+				}
+				checkRowKernels(t, x, tab, tabRows, rows, a, acc)
+			}
+		}
+	}
+	checkRowKernels(t, nil, nil, 0, nil, nil, nil)
+	checkRowKernels(t, []float64{1}, []float64{2, 3}, 2, nil, nil, []float64{4})
+}
+
+// TestRowKernelsSignedZeroAndOrder runs the row kernels on inputs that
+// tell apart the two details an implementation could get wrong while
+// staying close. The step of a row update is −a, a sign-bit flip: with
+// a = +0, x = 1 and −0 rows, each update adds (−0)·1 = −0 and the rows
+// stay −0, where 0−a would add +0·1 and give +0. And each dot keeps
+// Dot's (s0+s1)+(s2+s3) reduction: the second row below gives 0 in
+// that order and 1 or 2 in the others (see TestDotSummationOrder).
+func TestRowKernelsSignedZeroAndOrder(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	for _, n := range []int{1, 4, 5, 9, 33} {
+		x := make([]float64, n)
+		tab := make([]float64, 2*n)
+		acc := make([]float64, n)
+		for i := range x {
+			x[i] = 1
+			tab[i], tab[n+i] = negZero, negZero
+			acc[i] = negZero
+		}
+		for _, a := range [][]float64{{0, 0}, {0, 0, 0}, {negZero, negZero}, {0, negZero, 0}} {
+			checkRowKernels(t, x, tab, 2, []int{0, 1, 0}[:len(a)], a, acc)
+		}
+	}
+
+	x := []float64{1, 1, 1, 1, 1}
+	tab := []float64{
+		1, 1, 1, 1, 1,
+		1e16, 1, -1e16, 1, 1,
+	}
+	rows := []int{0, 1, 1, 0, 1, 1, 1}
+	checkRowKernels(t, x, tab, 2, rows, make([]float64, len(rows)), make([]float64, 5))
 }
 
 // checkAsmMatchesGeneric requires the AVX2 kernels to give the Go
@@ -237,18 +422,22 @@ func TestAsmKernelsMatchGeneric(t *testing.T) {
 	}
 }
 
-// kernelImpl is one implementation of the two kernels.
+// kernelImpl is one implementation of the vector and row kernels. The
+// row kernels take the matrix's backing array with row stride len(x),
+// as DotRows and UpdateRows pass it.
 type kernelImpl struct {
-	name string
-	dot  func(x, y []float64) float64
-	axpy func(a float64, x, y []float64)
+	name       string
+	dot        func(x, y []float64) float64
+	axpy       func(a float64, x, y []float64)
+	dotRows    func(x, t []float64, rows []int, dst []float64)
+	updateRows func(x, t []float64, rows []int, a, acc []float64)
 }
 
 // kernelImpls lists the Go loops and, where they run, the AVX2 kernels.
 func kernelImpls() []kernelImpl {
-	impls := []kernelImpl{{"generic", dotGeneric, axpyGeneric}}
+	impls := []kernelImpl{{"generic", dotGeneric, axpyGeneric, dotRowsGeneric, updateRowsGeneric}}
 	if useAVX2 {
-		impls = append(impls, kernelImpl{"asm", dotAVX2, axpyAVX2})
+		impls = append(impls, kernelImpl{"asm", dotAVX2, axpyAVX2, dotRowsAVX2, updateRowsAVX2})
 	}
 	return impls
 }
@@ -298,22 +487,42 @@ func benchVectors(d int) (x, y []float64) {
 var benchSink float64
 
 // BenchmarkKernels times each kernel's Go loop and, where it runs, its
-// AVX2 version at the repository's embedding widths.
+// AVX2 version at the repository's embedding widths. dotrows and
+// updaterows work on six rows, an SGNS pair with five negatives.
 func BenchmarkKernels(b *testing.B) {
-	for _, kernel := range []string{"dot", "axpy"} {
+	for _, kernel := range []string{"dot", "axpy", "dotrows", "updaterows"} {
 		for _, im := range kernelImpls() {
 			for _, d := range []int{64, 128} {
 				b.Run(fmt.Sprintf("%s/%s/d=%d", kernel, im.name, d), func(b *testing.B) {
 					x, y := benchVectors(d)
+					tab := make([]float64, 8*d)
+					for r := 0; r < 8; r++ {
+						copy(tab[r*d:], y)
+					}
+					rows := []int{3, 0, 7, 1, 5, 2}
+					vals := make([]float64, len(rows))
+					for j := range vals {
+						vals[j] = 1e-9
+					}
 					b.ResetTimer()
-					if kernel == "dot" {
+					switch kernel {
+					case "dot":
 						for i := 0; i < b.N; i++ {
 							benchSink = im.dot(x, y)
 						}
-						return
-					}
-					for i := 0; i < b.N; i++ {
-						im.axpy(1e-9, x, y)
+					case "axpy":
+						for i := 0; i < b.N; i++ {
+							im.axpy(1e-9, x, y)
+						}
+					case "dotrows":
+						for i := 0; i < b.N; i++ {
+							im.dotRows(x, tab, rows, vals)
+						}
+						benchSink = vals[0]
+					case "updaterows":
+						for i := 0; i < b.N; i++ {
+							im.updateRows(x, tab, rows, vals, y)
+						}
 					}
 				})
 			}

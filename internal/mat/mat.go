@@ -38,6 +38,17 @@
 //
 // Both panic when the lengths differ and allocate nothing. Axpy's x
 // and y must be the same slice or not overlap.
+//
+// Two row kernels batch those calls over rows of one table, for the
+// skip-gram pair step, which scores and updates a context row and its
+// negatives together. DotRows(x, t, rows, dst) gives the bits of one
+// Dot per row; on AVX2 it sweeps up to six rows per load of x, so six
+// independent add chains are in flight instead of one. UpdateRows(x,
+// t, rows, a, acc) gives the bits of Axpy(a_j, row_j, acc) then
+// Axpy(−a_j, x, row_j) for each row in order, a repeated row included;
+// on AVX2 it walks the rows once per column block with the block of
+// acc in registers. Both check every length and row index in Go before
+// the assembly runs, and allocate nothing.
 package mat
 
 import (
@@ -355,6 +366,80 @@ func Axpy(a float64, x, y []float64) {
 	axpyGeneric(a, x, y)
 }
 
+// DotRows sets dst[j] = Dot(x, t.Row(rows[j])) for every j, with the
+// same bits as those Dot calls. On AVX2 it scores up to six rows per
+// sweep, loading each block of x once for all of them; each row keeps
+// Dot's lanes, tail and reduction, so only the number of independent
+// add chains in flight changes. len(x) must equal t.C, len(dst) must
+// equal len(rows), and every row index must lie in [0, t.R): all are
+// checked before the assembly runs.
+//
+// Allocation-free; pinned by TestKernelsAllocFree.
+func DotRows(x []float64, t *Dense, rows []int, dst []float64) {
+	checkRows("DotRows", x, t, rows, len(dst))
+	if useAVX2 {
+		if len(rows) > 0 {
+			dotRowsAVX2(x, t.Data, rows, dst)
+		}
+		return
+	}
+	dotRowsGeneric(x, t.Data, rows, dst)
+}
+
+// UpdateRows applies, for j = 0, 1, … in order, the two Axpy calls
+//
+//	Axpy(a[j], t.Row(rows[j]), acc)   // acc += a_j·row_j
+//	Axpy(-a[j], x, t.Row(rows[j]))    // row_j += (−a_j)·x
+//
+// with the same bits, a repeated row included: every element sees the
+// same operations in the same order. On AVX2 it runs column block by
+// column block, keeping the block of acc in a register while it walks
+// the rows; −a_j is a sign-bit flip, as Go's unary minus is. acc must
+// not overlap x or t. len(x) and len(acc) must equal t.C, len(a) must
+// equal len(rows), and every row index must lie in [0, t.R): all are
+// checked before the assembly runs.
+//
+// Allocation-free; pinned by TestKernelsAllocFree.
+func UpdateRows(x []float64, t *Dense, rows []int, a, acc []float64) {
+	checkRows("UpdateRows", x, t, rows, len(a))
+	if len(acc) != t.C {
+		lengthMismatch("UpdateRows acc", len(acc), t.C)
+	}
+	if useAVX2 {
+		if len(rows) > 0 {
+			updateRowsAVX2(x, t.Data, rows, a, acc)
+		}
+		return
+	}
+	updateRowsGeneric(x, t.Data, rows, a, acc)
+}
+
+// checkRows validates the operands the row kernels share, so that the
+// assembly only ever addresses whole rows of t.
+func checkRows(op string, x []float64, t *Dense, rows []int, n int) {
+	if len(x) != t.C {
+		lengthMismatch(op+" x", len(x), t.C)
+	}
+	if n != len(rows) {
+		lengthMismatch(op+" rows", len(rows), n)
+	}
+	if len(t.Data) < t.R*t.C {
+		lengthMismatch(op+" data", len(t.Data), t.R*t.C)
+	}
+	for _, r := range rows {
+		if uint(r) >= uint(t.R) {
+			rowOutOfRange(op, r, t.R)
+		}
+	}
+}
+
+// rowOutOfRange is the row kernels' cold panic path.
+//
+//go:noinline
+func rowOutOfRange(op string, r, n int) {
+	panic(fmt.Sprintf("mat: %s row %d out of range [0:%d]", op, r, n))
+}
+
 // dotGeneric is Dot in Go, the reference the amd64 assembly matches.
 // It reslices each block of four so its element accesses carry no
 // bounds checks; one slice check per block remains.
@@ -374,6 +459,26 @@ func dotGeneric(x, y []float64) float64 {
 		s0 += float64(x[i] * y[i])
 	}
 	return (s0 + s1) + (s2 + s3)
+}
+
+// dotRowsGeneric is DotRows in Go over t, a backing array with row
+// stride len(x): one dotGeneric per row.
+func dotRowsGeneric(x, t []float64, rows []int, dst []float64) {
+	n := len(x)
+	for j, r := range rows {
+		dst[j] = dotGeneric(x, t[r*n:(r+1)*n])
+	}
+}
+
+// updateRowsGeneric is UpdateRows in Go over t, a backing array with
+// row stride len(x): the two axpyGeneric calls per row, in row order.
+func updateRowsGeneric(x, t []float64, rows []int, a, acc []float64) {
+	n := len(x)
+	for j, r := range rows {
+		row := t[r*n : (r+1)*n]
+		axpyGeneric(a[j], row, acc)
+		axpyGeneric(-a[j], x, row)
+	}
 }
 
 // axpyGeneric is Axpy in Go, unrolled by 4 like dotGeneric.

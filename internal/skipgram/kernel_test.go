@@ -11,13 +11,188 @@ import (
 )
 
 // The pair kernel reuses one grad buffer per shard, takes the pair loss
-// as −log ∏pᵢ, scores through mat.Dot and the interpolated sigmoid
-// table, and updates through mat.Axpy. The tests below pin it against
-// the per-update-log, per-pair-allocation kernel with a left-to-right
-// dot and the exact sigmoid, kept here as the reference. The update
-// half must match the reference bit for bit for the same step g; the
-// score may differ by the table's interpolation error, so whole passes
-// are compared within a tolerance.
+// as −log ∏pᵢ, scores through the mat kernels and the interpolated
+// sigmoid table, and updates through them. The tests below pin it two
+// ways. Against sequentialTrainPair, the one-row-at-a-time kernel (a
+// Dot, then two Axpy calls, per row, drawing each negative just before
+// its update), it must match bit for bit: tables, loss and rng state. Against the per-update-log, per-pair-allocation kernel
+// with a left-to-right dot and the exact sigmoid, kept here as the
+// reference, the update half must match bit for bit for the same step
+// g; the score may differ by the table's interpolation error, so whole
+// passes are compared within a tolerance.
+
+// sequentialTrainPair is the one-row-at-a-time pair step: each negative
+// is drawn, scored and applied before the next is drawn. It takes a
+// caller-owned grad buffer, which it clears.
+func sequentialTrainPair(m *Model, center, context, neg int, lr float64, s *NegSampler, rng *rand.Rand, grad []float64) float64 {
+	in := m.In.Row(center)
+	clear(grad)
+	var loss float64
+	prod := pairUpdate(in, m.Out.Row(context), grad, 1, lr)
+	for k := 0; k < neg; k++ {
+		n := s.Draw(rng)
+		for tries := 0; n == context && tries < 4; tries++ {
+			n = s.Draw(rng)
+		}
+		if n == context {
+			continue
+		}
+		prod *= pairUpdate(in, m.Out.Row(n), grad, 0, lr)
+		if prod < foldBelow {
+			loss -= math.Log(prod)
+			prod = 1
+		}
+	}
+	applyRowGrad(in, grad)
+	return loss - math.Log(prod)
+}
+
+// pairUpdate is sequentialTrainPair's step for one row: it scores the
+// (center, target) pair against label, accumulates the center gradient
+// into grad, then moves the target row, and returns the clamped
+// probability the model gives the label.
+func pairUpdate(in, out, grad []float64, label, lr float64) float64 {
+	score := tableSigmoid(mat.Dot(in, out))
+	g := (score - label) * lr
+	mat.Axpy(g, out, grad)
+	mat.Axpy(-g, in, out)
+	p := score
+	if label != 1 {
+		p = 1 - score
+	}
+	if p < 1e-10 {
+		p = 1e-10
+	}
+	return p
+}
+
+// sequentialTrainCorpus is trainCorpus over sequentialTrainPair.
+func sequentialTrainCorpus(m *Model, paths [][]int, offsets []int, neg int, lr float64, s *NegSampler, rng *rand.Rand) (float64, int) {
+	grad := make([]float64, m.In.C)
+	var loss float64
+	var pairs int
+	for _, p := range paths {
+		for k, center := range p {
+			for _, d := range offsets {
+				j := k + d
+				if j < 0 || j >= len(p) || p[j] == center {
+					continue
+				}
+				loss += sequentialTrainPair(m, center, p[j], neg, lr, s, rng, grad)
+				pairs++
+			}
+		}
+	}
+	return loss, pairs
+}
+
+// TestPairBatchMatchesSequential requires the batched pair step to give
+// sequentialTrainPair's bits: In and Out tables, the pass loss and the
+// rng state, after three passes, serially and through
+// TrainCorpusParallelStats with two workers. The 6-node corpus makes
+// most pairs repeat a negative, so segments split often; on the
+// 1,000-node corpus few do. The negative counts cover no negatives, one,
+// the default five, and more than one batch holds (40, 64); the widths
+// cover every tail length of the four-wide blocks.
+func TestPairBatchMatchesSequential(t *testing.T) {
+	rng := rand.New(rand.NewSource(25))
+	corpora := []struct {
+		name   string
+		nodes  int
+		paths  [][]int
+		hetero bool
+	}{
+		{"6-node", 6, twoClusterCorpus(rng, 20, 10), true},
+		{"1000-node", 1000, revisitCorpus(rng, 1000, 60, 16), false},
+	}
+	for _, c := range corpora {
+		s := NewNegSampler(CorpusFrequencies(c.paths, c.nodes))
+		offsets := ContextOffsets(c.hetero)
+		for _, neg := range []int{0, 1, 5, 40, 64} {
+			for _, dim := range []int{1, 3, 4, 5, 64, 67} {
+				name := fmt.Sprintf("%s/neg=%d/d=%d", c.name, neg, dim)
+
+				got := NewModel(c.nodes, dim, rand.New(rand.NewSource(26)))
+				randomizeOut(got, rand.New(rand.NewSource(27)))
+				want := cloneModel(got)
+				gotRNG, wantRNG := rand.New(rand.NewSource(28)), rand.New(rand.NewSource(28))
+				for pass := 0; pass < 3; pass++ {
+					lr := 0.05 * (1 - float64(pass)/3)
+					gl, gp := got.trainCorpus(c.paths, offsets, neg, lr, s, gotRNG)
+					wl, wp := sequentialTrainCorpus(want, c.paths, offsets, neg, lr, s, wantRNG)
+					assertSameRun(t, name+"/serial", gl, wl, gp, wp)
+					assertTablesIdentical(t, name+"/serial", got, want)
+				}
+				if g, w := gotRNG.Int63(), wantRNG.Int63(); g != w {
+					t.Fatalf("%s: rng state differs after three passes: next Int63 %d, sequential %d", name, g, w)
+				}
+
+				got = NewModel(c.nodes, dim, rand.New(rand.NewSource(29)))
+				randomizeOut(got, rand.New(rand.NewSource(30)))
+				want = cloneModel(got)
+				for pass := 0; pass < 3; pass++ {
+					lr := 0.05 * (1 - float64(pass)/3)
+					seed := int64(200 + pass)
+					gl, gp, _ := got.TrainCorpusParallelStats(c.paths, offsets, neg, lr, s, seed, 2)
+					var wl float64
+					var wp int
+					for sh := 0; sh < 2; sh++ {
+						lo, hi := sh*len(c.paths)/2, (sh+1)*len(c.paths)/2
+						l, n := sequentialTrainCorpus(want, c.paths[lo:hi], offsets, neg, lr, s, rngstream.New(seed, int64(sh)))
+						wl += l
+						wp += n
+					}
+					assertSameRun(t, name+"/workers=2", gl, wl/float64(wp), gp, wp)
+					assertTablesIdentical(t, name+"/workers=2", got, want)
+				}
+			}
+		}
+	}
+}
+
+// randomizeOut gives the context table small random values, so the
+// first pass's scores are not all σ(0) and the updates differ per row.
+func randomizeOut(m *Model, rng *rand.Rand) {
+	for i := range m.Out.Data {
+		m.Out.Data[i] = 0.2 * rng.NormFloat64()
+	}
+}
+
+func assertSameRun(t *testing.T, what string, gotLoss, wantLoss float64, gotPairs, wantPairs int) {
+	t.Helper()
+	if gotPairs != wantPairs {
+		t.Fatalf("%s: %d pairs, sequential %d", what, gotPairs, wantPairs)
+	}
+	if math.Float64bits(gotLoss) != math.Float64bits(wantLoss) {
+		t.Fatalf("%s: loss %v (%#x), sequential %v (%#x)", what, gotLoss, math.Float64bits(gotLoss),
+			wantLoss, math.Float64bits(wantLoss))
+	}
+}
+
+// TestPairBatchSplitsAtRepeats checks the segment rule directly: with a
+// sampler that almost always draws node 0 or 2, nearly every pair of
+// more than two negatives repeats a row, and a repeated row must be
+// scored after its earlier update, as the sequential step does. The
+// counts around maxRows−1 also split batches at the capacity.
+func TestPairBatchSplitsAtRepeats(t *testing.T) {
+	s := NewNegSampler([]float64{1, 0, 1, 0})
+	for _, neg := range []int{2, 3, 15, 16, 17} {
+		got := NewModel(4, 5, rand.New(rand.NewSource(36)))
+		randomizeOut(got, rand.New(rand.NewSource(37)))
+		want := cloneModel(got)
+		gotRNG, wantRNG := rand.New(rand.NewSource(38)), rand.New(rand.NewSource(38))
+		grad := make([]float64, 5)
+		for k := 0; k < 20; k++ {
+			gl := got.TrainPair(3, 1, neg, 0.5, s, gotRNG)
+			wl := sequentialTrainPair(want, 3, 1, neg, 0.5, s, wantRNG, grad)
+			assertSameRun(t, fmt.Sprintf("neg=%d pair %d", neg, k), gl, wl, 1, 1)
+		}
+		assertTablesIdentical(t, fmt.Sprintf("neg=%d", neg), got, want)
+		if g, w := gotRNG.Int63(), wantRNG.Int63(); g != w {
+			t.Fatalf("neg=%d: rng state differs: next Int63 %d, sequential %d", neg, g, w)
+		}
+	}
+}
 
 // referenceScore is the reference kernel's score: a single-accumulator
 // dot through the exact sigmoid.

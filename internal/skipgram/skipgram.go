@@ -3,11 +3,18 @@
 // Context selection follows Definition 6: window 1 on homo-views and
 // window 2 on heter-views. The softmax is estimated by negative
 // sampling (word2vec-style, unigram^0.75 table).
+//
+// A pair step draws its negatives first, then scores the context and
+// negative rows with one mat.DotRows call and applies their updates
+// with one mat.UpdateRows call, splitting the batch into segments
+// before a repeated negative. The result is bit-identical to scoring
+// and updating one row at a time (see trainPair).
 package skipgram
 
 import (
 	"math"
 	"math/rand"
+	"slices"
 
 	"transn/internal/mat"
 	"transn/internal/par"
@@ -16,7 +23,10 @@ import (
 )
 
 // Model holds input (node) and output (context) embedding tables. In is
-// the embedding users read out; Out exists only during training.
+// the embedding users read out; Out exists only during training. The two
+// must not share storage: a pair step scores a segment's output rows
+// before it moves any of them, which matches moving them one at a time
+// only while no output row is the center row.
 type Model struct {
 	In, Out *mat.Dense // numNodes × dim
 }
@@ -97,7 +107,8 @@ func SymmetricOffsets(w int) []int {
 // it serves callers that train edge by edge (the LINE baseline). Corpus
 // passes call trainPair with one buffer per shard instead.
 func (m *Model) TrainPair(center, context, neg int, lr float64, s *NegSampler, rng *rand.Rand) float64 {
-	return m.trainPair(center, context, neg, lr, s, rng, make([]float64, m.In.C))
+	b := pairBatch{grad: make([]float64, m.In.C)}
+	return m.trainPair(center, context, neg, lr, s, rng, &b)
 }
 
 // foldBelow bounds the running probability product in trainPair. Every
@@ -107,9 +118,40 @@ func (m *Model) TrainPair(center, context, neg int, lr float64, s *NegSampler, r
 // whatever the negative count.
 const foldBelow = 1e-280
 
-// trainPair is TrainPair with a caller-owned d-length grad buffer, which
-// it clears before use. trainCorpus owns one buffer per shard, so a pass
-// allocates nothing per pair.
+// maxRows is the most output rows a pair batch holds: the context and
+// up to maxRows−1 negatives. It covers every negative count the
+// repository trains with, so a pair draws all of its negatives before
+// its first update; a larger neg draws and applies them maxRows−1 at a
+// time, with the same result.
+const maxRows = 16
+
+// pairBatch is one shard's scratch for trainPair: the d-length center
+// gradient, the output rows of the pair's current batch, their scores
+// and then their steps, and the pair's running loss. A corpus pass
+// keeps one on its stack, so the gradient buffer is its only
+// allocation.
+type pairBatch struct {
+	grad       []float64
+	rows       [maxRows]int
+	vals       [maxRows]float64
+	loss, prod float64
+}
+
+// trainPair is TrainPair with caller-owned scratch b, whose gradient it
+// clears before use.
+//
+// The pair works on its output rows as one batch: the context, then the
+// negatives, drawn first (the draws never read the model, so the rng
+// stream is the one a draw-update-draw loop would consume). The batch
+// splits into segments before any negative that repeats a row earlier
+// in its segment. For each segment, one mat.DotRows call scores every
+// row against the center, the sigmoid, step and clamped probability of
+// each row follow in row order, and one mat.UpdateRows call applies the
+// updates: per row, the center gradient reads the row, then the row
+// moves. Inside a segment the rows are distinct, so no score reads a
+// row an earlier update moved; a repeated row is scored only after the
+// previous segment's update. The result is therefore bit-identical to
+// scoring and updating one row at a time.
 //
 // The loss Σ −log pᵢ over the positive and the sampled negatives is
 // computed as −log ∏pᵢ: one math.Log per pair instead of one per update.
@@ -119,57 +161,69 @@ const foldBelow = 1e-280
 // (transn/finite.go) reports.
 //
 // Allocation-free; pinned by TestTrainCorpusAllocsConstant.
-func (m *Model) trainPair(center, context, neg int, lr float64, s *NegSampler, rng *rand.Rand, grad []float64) float64 {
+func (m *Model) trainPair(center, context, neg int, lr float64, s *NegSampler, rng *rand.Rand, b *pairBatch) float64 {
 	in := m.In.Row(center)
-	clear(grad)
-	var loss float64
-	prod := pairUpdate(in, m.Out.Row(context), grad, 1, lr)
-	for k := 0; k < neg; k++ {
-		n := s.Draw(rng)
-		for tries := 0; n == context && tries < 4; tries++ {
-			n = s.Draw(rng)
+	clear(b.grad)
+	b.loss, b.prod = 0, 1
+	rows := append(b.rows[:0], context)
+	positive := true
+	for k := 0; ; rows = rows[:0] {
+		for ; k < neg && len(rows) < maxRows; k++ {
+			n := s.Draw(rng)
+			for tries := 0; n == context && tries < 4; tries++ {
+				n = s.Draw(rng)
+			}
+			if n != context {
+				rows = append(rows, n)
+			}
 		}
-		if n == context {
-			continue
+		lo := 0
+		for hi := 1; hi <= len(rows); hi++ {
+			if hi == len(rows) || slices.Contains(rows[lo:hi], rows[hi]) {
+				m.pairSegment(in, rows[lo:hi], lr, positive, b)
+				positive = false
+				lo = hi
+			}
 		}
-		prod *= pairUpdate(in, m.Out.Row(n), grad, 0, lr)
-		if prod < foldBelow {
-			loss -= math.Log(prod)
-			prod = 1
+		if k == neg {
+			break
 		}
 	}
-	applyRowGrad(in, grad)
-	return loss - math.Log(prod)
+	applyRowGrad(in, b.grad)
+	return b.loss - math.Log(b.prod)
 }
 
-// pairUpdate scores one (center, target) pair against label, updates
-// the target's output row in place, and accumulates the center gradient
-// into grad (applied once per pair by applyRowGrad). It returns the
-// clamped probability the model gives the label, max(score, 1e-10) for
-// a positive and max(1−score, 1e-10) for a negative; trainPair turns
-// the product of these into the pair loss.
-//
-// The score is mat.Dot through the interpolated sigmoid table; the two
-// updates are mat.Axpy calls, the gradient first so it reads the
-// target row before the row moves.
+// pairSegment scores and updates one segment of distinct output rows
+// (see trainPair). Its first row is the positive context when positive
+// is set; every other row is a negative. Each row's clamped probability
+// the model gives its label, max(score, 1e-10) for the positive and
+// max(1−score, 1e-10) for a negative, multiplies into b.prod, which is
+// folded into b.loss after a negative takes it below foldBelow.
 //
 // Allocation-free; pinned by TestTrainCorpusAllocsConstant.
-func pairUpdate(in, out, grad []float64, label, lr float64) float64 {
-	score := tableSigmoid(mat.Dot(in, out))
-	g := (score - label) * lr
-	mat.Axpy(g, out, grad)
-	mat.Axpy(-g, in, out)
-	p := score
-	if label != 1 {
-		p = 1 - score
+func (m *Model) pairSegment(in []float64, rows []int, lr float64, positive bool, b *pairBatch) {
+	vals := b.vals[:len(rows)]
+	mat.DotRows(in, m.Out, rows, vals)
+	for j, dot := range vals {
+		score := tableSigmoid(dot)
+		label, p := 0.0, 1-score
+		if positive && j == 0 {
+			label, p = 1, score
+		}
+		vals[j] = (score - label) * lr
+		// Not math.Max: on amd64 that is an assembly call the compiler
+		// cannot inline. The comparison clamps identically and lets a
+		// NaN through.
+		if p < 1e-10 {
+			p = 1e-10
+		}
+		b.prod *= p
+		if label == 0 && b.prod < foldBelow {
+			b.loss -= math.Log(b.prod)
+			b.prod = 1
+		}
 	}
-	// Not math.Max: on amd64 that is an assembly call the compiler
-	// cannot inline. The comparison clamps identically and lets a NaN
-	// through.
-	if p < 1e-10 {
-		p = 1e-10
-	}
-	return p
+	mat.UpdateRows(in, m.Out, rows, vals, b.grad)
 }
 
 // applyRowGrad subtracts the accumulated center gradient from the input
@@ -193,10 +247,11 @@ func (m *Model) TrainCorpus(paths [][]int, offsets []int, neg int, lr float64, s
 
 // trainCorpus is the shared pass body: it returns the summed pair loss
 // and the pair count so sharded callers can combine shard means exactly.
-// It owns the pass's one center-gradient buffer; each shard of
-// TrainCorpusParallelStats runs its own trainCorpus.
+// It owns the pass's pair scratch, whose center-gradient buffer is the
+// pass's one allocation; each shard of TrainCorpusParallelStats runs its
+// own trainCorpus.
 func (m *Model) trainCorpus(paths [][]int, offsets []int, neg int, lr float64, s *NegSampler, rng *rand.Rand) (float64, int) {
-	grad := make([]float64, m.In.C)
+	b := pairBatch{grad: make([]float64, m.In.C)}
 	var loss float64
 	var pairs int
 	for _, p := range paths {
@@ -209,7 +264,7 @@ func (m *Model) trainCorpus(paths [][]int, offsets []int, neg int, lr float64, s
 					// input and output tables are shared).
 					continue
 				}
-				loss += m.trainPair(center, p[j], neg, lr, s, rng, grad)
+				loss += m.trainPair(center, p[j], neg, lr, s, rng, &b)
 				pairs++
 			}
 		}

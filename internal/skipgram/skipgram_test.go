@@ -157,22 +157,36 @@ func TestModelDim(t *testing.T) {
 	}
 }
 
-// BenchmarkSGNSPass times one serial SGNS pass at d=64. pairs/s is the
-// (center, context) pair throughput, a kernel denominator that does not
-// depend on corpus size or the end-to-end workload.
+// BenchmarkSGNSPass times one serial SGNS pass at d=64 with five
+// negatives. pairs/s is the (center, context) pair throughput, a kernel
+// denominator that does not depend on corpus size or the end-to-end
+// workload. On the 6-node corpus most pairs draw a repeated negative,
+// so their batches split into several segments; on the 1,000-node
+// corpus few do, as on the real graphs.
 func BenchmarkSGNSPass(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	paths := twoClusterCorpus(rng, 50, 40)
-	m := NewModel(6, 64, rng)
-	s := NewNegSampler(CorpusFrequencies(paths, 6))
-	b.ReportAllocs()
-	b.ResetTimer()
-	var pairs int
-	for i := 0; i < b.N; i++ {
-		_, n := m.trainCorpus(paths, SymmetricOffsets(2), 5, 0.025, s, rng)
-		pairs += n
+	for _, c := range []struct {
+		name  string
+		nodes int
+		paths func(rng *rand.Rand) [][]int
+	}{
+		{"nodes=6", 6, func(rng *rand.Rand) [][]int { return twoClusterCorpus(rng, 50, 40) }},
+		{"nodes=1000", 1000, func(rng *rand.Rand) [][]int { return revisitCorpus(rng, 1000, 100, 40) }},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			rng := rand.New(rand.NewSource(1))
+			paths := c.paths(rng)
+			m := NewModel(c.nodes, 64, rng)
+			s := NewNegSampler(CorpusFrequencies(paths, c.nodes))
+			b.ReportAllocs()
+			b.ResetTimer()
+			var pairs int
+			for i := 0; i < b.N; i++ {
+				_, n := m.trainCorpus(paths, SymmetricOffsets(2), 5, 0.025, s, rng)
+				pairs += n
+			}
+			b.ReportMetric(float64(pairs)/b.Elapsed().Seconds(), "pairs/s")
+		})
 	}
-	b.ReportMetric(float64(pairs)/b.Elapsed().Seconds(), "pairs/s")
 }
 
 func TestTrainCorpusSkipsSelfPairs(t *testing.T) {
