@@ -7,6 +7,7 @@ package graph
 
 import (
 	"fmt"
+	"math"
 
 	"transn/internal/ordered"
 )
@@ -239,8 +240,10 @@ func (b *Builder) Build() (*Graph, error) {
 		if int(e.U) >= len(g.Nodes) || int(e.V) >= len(g.Nodes) || e.U < 0 || e.V < 0 {
 			return nil, fmt.Errorf("graph: edge %d references unknown node", i)
 		}
-		if e.Weight <= 0 {
-			return nil, fmt.Errorf("graph: edge %d has non-positive weight %g", i, e.Weight)
+		// NaN fails the comparison and +Inf the bound: an alias table
+		// over either draws garbage.
+		if !(e.Weight > 0 && e.Weight <= math.MaxFloat64) {
+			return nil, fmt.Errorf("graph: edge %d has weight %g, want positive and finite", i, e.Weight)
 		}
 		tu, tv := g.Nodes[e.U].Type, g.Nodes[e.V].Type
 		if tu > tv {

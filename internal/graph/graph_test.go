@@ -2,6 +2,7 @@ package graph
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -212,14 +213,16 @@ func TestBuilderRejectsInconsistentEdgeType(t *testing.T) {
 }
 
 func TestBuilderRejectsNonPositiveWeight(t *testing.T) {
-	b := NewBuilder()
-	a := b.NodeType("a")
-	et := b.EdgeType("e")
-	n1 := b.AddNode(a, "n1")
-	n2 := b.AddNode(a, "n2")
-	b.AddEdge(n1, n2, et, 0)
-	if _, err := b.Build(); err == nil {
-		t.Fatal("expected weight rejection")
+	for _, w := range []float64{0, -1, math.NaN(), math.Inf(1)} {
+		b := NewBuilder()
+		a := b.NodeType("a")
+		et := b.EdgeType("e")
+		n1 := b.AddNode(a, "n1")
+		n2 := b.AddNode(a, "n2")
+		b.AddEdge(n1, n2, et, w)
+		if _, err := b.Build(); err == nil {
+			t.Fatalf("weight %v: expected rejection", w)
+		}
 	}
 }
 
@@ -311,6 +314,8 @@ func TestLoadErrors(t *testing.T) {
 		{"dup node", "N\ta\tt\nN\ta\tt\n"},
 		{"edge unknown node", "N\ta\tt\nE\ta\tb\te\n"},
 		{"bad weight", "N\ta\tt\nN\tb\tt\nE\ta\tb\te\tnope\n"},
+		{"NaN weight", "N\ta\tt\nN\tb\tt\nE\ta\tb\te\tNaN\n"},
+		{"infinite weight", "N\ta\tt\nN\tb\tt\nE\ta\tb\te\t+Inf\n"},
 		{"bad label", "N\ta\tt\t-5\n"},
 		{"short N", "N\ta\n"},
 	}

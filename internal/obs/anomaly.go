@@ -20,14 +20,15 @@ import (
 // dir with this prefix.
 const anomalyPrefix = "anomaly-"
 
+// anomalyKeep bounds retention: after a capture, only the newest
+// anomalyKeep bundle directories survive.
+const anomalyKeep = 8
+
 // AnomalyConfig bounds the anomaly capturer.
 type AnomalyConfig struct {
 	// Dir is the directory bundles are written under. Required; created
 	// on first capture.
 	Dir string
-	// Keep bounds retention: after a capture, only the newest Keep
-	// bundle directories survive. 0 means 8.
-	Keep int
 	// Cooldown is the minimum spacing between captures — a flapping
 	// rule must not fill the disk. 0 means 30s.
 	Cooldown time.Duration
@@ -35,9 +36,6 @@ type AnomalyConfig struct {
 
 // withDefaults fills zero fields with the documented defaults.
 func (c AnomalyConfig) withDefaults() AnomalyConfig {
-	if c.Keep <= 0 {
-		c.Keep = 8
-	}
 	if c.Cooldown <= 0 {
 		c.Cooldown = 30 * time.Second
 	}
@@ -171,7 +169,7 @@ func writeFileAtomic(path string, fn func(io.Writer) error) error {
 // prune deletes the oldest bundle directories beyond the retention
 // bound. Bundle names embed a millisecond timestamp, so lexicographic
 // order on the equal-width numeric prefix is capture order; sorting
-// newest-first and deleting from index Keep onward keeps the most
+// newest-first and deleting from index anomalyKeep onward keeps the most
 // recent bundles.
 func (a *AnomalyCapturer) prune() error {
 	entries, err := os.ReadDir(a.cfg.Dir)
@@ -185,7 +183,7 @@ func (a *AnomalyCapturer) prune() error {
 		}
 	}
 	sort.Sort(sort.Reverse(sort.StringSlice(bundles)))
-	for _, name := range bundles[min(len(bundles), a.cfg.Keep):] {
+	for _, name := range bundles[min(len(bundles), anomalyKeep):] {
 		if err := os.RemoveAll(filepath.Join(a.cfg.Dir, name)); err != nil {
 			return fmt.Errorf("obs: anomaly retention: %w", err)
 		}

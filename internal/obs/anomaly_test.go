@@ -33,7 +33,7 @@ func TestSanitizeRuleName(t *testing.T) {
 
 func TestAnomalyCaptureBundle(t *testing.T) {
 	dir := t.TempDir()
-	a, err := NewAnomalyCapturer(AnomalyConfig{Dir: dir, Keep: 4, Cooldown: time.Nanosecond})
+	a, err := NewAnomalyCapturer(AnomalyConfig{Dir: dir, Cooldown: time.Nanosecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,12 +122,12 @@ func TestAnomalyCooldown(t *testing.T) {
 
 func TestAnomalyRetention(t *testing.T) {
 	dir := t.TempDir()
-	a, err := NewAnomalyCapturer(AnomalyConfig{Dir: dir, Keep: 2, Cooldown: time.Nanosecond})
+	a, err := NewAnomalyCapturer(AnomalyConfig{Dir: dir, Cooldown: time.Nanosecond})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var bundles []string
-	for i := 0; i < 3; i++ {
+	for i := 0; i < anomalyKeep+1; i++ {
 		b, err := a.Capture(WatchEvent{Rule: "r", Code: WatchCodeHeap}, nil)
 		if err != nil || b == "" {
 			t.Fatalf("capture %d = (%q, %v)", i, b, err)
@@ -148,7 +148,7 @@ func TestAnomalyRetention(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(entries) != 2 {
-		t.Fatalf("anomaly dir holds %d entries, want 2", len(entries))
+	if len(entries) != anomalyKeep {
+		t.Fatalf("anomaly dir holds %d entries, want %d", len(entries), anomalyKeep)
 	}
 }

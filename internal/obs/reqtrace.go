@@ -344,13 +344,14 @@ type TraceConfig struct {
 	SampleRate int
 	// RingSize bounds the sampled-trace ring. 0 means 256.
 	RingSize int
-	// SlowRingSize bounds the always-kept slow-trace ring. 0 means 64.
-	SlowRingSize int
 	// SlowThreshold is the total-duration gate for the slow ring: every
 	// request at or above it is kept regardless of sampling. 0 means
 	// 250ms; negative disables slow capture.
 	SlowThreshold time.Duration
 }
+
+// slowRingSize bounds the always-kept slow-trace ring.
+const slowRingSize = 64
 
 // withDefaults fills zero fields with the documented defaults.
 func (c TraceConfig) withDefaults() TraceConfig {
@@ -362,9 +363,6 @@ func (c TraceConfig) withDefaults() TraceConfig {
 	}
 	if c.RingSize == 0 {
 		c.RingSize = 256
-	}
-	if c.SlowRingSize == 0 {
-		c.SlowRingSize = 64
 	}
 	if c.SlowThreshold == 0 {
 		c.SlowThreshold = 250 * time.Millisecond
@@ -390,7 +388,7 @@ func NewTraceLog(cfg TraceConfig) *TraceLog {
 	return &TraceLog{
 		cfg:     cfg,
 		sampled: NewTraceRing(cfg.RingSize),
-		slow:    NewTraceRing(cfg.SlowRingSize),
+		slow:    NewTraceRing(slowRingSize),
 	}
 }
 

@@ -86,3 +86,47 @@ func TestStreamBitBalance(t *testing.T) {
 		}
 	}
 }
+
+// TestSplitMix64Reference checks the stream against the published
+// SplitMix64 outputs for seed 1234567 (the state is advanced by
+// 0x9e3779b97f4a7c15 before each output is mixed).
+func TestSplitMix64Reference(t *testing.T) {
+	want := []uint64{
+		6457827717110365317,
+		3203168211198807973,
+		9817491932198370423,
+		4593380528125082431,
+		16408922859458223821,
+	}
+	s := NewSplitMix64(1234567)
+	for i, w := range want {
+		if got := s.Uint64(); got != w {
+			t.Fatalf("output %d = %d, reference %d", i, got, w)
+		}
+	}
+}
+
+// TestSplitMix64DistinctSeeds requires nearby seeds, as a shard's
+// rand.Rand might hand out, to give unrelated streams: no two of them
+// agree at any of the first 4096 positions.
+func TestSplitMix64DistinctSeeds(t *testing.T) {
+	const n = 4096
+	seeds := []uint64{0, 1, 2, 0x5eed, 1 << 63, ^uint64(0)}
+	seqs := make([][]uint64, len(seeds))
+	for i, seed := range seeds {
+		s := NewSplitMix64(seed)
+		seqs[i] = make([]uint64, n)
+		for k := range seqs[i] {
+			seqs[i][k] = s.Uint64()
+		}
+	}
+	for a := range seqs {
+		for b := a + 1; b < len(seqs); b++ {
+			for k := 0; k < n; k++ {
+				if seqs[a][k] == seqs[b][k] {
+					t.Fatalf("seeds %#x and %#x agree at output %d", seeds[a], seeds[b], k)
+				}
+			}
+		}
+	}
+}

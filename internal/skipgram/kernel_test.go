@@ -10,41 +10,47 @@ import (
 	"transn/internal/rngstream"
 )
 
-// The pair kernel reuses one grad buffer per shard, takes the pair loss
-// as −log ∏pᵢ, scores through the mat kernels and the interpolated
-// sigmoid table, and updates through them. The tests below pin it two
-// ways. Against sequentialTrainPair, the one-row-at-a-time kernel (a
-// Dot, then two Axpy calls, per row, drawing each negative just before
-// its update), it must match bit for bit: tables, loss and rng state. Against the per-update-log, per-pair-allocation kernel
-// with a left-to-right dot and the exact sigmoid, kept here as the
-// reference, the update half must match bit for bit for the same step
-// g; the score may differ by the table's interpolation error, so whole
-// passes are compared within a tolerance.
+// The pair kernel reuses one grad buffer per shard, keeps the shard's
+// loss as loss − log ∏pᵢ over all its pairs, scores through the mat
+// kernels and the interpolated sigmoid table, and updates through them.
+// The tests below pin it two ways. Against sequentialTrainPair, the
+// one-row-at-a-time kernel (a Dot, then two Axpy calls, per row,
+// drawing each negative from the same stream just before its update,
+// and folding each probability into the same running product), it must
+// match bit for bit: tables, loss and stream state. Against the
+// per-update-log, per-pair-allocation kernel with a left-to-right dot
+// and the exact sigmoid, kept here as the reference, the update half
+// must match bit for bit for the same step g; the score may differ by
+// the table's interpolation error, and the loss by the rounding of the
+// folded logs, so whole passes are compared within a tolerance.
 
 // sequentialTrainPair is the one-row-at-a-time pair step: each negative
-// is drawn, scored and applied before the next is drawn. It takes a
-// caller-owned grad buffer, which it clears.
-func sequentialTrainPair(m *Model, center, context, neg int, lr float64, s *NegSampler, rng *rand.Rand, grad []float64) float64 {
+// is drawn from b.negs, scored and applied before the next is drawn, and
+// each clamped probability multiplies into b.prod, which folds into
+// b.loss below foldBelow. It uses b's grad buffer, which it clears, and
+// none of b's batch rows.
+func sequentialTrainPair(m *Model, center, context, neg int, lr float64, s *NegSampler, b *pairBatch) {
 	in := m.In.Row(center)
-	clear(grad)
-	var loss float64
-	prod := pairUpdate(in, m.Out.Row(context), grad, 1, lr)
+	clear(b.grad)
+	fold := func(p float64) {
+		b.prod *= p
+		if b.prod < foldBelow {
+			b.loss -= math.Log(b.prod)
+			b.prod = 1
+		}
+	}
+	fold(pairUpdate(in, m.Out.Row(context), b.grad, 1, lr))
 	for k := 0; k < neg; k++ {
-		n := s.Draw(rng)
+		n := s.Draw(&b.negs)
 		for tries := 0; n == context && tries < 4; tries++ {
-			n = s.Draw(rng)
+			n = s.Draw(&b.negs)
 		}
 		if n == context {
 			continue
 		}
-		prod *= pairUpdate(in, m.Out.Row(n), grad, 0, lr)
-		if prod < foldBelow {
-			loss -= math.Log(prod)
-			prod = 1
-		}
+		fold(pairUpdate(in, m.Out.Row(n), b.grad, 0, lr))
 	}
-	applyRowGrad(in, grad)
-	return loss - math.Log(prod)
+	applyRowGrad(in, b.grad)
 }
 
 // pairUpdate is sequentialTrainPair's step for one row: it scores the
@@ -68,8 +74,7 @@ func pairUpdate(in, out, grad []float64, label, lr float64) float64 {
 
 // sequentialTrainCorpus is trainCorpus over sequentialTrainPair.
 func sequentialTrainCorpus(m *Model, paths [][]int, offsets []int, neg int, lr float64, s *NegSampler, rng *rand.Rand) (float64, int) {
-	grad := make([]float64, m.In.C)
-	var loss float64
+	b := newPairBatch(m.In.C, rng)
 	var pairs int
 	for _, p := range paths {
 		for k, center := range p {
@@ -78,12 +83,12 @@ func sequentialTrainCorpus(m *Model, paths [][]int, offsets []int, neg int, lr f
 				if j < 0 || j >= len(p) || p[j] == center {
 					continue
 				}
-				loss += sequentialTrainPair(m, center, p[j], neg, lr, s, rng, grad)
+				sequentialTrainPair(m, center, p[j], neg, lr, s, &b)
 				pairs++
 			}
 		}
 	}
-	return loss, pairs
+	return b.total(), pairs
 }
 
 // TestPairBatchMatchesSequential requires the batched pair step to give
@@ -169,27 +174,28 @@ func assertSameRun(t *testing.T, what string, gotLoss, wantLoss float64, gotPair
 	}
 }
 
-// TestPairBatchSplitsAtRepeats checks the segment rule directly: with a
-// sampler that almost always draws node 0 or 2, nearly every pair of
-// more than two negatives repeats a row, and a repeated row must be
-// scored after its earlier update, as the sequential step does. The
-// counts around maxRows−1 also split batches at the capacity.
+// TestPairBatchSplitsAtRepeats checks the segment rule directly: the
+// sampler draws only nodes 0 and 2, so nearly every pair of more than
+// two negatives repeats a row, and a repeated row must be scored after
+// its earlier update, as the sequential step does. The counts around
+// maxRows−1 also split batches at the capacity. Both sides train 20
+// pairs through one batch, so the loss also carries across pairs.
 func TestPairBatchSplitsAtRepeats(t *testing.T) {
 	s := NewNegSampler([]float64{1, 0, 1, 0})
 	for _, neg := range []int{2, 3, 15, 16, 17} {
 		got := NewModel(4, 5, rand.New(rand.NewSource(36)))
 		randomizeOut(got, rand.New(rand.NewSource(37)))
 		want := cloneModel(got)
-		gotRNG, wantRNG := rand.New(rand.NewSource(38)), rand.New(rand.NewSource(38))
-		grad := make([]float64, 5)
+		gb := newPairBatch(5, rand.New(rand.NewSource(38)))
+		wb := newPairBatch(5, rand.New(rand.NewSource(38)))
 		for k := 0; k < 20; k++ {
-			gl := got.TrainPair(3, 1, neg, 0.5, s, gotRNG)
-			wl := sequentialTrainPair(want, 3, 1, neg, 0.5, s, wantRNG, grad)
-			assertSameRun(t, fmt.Sprintf("neg=%d pair %d", neg, k), gl, wl, 1, 1)
+			got.trainPair(3, 1, neg, 0.5, s, &gb)
+			sequentialTrainPair(want, 3, 1, neg, 0.5, s, &wb)
+			assertSameRun(t, fmt.Sprintf("neg=%d pair %d", neg, k), gb.total(), wb.total(), 1, 1)
 		}
 		assertTablesIdentical(t, fmt.Sprintf("neg=%d", neg), got, want)
-		if g, w := gotRNG.Int63(), wantRNG.Int63(); g != w {
-			t.Fatalf("neg=%d: rng state differs: next Int63 %d, sequential %d", neg, g, w)
+		if g, w := gb.negs.Uint64(), wb.negs.Uint64(); g != w {
+			t.Fatalf("neg=%d: negative stream differs: next word %#x, sequential %#x", neg, g, w)
 		}
 	}
 }
@@ -228,15 +234,16 @@ func referencePairUpdate(in, out, grad []float64, label, lr float64) float64 {
 }
 
 // referenceTrainPair is the replaced TrainPair: a fresh grad slice per
-// pair and the sum of per-update losses.
-func referenceTrainPair(m *Model, center, context, neg int, lr float64, s *NegSampler, rng *rand.Rand) float64 {
+// pair and the sum of per-update losses, which it returns. It draws its
+// negatives from negs.
+func referenceTrainPair(m *Model, center, context, neg int, lr float64, s *NegSampler, negs *rngstream.SplitMix64) float64 {
 	in := m.In.Row(center)
 	grad := make([]float64, len(in))
 	loss := referencePairUpdate(in, m.Out.Row(context), grad, 1, lr)
 	for k := 0; k < neg; k++ {
-		n := s.Draw(rng)
+		n := s.Draw(negs)
 		for tries := 0; n == context && tries < 4; tries++ {
-			n = s.Draw(rng)
+			n = s.Draw(negs)
 		}
 		if n == context {
 			continue
@@ -249,7 +256,9 @@ func referenceTrainPair(m *Model, center, context, neg int, lr float64, s *NegSa
 	return loss
 }
 
+// referenceTrainCorpus seeds its negative stream as trainCorpus does.
 func referenceTrainCorpus(m *Model, paths [][]int, offsets []int, neg int, lr float64, s *NegSampler, rng *rand.Rand) (float64, int) {
+	negs := rngstream.NewSplitMix64(rng.Uint64())
 	var loss float64
 	var pairs int
 	for _, p := range paths {
@@ -259,7 +268,7 @@ func referenceTrainCorpus(m *Model, paths [][]int, offsets []int, neg int, lr fl
 				if j < 0 || j >= len(p) || p[j] == center {
 					continue
 				}
-				loss += referenceTrainPair(m, center, p[j], neg, lr, s, rng)
+				loss += referenceTrainPair(m, center, p[j], neg, lr, s, &negs)
 				pairs++
 			}
 		}
@@ -521,8 +530,11 @@ func TestPairKernelSaturatedManyNegatives(t *testing.T) {
 	const neg = 64
 	got, s := saturatedModel()
 	want := cloneModel(got)
-	gl := got.TrainPair(0, 1, neg, 1e-6, s, rand.New(rand.NewSource(32)))
-	wl := referenceTrainPair(want, 0, 1, neg, 1e-6, s, rand.New(rand.NewSource(32)))
+	b := newPairBatch(got.Dim(), rand.New(rand.NewSource(32)))
+	got.trainPair(0, 1, neg, 1e-6, s, &b)
+	gl := b.total()
+	negs := rngstream.NewSplitMix64(rand.New(rand.NewSource(32)).Uint64())
+	wl := referenceTrainPair(want, 0, 1, neg, 1e-6, s, &negs)
 	if math.IsInf(gl, 0) || math.IsNaN(gl) {
 		t.Fatalf("saturated loss = %v, want finite", gl)
 	}
@@ -552,7 +564,9 @@ func TestPairKernelNaNPropagates(t *testing.T) {
 	for n := 2; n < 6; n++ {
 		sat.Out.Row(n)[0] = math.NaN()
 	}
-	if loss := sat.TrainPair(0, 1, 64, 1e-6, ss, rand.New(rand.NewSource(34))); !math.IsNaN(loss) {
+	b := newPairBatch(sat.Dim(), rand.New(rand.NewSource(34)))
+	sat.trainPair(0, 1, 64, 1e-6, ss, &b)
+	if loss := b.total(); !math.IsNaN(loss) {
 		t.Fatalf("saturated pair with NaN negative rows: loss %v, want NaN", loss)
 	}
 }

@@ -9,6 +9,13 @@
 // with one mat.UpdateRows call, splitting the batch into segments
 // before a repeated negative. The result is bit-identical to scoring
 // and updating one row at a time (see trainPair).
+//
+// Negatives come from a per-shard rngstream.SplitMix64, seeded with one
+// Uint64 of the shard's *rand.Rand: each negative is one inlined
+// generator step and one alias pick, as in word2vec. The pass loss
+// folds the clamped probabilities of all of a shard's pairs into one
+// running product, so it takes a math.Log only when that product
+// nears underflow and once at the end of the shard.
 package skipgram
 
 import (
@@ -62,8 +69,8 @@ func NewNegSampler(freq []float64) *NegSampler {
 	return &NegSampler{alias: walk.NewAlias(w)}
 }
 
-// Draw samples one negative node index.
-func (s *NegSampler) Draw(rng *rand.Rand) int { return s.alias.Draw(rng) }
+// Draw samples one negative node index from the next word of r.
+func (s *NegSampler) Draw(r *rngstream.SplitMix64) int { return s.alias.Pick(r.Uint64()) }
 
 // CorpusFrequencies counts node occurrences over a path corpus of local
 // indices in [0, numNodes).
@@ -99,23 +106,24 @@ func SymmetricOffsets(w int) []int {
 }
 
 // TrainPair applies one SGNS update for (center, context): the positive
-// pair is pushed together, neg sampled negatives are pushed apart. The
-// binary cross-entropy loss of the update is returned. Negatives equal to
-// the true context are re-drawn a bounded number of times.
+// pair is pushed together, neg sampled negatives are pushed apart.
+// Negatives equal to the true context are re-drawn a bounded number of
+// times. The negatives come from a stream seeded with one rng.Uint64.
 //
-// TrainPair allocates its own d-length center-gradient buffer per call;
-// it serves callers that train edge by edge (the LINE baseline). Corpus
-// passes call trainPair with one buffer per shard instead.
-func (m *Model) TrainPair(center, context, neg int, lr float64, s *NegSampler, rng *rand.Rand) float64 {
-	b := pairBatch{grad: make([]float64, m.In.C)}
-	return m.trainPair(center, context, neg, lr, s, rng, &b)
+// TrainPair allocates its own d-length center-gradient buffer per call
+// and returns no loss; it serves callers that train edge by edge (the
+// LINE baseline). Corpus passes call trainPair with one batch per shard
+// instead.
+func (m *Model) TrainPair(center, context, neg int, lr float64, s *NegSampler, rng *rand.Rand) {
+	b := newPairBatch(m.In.C, rng)
+	m.trainPair(center, context, neg, lr, s, &b)
 }
 
-// foldBelow bounds the running probability product in trainPair. Every
-// factor is at least 1e-10, so folding the product into the loss as soon
-// as it drops below 1e-280 keeps it at or above 1e-290, inside the normal
-// float64 range: no underflow to zero and no subnormal precision loss,
-// whatever the negative count.
+// foldBelow bounds the running probability product of a pairBatch.
+// Every factor is at least 1e-10, so folding the product into the loss
+// as soon as it drops below 1e-280 keeps it at or above 1e-290, inside
+// the normal float64 range: no underflow to zero and no subnormal
+// precision loss, however many pairs and negatives it spans.
 const foldBelow = 1e-280
 
 // maxRows is the most output rows a pair batch holds: the context and
@@ -125,23 +133,34 @@ const foldBelow = 1e-280
 // time, with the same result.
 const maxRows = 16
 
-// pairBatch is one shard's scratch for trainPair: the d-length center
+// pairBatch is one shard's state for trainPair: the d-length center
 // gradient, the output rows of the pair's current batch, their scores
-// and then their steps, and the pair's running loss. A corpus pass
-// keeps one on its stack, so the gradient buffer is its only
-// allocation.
+// and then their steps, the shard's negative stream, and its running
+// loss, which is loss − log prod. A corpus pass keeps one on its stack,
+// so the gradient buffer is its only allocation.
 type pairBatch struct {
 	grad       []float64
 	rows       [maxRows]int
 	vals       [maxRows]float64
+	negs       rngstream.SplitMix64
 	loss, prod float64
 }
 
-// trainPair is TrainPair with caller-owned scratch b, whose gradient it
-// clears before use.
+// newPairBatch returns the batch for a d-wide model whose negative
+// stream is seeded with one rng.Uint64, and whose loss is zero.
+func newPairBatch(d int, rng *rand.Rand) pairBatch {
+	return pairBatch{grad: make([]float64, d), negs: rngstream.NewSplitMix64(rng.Uint64()), prod: 1}
+}
+
+// total returns the loss of every pair the batch has trained.
+func (b *pairBatch) total() float64 { return b.loss - math.Log(b.prod) }
+
+// trainPair is TrainPair with caller-owned batch b, whose gradient it
+// clears before use, and whose stream and loss carry over from the
+// shard's earlier pairs.
 //
 // The pair works on its output rows as one batch: the context, then the
-// negatives, drawn first (the draws never read the model, so the rng
+// negatives, drawn first (the draws never read the model, so the
 // stream is the one a draw-update-draw loop would consume). The batch
 // splits into segments before any negative that repeats a row earlier
 // in its segment. For each segment, one mat.DotRows call scores every
@@ -153,25 +172,25 @@ type pairBatch struct {
 // previous segment's update. The result is therefore bit-identical to
 // scoring and updating one row at a time.
 //
-// The loss Σ −log pᵢ over the positive and the sampled negatives is
-// computed as −log ∏pᵢ: one math.Log per pair instead of one per update.
-// With many negatives and saturated scores the product could underflow,
-// so it is folded into the loss early (see foldBelow). A NaN score makes
-// the product, and so the loss, NaN, which the trainer's finite guard
-// (transn/finite.go) reports.
+// The loss Σ −log pᵢ over the positives and the sampled negatives of
+// all the batch's pairs is kept as loss − log ∏pᵢ: the product carries
+// from pair to pair and is folded into loss only when it nears
+// underflow (see foldBelow), which at the default five negatives is
+// once in a few hundred pairs. A NaN score makes the product, and so
+// the loss, NaN, which the trainer's finite guard (transn/finite.go)
+// reports.
 //
 // Allocation-free; pinned by TestTrainCorpusAllocsConstant.
-func (m *Model) trainPair(center, context, neg int, lr float64, s *NegSampler, rng *rand.Rand, b *pairBatch) float64 {
+func (m *Model) trainPair(center, context, neg int, lr float64, s *NegSampler, b *pairBatch) {
 	in := m.In.Row(center)
 	clear(b.grad)
-	b.loss, b.prod = 0, 1
 	rows := append(b.rows[:0], context)
 	positive := true
 	for k := 0; ; rows = rows[:0] {
 		for ; k < neg && len(rows) < maxRows; k++ {
-			n := s.Draw(rng)
+			n := s.Draw(&b.negs)
 			for tries := 0; n == context && tries < 4; tries++ {
-				n = s.Draw(rng)
+				n = s.Draw(&b.negs)
 			}
 			if n != context {
 				rows = append(rows, n)
@@ -190,7 +209,6 @@ func (m *Model) trainPair(center, context, neg int, lr float64, s *NegSampler, r
 		}
 	}
 	applyRowGrad(in, b.grad)
-	return b.loss - math.Log(b.prod)
 }
 
 // pairSegment scores and updates one segment of distinct output rows
@@ -198,7 +216,7 @@ func (m *Model) trainPair(center, context, neg int, lr float64, s *NegSampler, r
 // is set; every other row is a negative. Each row's clamped probability
 // the model gives its label, max(score, 1e-10) for the positive and
 // max(1−score, 1e-10) for a negative, multiplies into b.prod, which is
-// folded into b.loss after a negative takes it below foldBelow.
+// folded into b.loss as soon as it drops below foldBelow.
 //
 // Allocation-free; pinned by TestTrainCorpusAllocsConstant.
 func (m *Model) pairSegment(in []float64, rows []int, lr float64, positive bool, b *pairBatch) {
@@ -218,7 +236,7 @@ func (m *Model) pairSegment(in []float64, rows []int, lr float64, positive bool,
 			p = 1e-10
 		}
 		b.prod *= p
-		if label == 0 && b.prod < foldBelow {
+		if b.prod < foldBelow {
 			b.loss -= math.Log(b.prod)
 			b.prod = 1
 		}
@@ -247,12 +265,12 @@ func (m *Model) TrainCorpus(paths [][]int, offsets []int, neg int, lr float64, s
 
 // trainCorpus is the shared pass body: it returns the summed pair loss
 // and the pair count so sharded callers can combine shard means exactly.
-// It owns the pass's pair scratch, whose center-gradient buffer is the
-// pass's one allocation; each shard of TrainCorpusParallelStats runs its
-// own trainCorpus.
+// It owns the pass's pair batch, whose center-gradient buffer is the
+// pass's one allocation, and takes one rng.Uint64 to seed its negative
+// stream; each shard of TrainCorpusParallelStats runs its own
+// trainCorpus.
 func (m *Model) trainCorpus(paths [][]int, offsets []int, neg int, lr float64, s *NegSampler, rng *rand.Rand) (float64, int) {
-	b := pairBatch{grad: make([]float64, m.In.C)}
-	var loss float64
+	b := newPairBatch(m.In.C, rng)
 	var pairs int
 	for _, p := range paths {
 		for k, center := range p {
@@ -264,12 +282,12 @@ func (m *Model) trainCorpus(paths [][]int, offsets []int, neg int, lr float64, s
 					// input and output tables are shared).
 					continue
 				}
-				loss += m.trainPair(center, p[j], neg, lr, s, rng, &b)
+				m.trainPair(center, p[j], neg, lr, s, &b)
 				pairs++
 			}
 		}
 	}
-	return loss, pairs
+	return b.total(), pairs
 }
 
 // TrainCorpusParallelStats runs one SGNS pass with the corpus

@@ -54,11 +54,11 @@ func TestNegSamplerSmoothing(t *testing.T) {
 	// freq^0.75 smoothing: outcome 0 (freq 16) vs outcome 1 (freq 1)
 	// should be drawn in ratio 16^0.75 : 1 = 8 : 1.
 	s := NewNegSampler([]float64{16, 1})
-	rng := rand.New(rand.NewSource(1))
+	r := rngstream.NewSplitMix64(1)
 	count0 := 0
 	const n = 100000
 	for i := 0; i < n; i++ {
-		if s.Draw(rng) == 0 {
+		if s.Draw(&r) == 0 {
 			count0++
 		}
 	}
@@ -70,10 +70,10 @@ func TestNegSamplerSmoothing(t *testing.T) {
 
 func TestNegSamplerZeroFreqFloor(t *testing.T) {
 	s := NewNegSampler([]float64{0, 1})
-	rng := rand.New(rand.NewSource(2))
+	r := rngstream.NewSplitMix64(2)
 	saw0 := false
 	for i := 0; i < 10000; i++ {
-		if s.Draw(rng) == 0 {
+		if s.Draw(&r) == 0 {
 			saw0 = true
 			break
 		}

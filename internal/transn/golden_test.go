@@ -21,7 +21,7 @@ import (
 // Workers=2 on threeViewGraph(t, 10, 5, 51). A change that alters it changes the
 // numbers every reproducible run produces; say so in CHANGES.md and
 // re-pin.
-const goldenEmbeddingFNV uint64 = 0xce18a34d177a0132
+const goldenEmbeddingFNV uint64 = 0xf1c5380e3b627c6c
 
 func embeddingFNV(m *mat.Dense) uint64 {
 	h := fnv.New64a()

@@ -6,9 +6,10 @@
 // max(min(degree, 32), 10).
 //
 // The weighted walkers, LINE's edge sampler and the skip-gram negative
-// sampler draw through Alias.Draw, which takes no division: it returns
-// the index, and leaves the rng in the state, that rng.Intn(n)
-// followed by rng.Float64() would.
+// sampler draw through an Alias table, which picks an outcome from one
+// uniform 64-bit word (Alias.Pick) with no float and no division:
+// Alias.Draw takes that word from rng.Uint64, and skip-gram passes the
+// next word of its inlined rngstream.SplitMix64 stream.
 package walk
 
 import (
@@ -18,20 +19,30 @@ import (
 
 // Alias is a Vose alias table for O(1) sampling from a discrete
 // distribution. Construction is O(n).
-//
-// Draw consumes the rng exactly as rng.Intn(n) followed by
-// rng.Float64() and returns the index they select, but without a
-// division (see intn).
 type Alias struct {
 	entries []aliasEntry
-	pick    intn
+	n       uint64
 }
 
-// aliasEntry keeps an outcome's acceptance probability next to its
-// alias, so a draw reads one cache line.
+// aliasEntry is one column of the table: the column's own outcome is
+// kept when the fractional word of a pick is below threshold, and alias
+// is taken otherwise. A full column aliases to itself.
 type aliasEntry struct {
-	prob  float64
-	alias int32
+	threshold uint64
+	alias     int32
+}
+
+// column returns the entry of outcome i for acceptance probability
+// prob and alias a. The threshold is prob·2⁶⁴, which is exact for every
+// float64 below 1 and so fits a uint64; a probability of 1 or more (the
+// leftover columns of Vose's method, which rounding can push just above
+// 1) cannot, so such a column keeps 2⁶⁴−1 and aliases to itself, and
+// every pick of it returns i.
+func column(i int, prob float64, a int32) aliasEntry {
+	if prob >= 1 {
+		return aliasEntry{threshold: 1<<64 - 1, alias: int32(i)}
+	}
+	return aliasEntry{threshold: uint64(prob * (1 << 64)), alias: a}
 }
 
 // NewAlias builds an alias table over weights (non-negative, at least one
@@ -54,7 +65,7 @@ func NewAlias(weights []float64) *Alias {
 	if total == 0 {
 		panic("walk: all weights zero")
 	}
-	a := &Alias{entries: make([]aliasEntry, n), pick: newIntn(n)}
+	a := &Alias{entries: make([]aliasEntry, n), n: uint64(n)}
 	scaled := make([]float64, n)
 	small := make([]int32, 0, n)
 	large := make([]int32, 0, n)
@@ -71,7 +82,7 @@ func NewAlias(weights []float64) *Alias {
 		small = small[:len(small)-1]
 		l := large[len(large)-1]
 		large = large[:len(large)-1]
-		a.entries[s] = aliasEntry{prob: scaled[s], alias: l}
+		a.entries[s] = column(int(s), scaled[s], l)
 		scaled[l] -= 1 - scaled[s]
 		if scaled[l] < 1 {
 			small = append(small, l)
@@ -80,64 +91,29 @@ func NewAlias(weights []float64) *Alias {
 		}
 	}
 	for _, l := range large {
-		a.entries[l].prob = 1
+		a.entries[l] = column(int(l), 1, 0)
 	}
 	for _, s := range small {
-		a.entries[s].prob = 1
+		a.entries[s] = column(int(s), 1, 0)
 	}
 	return a
 }
 
-// Draw samples an index from the table. It returns what
-// i := rng.Intn(n) followed by rng.Float64() < prob[i] selects, and
-// leaves rng in the same state.
-func (a *Alias) Draw(rng *rand.Rand) int {
-	i := a.pick.draw(rng)
-	e := a.entries[i]
-	if rng.Float64() < e.prob {
-		return int(i)
+// Pick returns the outcome that the uniform word u selects. The high
+// word of u·n is the column, uniform over [0, n); the low word is the
+// fraction of the way through that column, uniform to within n/2⁶⁴,
+// and keeps the column when it is below the column's threshold.
+func (a *Alias) Pick(u uint64) int {
+	hi, lo := bits.Mul64(u, a.n)
+	e := a.entries[hi]
+	if lo < e.threshold {
+		return int(hi)
 	}
 	return int(e.alias)
 }
 
-// intn is rng.Intn(n) for one n in [1, 2³¹−1] with the division taken
-// out: Int31n's rejection bound is computed once, and its v % n is
-// fastmod.
-type intn struct {
-	n     uint32
-	bound int32  // Int31n's largest accepted Int31 value
-	mult  uint64 // fastmod multiplier ⌈2⁶⁴/n⌉ mod 2⁶⁴ (0 for n = 1)
-}
-
-func newIntn(n int) intn {
-	return intn{
-		n:     uint32(n),
-		bound: int32(1<<31 - 1 - (1<<31)%uint32(n)),
-		mult:  ^uint64(0)/uint64(n) + 1,
-	}
-}
-
-// draw returns rng.Intn(n) and consumes the same Int31 values: Int31n's
-// rejection loop, then v % n. A power of two needs no separate mask:
-// its bound, 2³¹−1, rejects nothing, and fastmod gives v & (n−1), which
-// is what Int31n's mask branch returns.
-func (p intn) draw(rng *rand.Rand) uint32 {
-	v := rng.Int31()
-	for v > p.bound {
-		v = rng.Int31()
-	}
-	return fastmod(uint32(v), p.mult, p.n)
-}
-
-// fastmod returns v % n for mult = ⌈2⁶⁴/n⌉ (mod 2⁶⁴) without a
-// division: the low 64 bits of mult·v are the fraction v/n scaled by
-// 2⁶⁴, and their product with n carries v % n into the high word. It
-// is exact for every 32-bit v and n ≥ 1 (Lemire, Kaser and Kurz,
-// "Faster Remainder by Direct Computation", 2019).
-func fastmod(v uint32, mult uint64, n uint32) uint32 {
-	hi, _ := bits.Mul64(mult*uint64(v), uint64(n))
-	return uint32(hi)
-}
+// Draw samples an index from the table with one rng.Uint64 call.
+func (a *Alias) Draw(rng *rand.Rand) int { return a.Pick(rng.Uint64()) }
 
 // Len returns the number of outcomes.
 func (a *Alias) Len() int { return len(a.entries) }
