@@ -10,7 +10,10 @@
 //
 // By default runs use quick (small) settings; -full switches to larger
 // networks and paper-like hyperparameters. -points writes Figure 6
-// coordinates as TSV to the given file.
+// coordinates as TSV to the given file. TransN's rows depend on the
+// worker count, which sets its skip-gram shards per view, so -workers
+// defaults to 2, the count the committed results/ tables were generated
+// with: the same command prints the same tables on any machine.
 //
 // Every experiment runs under a telemetry span; -timings prints the
 // per-experiment wall time from those spans, -report writes the whole
@@ -45,7 +48,7 @@ func main() {
 		dim       = flag.Int("dim", 0, "embedding dimensionality (default 32 quick / 64 full)")
 		reps      = flag.Int("reps", 0, "classification repetitions (default 3 quick / 10 full)")
 		points    = flag.String("points", "", "write Figure 6 coordinates as TSV to this file")
-		workers   = flag.Int("workers", 0, "TransN worker-pool size (0 = all cores, 1 = serial)")
+		workers   = flag.Int("workers", 2, "TransN worker-pool size (0 = all cores, 1 = serial); the default is the count results/ was generated with")
 		timings   = flag.Bool("timings", false, "print wall-clock time per experiment")
 		report    = flag.String("report", "", "write the run's telemetry report as JSON to this file")
 		debugAddr = flag.String("debug-addr", "", "serve /metrics, /debug/vars, /debug/pprof and /debug/diagnostics on this address while running")

@@ -143,6 +143,12 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 		{"trailing garbage", mutate(func(b []byte) []byte { return append(b, 0, 0, 0, 0, 0, 0, 0, 0) })},
 		{"entry out of range", mutate(func(b []byte) []byte { b[40] = 0xff; b[41] = 0xff; return b })},
 		{"level above max", mutate(func(b []byte) []byte { b[serHeaderSize+3] = maxLevelCap + 1; return b })},
+		{"offset past edge count", mutate(func(b []byte) []byte {
+			// Layer 0's offs[1], which a later offs[2] undercuts.
+			lv := serHeaderSize + 50 + pad8(50)
+			binary.LittleEndian.PutUint32(b[lv+8+4:], 0xfffffff0)
+			return b
+		})},
 	}
 	for _, tc := range cases {
 		if _, err := Decode(tc.data, table, norms); err == nil {

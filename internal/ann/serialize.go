@@ -190,7 +190,10 @@ func Decode(data []byte, table *mat.Dense, norms []float64) (*Index, error) {
 		}
 		adj := make([][]int32, n)
 		for i := 0; i < n; i++ {
-			if offs[i] > offs[i+1] {
+			// offs[n] is the edge count, so a later offset above it
+			// also breaks monotonicity; checking it here keeps the
+			// slice below inside nbrs.
+			if offs[i] > offs[i+1] || offs[i+1] > offs[n] {
 				return nil, fmt.Errorf("ann: layer %d offsets not monotonic at node %d", l, i)
 			}
 			if offs[i] != offs[i+1] && int(levels[i]) < l {

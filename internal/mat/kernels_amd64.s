@@ -1,5 +1,33 @@
 #include "textflag.h"
 
+// The update kernels' argument-reading macros stand ahead of the first
+// TEXT: go vet checks every (FP) reference against the TEXT above it.
+
+// UPDSETUP(mask) loads the update kernels' state: SI = x, CX = the
+// row stride in bytes, DI = t, R10 = acc, the sign-bit mask broadcast
+// into mask, AX = 0 (the byte offset of the column block) and R11 = the
+// bytes in the whole blocks of 32 columns, with ZF set when there are
+// none.
+#define UPDSETUP(mask) \
+	MOVQ x_base+0(FP), SI;           \
+	MOVQ x_len+8(FP), CX;            \
+	SHLQ $3, CX;                     \
+	MOVQ t_base+24(FP), DI;          \
+	MOVQ acc_base+96(FP), R10;       \
+	MOVQ $0x8000000000000000, R8;    \
+	MOVQ R8, X15;                    \
+	VBROADCASTSD X15, mask;          \
+	XORQ AX, AX;                     \
+	MOVQ CX, R11;                    \
+	ANDQ $-256, R11
+
+// ROWSTART points BX at rows, DX at a and R9 at the row count, for a
+// walk over the rows of one column block.
+#define ROWSTART \
+	MOVQ rows_base+48(FP), BX; \
+	MOVQ a_base+72(FP), DX;    \
+	MOVQ rows_len+56(FP), R9
+
 // func cpuHasAVX2() bool
 TEXT ·cpuHasAVX2(SB), NOSPLIT, $0-1
 	// Leaf 7 must exist.
@@ -28,6 +56,31 @@ TEXT ·cpuHasAVX2(SB), NOSPLIT, $0-1
 	XORL CX, CX
 	CPUID
 	BTL  $5, BX
+	JCC  no
+	MOVB $1, ret+0(FP)
+	RET
+
+no:
+	MOVB $0, ret+0(FP)
+	RET
+
+// func cpuHasAVX512() bool
+//
+// Runs only once cpuHasAVX2 holds, so leaf 7 and XGETBV exist.
+TEXT ·cpuHasAVX512(SB), NOSPLIT, $0-1
+	// XCR0 bits 1, 2 and 5–7: the OS saves XMM, YMM, opmask and the
+	// upper halves of Z0–Z15 and all of Z16–Z31.
+	XORL CX, CX
+	XGETBV
+	ANDL $0xE6, AX
+	CMPL AX, $0xE6
+	JNE  no
+
+	// Leaf 7 sub-leaf 0 EBX: bit 16 AVX512F.
+	MOVL $7, AX
+	XORL CX, CX
+	CPUID
+	BTL  $16, BX
 	JCC  no
 	MOVB $1, ret+0(FP)
 	RET
@@ -86,16 +139,58 @@ dotsum:
 // func axpyAVX2(a float64, x, y []float64)
 //
 // Each element is rounded once by the multiply and once by the add, as
-// in axpyGeneric. Sixteen elements per iteration, then blocks of four,
-// then one at a time.
+// in axpyGeneric; the loops are axpyTail's.
 TEXT ·axpyAVX2(SB), NOSPLIT, $0-56
 	VBROADCASTSD a+0(FP), Y0
 	MOVQ         x_base+8(FP), SI
 	MOVQ         x_len+16(FP), CX
 	MOVQ         y_base+32(FP), DI
+	JMP          axpyTail<>(SB)
+
+// func axpyAVX512(a float64, x, y []float64)
+//
+// axpyAVX2 with 32 elements per iteration in Z1..Z4, the same multiply
+// then add per element; the last len mod 32 elements go to axpyTail,
+// with Y0 the low half of Z0.
+TEXT ·axpyAVX512(SB), NOSPLIT, $0-56
+	VBROADCASTSD a+0(FP), Z0
+	MOVQ         x_base+8(FP), SI
+	MOVQ         x_len+16(FP), CX
+	MOVQ         y_base+32(FP), DI
 	MOVQ         CX, BX
-	SHRQ         $4, BX
-	JZ           axpy4
+	SHRQ         $5, BX
+	JZ           axpyz32done
+
+axpyz32:
+	VMULPD  (SI), Z0, Z1
+	VMULPD  64(SI), Z0, Z2
+	VMULPD  128(SI), Z0, Z3
+	VMULPD  192(SI), Z0, Z4
+	VADDPD  (DI), Z1, Z1
+	VADDPD  64(DI), Z2, Z2
+	VADDPD  128(DI), Z3, Z3
+	VADDPD  192(DI), Z4, Z4
+	VMOVUPD Z1, (DI)
+	VMOVUPD Z2, 64(DI)
+	VMOVUPD Z3, 128(DI)
+	VMOVUPD Z4, 192(DI)
+	ADDQ    $256, SI
+	ADDQ    $256, DI
+	DECQ    BX
+	JNZ     axpyz32
+
+axpyz32done:
+	ANDQ $31, CX
+	JMP  axpyTail<>(SB)
+
+// axpyTail adds a·x to y over CX elements, x at SI and y at DI, with
+// a broadcast in Y0: sixteen elements per iteration, then blocks of
+// four, then one at a time. The axpy kernels jump here, so its RET
+// returns to their caller.
+TEXT axpyTail<>(SB), NOSPLIT, $0
+	MOVQ CX, BX
+	SHRQ $4, BX
+	JZ   axpy4
 
 axpyloop16:
 	VMULPD  (SI), Y0, Y1
@@ -326,27 +421,25 @@ drnext:
 	VBROADCASTSD (DX), Y4;  \
 	VXORPD       Y15, Y4, Y5
 
+// ROWEND steps to the next row and loops back to label while rows
+// remain.
+#define ROWEND(label) \
+	ADDQ $8, BX; \
+	ADDQ $8, DX; \
+	DECQ R9;     \
+	JNZ  label
+
 // func updateRowsAVX2(x, t []float64, rows []int, a, acc []float64)
 //
 // Column block by column block, the block of acc stays in registers
-// while the rows go by in order: 32 columns in Y0..Y3 and Y6..Y9, then
-// four in Y0, then one at a time. Each row's block is loaded once, feeds
-// acc, gets its own update and is stored before the next row loads, so
-// a repeated row sees its own update. x is reloaded for every row.
-// len(rows) must be at least 1.
+// while the rows go by in order: 32 columns in Y0..Y3 and Y6..Y9 here,
+// then updateRowsTail's blocks of four and single columns. Each row's
+// block is loaded once, feeds acc, gets its own update and is stored
+// before the next row loads, so a repeated row sees its own update. x
+// is reloaded for every row. len(rows) must be at least 1.
 TEXT ·updateRowsAVX2(SB), NOSPLIT, $0-120
-	MOVQ         x_base+0(FP), SI
-	MOVQ         x_len+8(FP), CX
-	SHLQ         $3, CX           // row stride in bytes
-	MOVQ         t_base+24(FP), DI
-	MOVQ         acc_base+96(FP), R10
-	MOVQ         $0x8000000000000000, R8
-	MOVQ         R8, X15
-	VBROADCASTSD X15, Y15
-	XORQ         AX, AX
-	MOVQ         CX, R11
-	ANDQ         $-256, R11       // bytes in the whole blocks of 32
-	JZ           ur4
+	UPDSETUP(Y15)
+	JZ ur32done
 
 ur32:
 	VMOVUPD (R10)(AX*1), Y0
@@ -357,9 +450,7 @@ ur32:
 	VMOVUPD 160(R10)(AX*1), Y7
 	VMOVUPD 192(R10)(AX*1), Y8
 	VMOVUPD 224(R10)(AX*1), Y9
-	MOVQ    rows_base+48(FP), BX
-	MOVQ    a_base+72(FP), DX
-	MOVQ    rows_len+56(FP), R9
+	ROWSTART
 
 ur32row:
 	NEXTROW
@@ -371,10 +462,7 @@ ur32row:
 	UPDROW(160, Y7, Y12, Y13)
 	UPDROW(192, Y8, Y10, Y11)
 	UPDROW(224, Y9, Y12, Y13)
-	ADDQ    $8, BX
-	ADDQ    $8, DX
-	DECQ    R9
-	JNZ     ur32row
+	ROWEND(ur32row)
 	VMOVUPD Y0, (R10)(AX*1)
 	VMOVUPD Y1, 32(R10)(AX*1)
 	VMOVUPD Y2, 64(R10)(AX*1)
@@ -387,7 +475,69 @@ ur32row:
 	CMPQ    AX, R11
 	JLT     ur32
 
-ur4:
+ur32done:
+	JMP updateRowsTail<>(SB)
+
+// UPDROWZ is UPDROW on eight columns: Z4 = a_j and Z5 = −a_j.
+#define UPDROWZ(off, acc, r, p) \
+	VMOVUPD off(R8)(AX*1), r;   \
+	VMULPD  r, Z4, p;           \
+	VADDPD  acc, p, acc;        \
+	VMULPD  off(SI)(AX*1), Z5, p; \
+	VADDPD  r, p, p;            \
+	VMOVUPD p, off(R8)(AX*1)
+
+// NEXTROWZ is NEXTROW broadcasting to Z4 and Z5, with Z15 the mask.
+// VPXORQ is AVX512F's integer xor; VXORPD on ZMM would need AVX512DQ.
+#define NEXTROWZ \
+	MOVQ         (BX), R8;  \
+	IMULQ        CX, R8;    \
+	ADDQ         DI, R8;    \
+	VBROADCASTSD (DX), Z4;  \
+	VPXORQ       Z15, Z4, Z5
+
+// func updateRowsAVX512(x, t []float64, rows []int, a, acc []float64)
+//
+// updateRowsAVX2 with each block of 32 columns in Z0..Z3, eight per
+// register; every element sees the same multiply, then add, in the same
+// order. The remaining columns go to updateRowsTail, with Y15 the low
+// half of Z15. Only Z0–Z15 are used, so updateRowsTail's VZEROUPPER
+// returns all of the upper AVX-512 state to its initial state.
+TEXT ·updateRowsAVX512(SB), NOSPLIT, $0-120
+	UPDSETUP(Z15)
+	JZ uz32done
+
+uz32:
+	VMOVUPD (R10)(AX*1), Z0
+	VMOVUPD 64(R10)(AX*1), Z1
+	VMOVUPD 128(R10)(AX*1), Z2
+	VMOVUPD 192(R10)(AX*1), Z3
+	ROWSTART
+
+uz32row:
+	NEXTROWZ
+	UPDROWZ(0, Z0, Z6, Z7)
+	UPDROWZ(64, Z1, Z8, Z9)
+	UPDROWZ(128, Z2, Z10, Z11)
+	UPDROWZ(192, Z3, Z12, Z13)
+	ROWEND(uz32row)
+	VMOVUPD Z0, (R10)(AX*1)
+	VMOVUPD Z1, 64(R10)(AX*1)
+	VMOVUPD Z2, 128(R10)(AX*1)
+	VMOVUPD Z3, 192(R10)(AX*1)
+	ADDQ    $256, AX
+	CMPQ    AX, R11
+	JLT     uz32
+
+uz32done:
+	JMP updateRowsTail<>(SB)
+
+// updateRowsTail finishes an update kernel from column byte offset AX,
+// a multiple of 256, with UPDSETUP's SI, CX, DI and R10 and the mask
+// in Y15: blocks of four columns in Y0, then one column at a time. The
+// update kernels jump here with their frame, so it reads their
+// arguments and its RET returns to their caller.
+TEXT updateRowsTail<>(SB), NOSPLIT, $0-120
 	MOVQ CX, R11
 	ANDQ $-32, R11                // bytes in the whole blocks of four
 	CMPQ AX, R11
@@ -395,17 +545,12 @@ ur4:
 
 ur4block:
 	VMOVUPD (R10)(AX*1), Y0
-	MOVQ    rows_base+48(FP), BX
-	MOVQ    a_base+72(FP), DX
-	MOVQ    rows_len+56(FP), R9
+	ROWSTART
 
 ur4row:
 	NEXTROW
 	UPDROW(0, Y0, Y10, Y11)
-	ADDQ    $8, BX
-	ADDQ    $8, DX
-	DECQ    R9
-	JNZ     ur4row
+	ROWEND(ur4row)
 	VMOVUPD Y0, (R10)(AX*1)
 	ADDQ    $32, AX
 	CMPQ    AX, R11
@@ -415,9 +560,7 @@ urtail:
 	CMPQ   AX, CX
 	JGE    urdone
 	VMOVSD (R10)(AX*1), X0
-	MOVQ    rows_base+48(FP), BX
-	MOVQ    a_base+72(FP), DX
-	MOVQ    rows_len+56(FP), R9
+	ROWSTART
 
 urtailrow:
 	NEXTROW
@@ -427,10 +570,7 @@ urtailrow:
 	VMULSD (SI)(AX*1), X5, X10
 	VADDSD X6, X10, X10
 	VMOVSD X10, (R8)(AX*1)
-	ADDQ   $8, BX
-	ADDQ   $8, DX
-	DECQ   R9
-	JNZ    urtailrow
+	ROWEND(urtailrow)
 	VMOVSD X0, (R10)(AX*1)
 	ADDQ   $8, AX
 	JMP    urtail

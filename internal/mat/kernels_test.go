@@ -38,8 +38,8 @@ func sameBits(a, b float64) bool {
 
 // checkKernels compares Dot and Axpy against the naive loops on one
 // input: Dot within dotTol·Σ|xᵢyᵢ| when that sum is finite (NaN when a
-// product is NaN), Axpy bit-identical always. It also checks the
-// assembly kernels against the Go loops bit for bit.
+// product is NaN), Axpy bit-identical always. It also checks every
+// assembly tier against the Go loops bit for bit.
 func checkKernels(t *testing.T, a float64, x, y []float64) {
 	t.Helper()
 	checkAsmMatchesGeneric(t, a, x, y)
@@ -131,7 +131,8 @@ func TestKernelsPanicOnLengthMismatch(t *testing.T) {
 }
 
 // TestKernelsAllocFree pins Dot, Axpy, DotRows and UpdateRows at zero
-// allocations per call.
+// allocations per call, through the exported wrappers and on every
+// tier.
 func TestKernelsAllocFree(t *testing.T) {
 	x, y := make([]float64, 67), make([]float64, 67)
 	for i := range x {
@@ -157,16 +158,28 @@ func TestKernelsAllocFree(t *testing.T) {
 	if n := testing.AllocsPerRun(100, func() { UpdateRows(x, tab, rows[:], vals[:], y) }); n != 0 {
 		t.Fatalf("UpdateRows allocates %v objects per call", n)
 	}
+	for _, im := range kernelImpls() {
+		if n := testing.AllocsPerRun(100, func() {
+			sink += im.dot(x, y)
+			im.axpy(1e-3, x, y)
+			im.dotRows(x, tab.Data, rows[:], vals[:])
+			im.updateRows(x, tab.Data, rows[:], vals[:], y)
+		}); n != 0 {
+			t.Fatalf("%s: the kernels allocate %v objects per round", im.name, n)
+		}
+	}
 	_ = sink
 }
 
 // FuzzKernels decodes data as consecutive little-endian (xᵢ, yᵢ)
 // float64 pairs, any bit pattern included, and checks both vector
-// kernels against the naive loops as checkKernels does. It then runs
-// the row kernels over a table whose rows are y, x and y again, with
-// repeated rows and steps ±a and ±0, against per-row Dot and Axpy (see
+// kernels against the naive loops, and every assembly tier against the
+// Go loops, as checkKernels does. It then runs the row kernels of every
+// tier over a table whose rows are y, x and y again, with repeated rows
+// and steps ±a and ±0, against per-row Dot and Axpy (see
 // checkRowKernels). The committed corpus in testdata/fuzz/FuzzKernels
-// covers every tail length, NaN, ±Inf, subnormals and cancellation.
+// covers every tail length, lengths past one and two ZMM blocks, NaN,
+// ±Inf, subnormals and cancellation.
 func FuzzKernels(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte, a float64) {
 		n := len(data) / 16
@@ -187,8 +200,8 @@ func FuzzKernels(f *testing.F) {
 	})
 }
 
-// checkRowKernels runs every implementation of DotRows and UpdateRows,
-// and the exported wrappers, on copies of one input and requires the
+// checkRowKernels runs every tier of DotRows and UpdateRows, and the
+// exported wrappers, on copies of one input and requires the
 // bits of per-row Dot and Axpy calls: dst[j] = Dot(x, row_j), and for
 // j in order Axpy(a[j], row_j, acc), Axpy(-a[j], x, row_j). tab is the
 // backing array of a tabRows-row table; x must not overlap it.
@@ -247,17 +260,17 @@ func checkRowKernels(t *testing.T, x, tab []float64, tabRows int, rows []int, a,
 	}
 }
 
-// TestRowKernelsMatchPerRow pins DotRows and UpdateRows, on the Go path
-// and the AVX2 path, to per-row Dot and Axpy bit for bit: every row
-// length from 0 to 67, tables at element offsets 0–3 into a larger
-// array so loads are unaligned, 1 to 14 rows (so the six-row sweeps run
-// full, partial and several times) with repeated rows, steps of ±0,
-// and planted NaN, ±Inf and subnormal values.
+// TestRowKernelsMatchPerRow pins DotRows and UpdateRows, on every tier
+// the CPU runs, to per-row Dot and Axpy bit for bit: every row length
+// in testLengths, tables at element offsets 0–3 into a larger array so
+// loads are unaligned, 1 to 14 rows (so the six-row sweeps run full,
+// partial and several times) with repeated rows, steps of ±0, and
+// planted NaN, ±Inf and subnormal values.
 func TestRowKernelsMatchPerRow(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	negZero := math.Copysign(0, -1)
 	const tabRows = 5
-	for n := 0; n <= 67; n++ {
+	for _, n := range testLengths() {
 		for off := 0; off <= 3; off++ {
 			for trial := 0; trial < 6; trial++ {
 				bx, bt := make([]float64, n+off), make([]float64, tabRows*n+off)
@@ -311,7 +324,7 @@ func TestRowKernelsMatchPerRow(t *testing.T) {
 // that order and 1 or 2 in the others (see TestDotSummationOrder).
 func TestRowKernelsSignedZeroAndOrder(t *testing.T) {
 	negZero := math.Copysign(0, -1)
-	for _, n := range []int{1, 4, 5, 9, 33} {
+	for _, n := range []int{1, 4, 5, 9, 33, 64, 71, 100} {
 		x := make([]float64, n)
 		tab := make([]float64, 2*n)
 		acc := make([]float64, n)
@@ -334,25 +347,25 @@ func TestRowKernelsSignedZeroAndOrder(t *testing.T) {
 	checkRowKernels(t, x, tab, 2, rows, make([]float64, len(rows)), make([]float64, 5))
 }
 
-// checkAsmMatchesGeneric requires the AVX2 kernels to give the Go
-// loops' bits on one input, NaN payloads aside. It checks nothing
-// where the assembly does not run.
+// checkAsmMatchesGeneric requires every assembly tier's Dot and Axpy
+// to give the Go loops' bits on one input, NaN payloads aside. It
+// checks nothing where no assembly runs.
 func checkAsmMatchesGeneric(t *testing.T, a float64, x, y []float64) {
 	t.Helper()
-	if !useAVX2 {
-		return
-	}
-	if got, want := dotAVX2(x, y), dotGeneric(x, y); !sameBits(got, want) {
-		t.Fatalf("len %d: dotAVX2 = %v (%#x), dotGeneric %v (%#x)",
-			len(x), got, math.Float64bits(got), want, math.Float64bits(want))
-	}
-	gotY := append([]float64(nil), y...)
+	want := dotGeneric(x, y)
 	wantY := append([]float64(nil), y...)
-	axpyAVX2(a, x, gotY)
 	axpyGeneric(a, x, wantY)
-	for i := range wantY {
-		if !sameBits(gotY[i], wantY[i]) {
-			t.Fatalf("len %d: axpyAVX2 element %d = %v, axpyGeneric %v", len(x), i, gotY[i], wantY[i])
+	for _, im := range kernelImpls()[1:] {
+		if got := im.dot(x, y); !sameBits(got, want) {
+			t.Fatalf("%s: len %d: dot = %v (%#x), dotGeneric %v (%#x)",
+				im.name, len(x), got, math.Float64bits(got), want, math.Float64bits(want))
+		}
+		gotY := append([]float64(nil), y...)
+		im.axpy(a, x, gotY)
+		for i := range wantY {
+			if !sameBits(gotY[i], wantY[i]) {
+				t.Fatalf("%s: len %d: axpy element %d = %v, axpyGeneric %v", im.name, len(x), i, gotY[i], wantY[i])
+			}
 		}
 	}
 }
@@ -364,10 +377,22 @@ var specialValues = []float64{
 	0x1p-1060, math.MaxFloat64, -math.MaxFloat64, 1,
 }
 
-// TestAsmKernelsMatchGeneric pins the AVX2 kernels to the Go loops bit
-// for bit on every length from 0 to 67, at element offsets 0–3 into a
-// larger array so the loads are unaligned, for aliased operands, and
-// with NaN, ±Inf, −0 and subnormals mixed in.
+// testLengths are the vector lengths the kernel tests cover: every
+// length from 0 to 70, so each tail of the 4-, 16- and 32-element
+// blocks is hit, and 96 and 100, three whole ZMM blocks of 32 with and
+// without a tail.
+func testLengths() []int {
+	ns := make([]int, 0, 73)
+	for n := 0; n <= 70; n++ {
+		ns = append(ns, n)
+	}
+	return append(ns, 96, 100)
+}
+
+// TestAsmKernelsMatchGeneric pins every assembly tier's Dot and Axpy to
+// the Go loops bit for bit on every length in testLengths, at element
+// offsets 0–3 into a larger array so the loads are unaligned, for
+// aliased operands, and with NaN, ±Inf, −0 and subnormals mixed in.
 func TestAsmKernelsMatchGeneric(t *testing.T) {
 	if !useAVX2 {
 		t.Skip("the assembly kernels need amd64 with AVX2")
@@ -384,7 +409,7 @@ func TestAsmKernelsMatchGeneric(t *testing.T) {
 	}
 
 	rng := rand.New(rand.NewSource(11))
-	for n := 0; n <= 67; n++ {
+	for _, n := range testLengths() {
 		for off := 0; off <= 3; off++ {
 			for trial := 0; trial < 8; trial++ {
 				bx, by := make([]float64, n+off), make([]float64, n+off)
@@ -408,13 +433,15 @@ func TestAsmKernelsMatchGeneric(t *testing.T) {
 				checkAsmMatchesGeneric(t, a, x, x)
 
 				// Axpy into its own input: y += a·y.
-				gotY := append([]float64(nil), x...)
 				wantY := append([]float64(nil), x...)
-				axpyAVX2(a, gotY, gotY)
 				axpyGeneric(a, wantY, wantY)
-				for i := range wantY {
-					if !sameBits(gotY[i], wantY[i]) {
-						t.Fatalf("len %d: aliased axpyAVX2 element %d = %v, axpyGeneric %v", n, i, gotY[i], wantY[i])
+				for _, im := range kernelImpls()[1:] {
+					gotY := append([]float64(nil), x...)
+					im.axpy(a, gotY, gotY)
+					for i := range wantY {
+						if !sameBits(gotY[i], wantY[i]) {
+							t.Fatalf("%s: len %d: aliased axpy element %d = %v, axpyGeneric %v", im.name, n, i, gotY[i], wantY[i])
+						}
 					}
 				}
 			}
@@ -422,9 +449,9 @@ func TestAsmKernelsMatchGeneric(t *testing.T) {
 	}
 }
 
-// kernelImpl is one implementation of the vector and row kernels. The
-// row kernels take the matrix's backing array with row stride len(x),
-// as DotRows and UpdateRows pass it.
+// kernelImpl is one tier of the vector and row kernels. The row
+// kernels take the matrix's backing array with row stride len(x), as
+// DotRows and UpdateRows pass it.
 type kernelImpl struct {
 	name       string
 	dot        func(x, y []float64) float64
@@ -433,17 +460,23 @@ type kernelImpl struct {
 	updateRows func(x, t []float64, rows []int, a, acc []float64)
 }
 
-// kernelImpls lists the Go loops and, where they run, the AVX2 kernels.
+// kernelImpls selects every tier the CPU runs, the Go loops first: the
+// exported kernels run only the widest one, so this is how the AVX2
+// tier stays tested on AVX-512 hosts. The AVX-512 tier widens Axpy and
+// UpdateRows and keeps the AVX2 Dot and DotRows.
 func kernelImpls() []kernelImpl {
 	impls := []kernelImpl{{"generic", dotGeneric, axpyGeneric, dotRowsGeneric, updateRowsGeneric}}
 	if useAVX2 {
-		impls = append(impls, kernelImpl{"asm", dotAVX2, axpyAVX2, dotRowsAVX2, updateRowsAVX2})
+		impls = append(impls, kernelImpl{"avx2", dotAVX2, axpyAVX2, dotRowsAVX2, updateRowsAVX2})
+	}
+	if useAVX512 {
+		impls = append(impls, kernelImpl{"avx512", dotAVX2, axpyAVX512, dotRowsAVX2, updateRowsAVX512})
 	}
 	return impls
 }
 
 // TestKernelsDoNotFuse pins the separate rounding of product and sum in
-// both kernels and both implementations. With u = 1+2⁻⁵², u·u rounds
+// both kernels on every tier. With u = 1+2⁻⁵², u·u rounds
 // to 1+2⁻⁵¹ and the sum with −(1+2⁻⁵¹) is 0; a fused multiply-add keeps
 // the product's 2⁻¹⁰⁴ term and gives ±2⁻¹⁰⁴ instead.
 func TestKernelsDoNotFuse(t *testing.T) {
@@ -459,7 +492,7 @@ func TestKernelsDoNotFuse(t *testing.T) {
 				t.Errorf("%s: dot over %d elements = %g, want +0", im.name, c.n, got)
 			}
 		}
-		for _, n := range []int{1, 4, 16} {
+		for _, n := range []int{1, 4, 16, 32, 100} {
 			x, y := make([]float64, n), make([]float64, n)
 			for i := range x {
 				x[i], y[i] = u, -(1 + 0x1p-51)
@@ -486,12 +519,16 @@ func benchVectors(d int) (x, y []float64) {
 // benchSink keeps the benchmarked Dot results live.
 var benchSink float64
 
-// BenchmarkKernels times each kernel's Go loop and, where it runs, its
-// AVX2 version at the repository's embedding widths. dotrows and
-// updaterows work on six rows, an SGNS pair with five negatives.
+// BenchmarkKernels times each kernel on every tier the CPU runs, at
+// the repository's embedding widths. dotrows and updaterows work on six
+// rows, an SGNS pair with five negatives. The AVX-512 tier's dot and
+// dotrows are the AVX2 kernels, so they are not timed twice.
 func BenchmarkKernels(b *testing.B) {
 	for _, kernel := range []string{"dot", "axpy", "dotrows", "updaterows"} {
 		for _, im := range kernelImpls() {
+			if im.name == "avx512" && (kernel == "dot" || kernel == "dotrows") {
+				continue
+			}
 			for _, d := range []int{64, 128} {
 				b.Run(fmt.Sprintf("%s/%s/d=%d", kernel, im.name, d), func(b *testing.B) {
 					x, y := benchVectors(d)

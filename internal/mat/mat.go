@@ -1,7 +1,7 @@
 // Package mat provides a dense, row-major float64 matrix and the small set
 // of linear-algebra kernels the rest of the repository needs. It uses no
 // BLAS: everything works over a single contiguous backing slice, in plain
-// Go except for one amd64 path described below.
+// Go except for the amd64 assembly tiers described below.
 //
 // Two vector kernels carry the repository's hot loops: Dot and Axpy.
 // The skip-gram pair update, the translators' matrix products (MatMul,
@@ -26,15 +26,29 @@
 // forbids the compiler to fuse into a multiply-add, so they give the
 // same bits under GOAMD64=v3 and on arm64 as on baseline amd64.
 //
-// On amd64 CPUs with AVX2, Dot and Axpy run assembly versions of the
-// same arithmetic (kernels_amd64.s), chosen once at start-up by a
-// CPUID/XGETBV check. Dot keeps s0..s3 in the four lanes of one YMM
-// register, so each lane adds its products in the order above; Axpy
-// multiplies four elements, then adds them. Neither uses FMA, whose
-// single rounding would change the bits. The results are bit-identical
-// to the Go loops (dotGeneric, axpyGeneric), which remain the only
-// other path: off amd64 and on amd64 CPUs without AVX2. Only the
-// payload of a NaN result may differ.
+// On amd64 the kernels run assembly versions of the same arithmetic
+// (kernels_amd64.s) in one of two tiers, chosen once at start-up by a
+// CPUID/XGETBV check:
+//
+//   - AVX2, when the CPU has it and the OS saves the YMM registers. Dot
+//     keeps s0..s3 in the four lanes of one YMM register, so each lane
+//     adds its products in the order above; Axpy multiplies four
+//     elements, then adds them.
+//   - AVX-512, when the CPU also has AVX512F and the OS saves the opmask
+//     and ZMM state. Axpy and UpdateRows work element by element, so
+//     they widen to eight lanes per ZMM register with no change of
+//     order: every element still gets one rounded multiply, then one
+//     add. Blocks of 32 elements go in ZMM registers and the rest in the
+//     AVX2 code. Dot and DotRows stay on AVX2: their four-lane summation
+//     order is the contract, and an eight-lane multiply would still need
+//     a lane extract and two four-lane adds per block to keep it, which
+//     saves no work.
+//
+// Neither tier uses FMA, whose single rounding would change the bits.
+// Both are bit-identical to the Go loops (dotGeneric, axpyGeneric and
+// the row loops over them), which run off amd64 and on amd64 CPUs
+// without AVX2. Only the payload of a NaN result may differ. No flag or
+// setting selects a tier.
 //
 // Both panic when the lengths differ and allocate nothing. Axpy's x
 // and y must be the same slice or not overlap.
@@ -42,11 +56,11 @@
 // Two row kernels batch those calls over rows of one table, for the
 // skip-gram pair step, which scores and updates a context row and its
 // negatives together. DotRows(x, t, rows, dst) gives the bits of one
-// Dot per row; on AVX2 it sweeps up to six rows per load of x, so six
-// independent add chains are in flight instead of one. UpdateRows(x,
+// Dot per row; in assembly it sweeps up to six rows per load of x, so
+// six independent add chains are in flight instead of one. UpdateRows(x,
 // t, rows, a, acc) gives the bits of Axpy(a_j, row_j, acc) then
 // Axpy(−a_j, x, row_j) for each row in order, a repeated row included;
-// on AVX2 it walks the rows once per column block with the block of
+// in assembly it walks the rows once per column block with the block of
 // acc in registers. Both check every length and row index in Go before
 // the assembly runs, and allocate nothing.
 package mat
@@ -359,11 +373,14 @@ func Axpy(a float64, x, y []float64) {
 	if len(y) != len(x) {
 		lengthMismatch("Axpy", len(x), len(y))
 	}
-	if useAVX2 {
+	switch {
+	case useAVX512:
+		axpyAVX512(a, x, y)
+	case useAVX2:
 		axpyAVX2(a, x, y)
-		return
+	default:
+		axpyGeneric(a, x, y)
 	}
-	axpyGeneric(a, x, y)
 }
 
 // DotRows sets dst[j] = Dot(x, t.Row(rows[j])) for every j, with the
@@ -392,12 +409,12 @@ func DotRows(x []float64, t *Dense, rows []int, dst []float64) {
 //	Axpy(-a[j], x, t.Row(rows[j]))    // row_j += (−a_j)·x
 //
 // with the same bits, a repeated row included: every element sees the
-// same operations in the same order. On AVX2 it runs column block by
-// column block, keeping the block of acc in a register while it walks
-// the rows; −a_j is a sign-bit flip, as Go's unary minus is. acc must
-// not overlap x or t. len(x) and len(acc) must equal t.C, len(a) must
-// equal len(rows), and every row index must lie in [0, t.R): all are
-// checked before the assembly runs.
+// same operations in the same order. In assembly it runs column block
+// by column block, keeping the block of acc in registers (YMM on AVX2,
+// ZMM on AVX-512) while it walks the rows; −a_j is a sign-bit flip, as
+// Go's unary minus is. acc must not overlap x or t. len(x) and len(acc)
+// must equal t.C, len(a) must equal len(rows), and every row index must
+// lie in [0, t.R): all are checked before the assembly runs.
 //
 // Allocation-free; pinned by TestKernelsAllocFree.
 func UpdateRows(x []float64, t *Dense, rows []int, a, acc []float64) {
@@ -405,13 +422,15 @@ func UpdateRows(x []float64, t *Dense, rows []int, a, acc []float64) {
 	if len(acc) != t.C {
 		lengthMismatch("UpdateRows acc", len(acc), t.C)
 	}
-	if useAVX2 {
-		if len(rows) > 0 {
-			updateRowsAVX2(x, t.Data, rows, a, acc)
-		}
-		return
+	switch {
+	case len(rows) == 0:
+	case useAVX512:
+		updateRowsAVX512(x, t.Data, rows, a, acc)
+	case useAVX2:
+		updateRowsAVX2(x, t.Data, rows, a, acc)
+	default:
+		updateRowsGeneric(x, t.Data, rows, a, acc)
 	}
-	updateRowsGeneric(x, t.Data, rows, a, acc)
 }
 
 // checkRows validates the operands the row kernels share, so that the

@@ -175,27 +175,43 @@ func assertSameRun(t *testing.T, what string, gotLoss, wantLoss float64, gotPair
 }
 
 // TestPairBatchSplitsAtRepeats checks the segment rule directly: the
-// sampler draws only nodes 0 and 2, so nearly every pair of more than
-// two negatives repeats a row, and a repeated row must be scored after
-// its earlier update, as the sequential step does. The counts around
-// maxRows−1 also split batches at the capacity. Both sides train 20
-// pairs through one batch, so the loss also carries across pairs.
+// first sampler draws (nearly) only nodes 0 and 2, so nearly every pair
+// of more than two negatives repeats a row, and a repeated row must be
+// scored after its earlier update, as the sequential step does. The
+// second draws nodes 0, 64 and 128, which share row&63, so the split's
+// mask always calls the scan, which must split only at true repeats.
+// The counts around maxRows−1 also split batches at the capacity. Both
+// sides train 20 pairs through one batch, so the loss also carries
+// across pairs.
 func TestPairBatchSplitsAtRepeats(t *testing.T) {
-	s := NewNegSampler([]float64{1, 0, 1, 0})
-	for _, neg := range []int{2, 3, 15, 16, 17} {
-		got := NewModel(4, 5, rand.New(rand.NewSource(36)))
-		randomizeOut(got, rand.New(rand.NewSource(37)))
-		want := cloneModel(got)
-		gb := newPairBatch(5, rand.New(rand.NewSource(38)))
-		wb := newPairBatch(5, rand.New(rand.NewSource(38)))
-		for k := 0; k < 20; k++ {
-			got.trainPair(3, 1, neg, 0.5, s, &gb)
-			sequentialTrainPair(want, 3, 1, neg, 0.5, s, &wb)
-			assertSameRun(t, fmt.Sprintf("neg=%d pair %d", neg, k), gb.total(), wb.total(), 1, 1)
-		}
-		assertTablesIdentical(t, fmt.Sprintf("neg=%d", neg), got, want)
-		if g, w := gb.negs.Uint64(), wb.negs.Uint64(); g != w {
-			t.Fatalf("neg=%d: negative stream differs: next word %#x, sequential %#x", neg, g, w)
+	collide := make([]float64, 130)
+	collide[0], collide[64], collide[128] = 1, 1, 1
+	for _, c := range []struct {
+		name            string
+		freq            []float64
+		center, context int
+	}{
+		{"two nodes", []float64{1, 0, 1, 0}, 3, 1},
+		{"mod-64 collisions", collide, 129, 1},
+	} {
+		s := NewNegSampler(c.freq)
+		nodes := len(c.freq)
+		for _, neg := range []int{2, 3, 15, 16, 17} {
+			what := fmt.Sprintf("%s neg=%d", c.name, neg)
+			got := NewModel(nodes, 5, rand.New(rand.NewSource(36)))
+			randomizeOut(got, rand.New(rand.NewSource(37)))
+			want := cloneModel(got)
+			gb := newPairBatch(5, rand.New(rand.NewSource(38)))
+			wb := newPairBatch(5, rand.New(rand.NewSource(38)))
+			for k := 0; k < 20; k++ {
+				got.trainPair(c.center, c.context, neg, 0.5, s, &gb)
+				sequentialTrainPair(want, c.center, c.context, neg, 0.5, s, &wb)
+				assertSameRun(t, fmt.Sprintf("%s pair %d", what, k), gb.total(), wb.total(), 1, 1)
+			}
+			assertTablesIdentical(t, what, got, want)
+			if g, w := gb.negs.Uint64(), wb.negs.Uint64(); g != w {
+				t.Fatalf("%s: negative stream differs: next word %#x, sequential %#x", what, g, w)
+			}
 		}
 	}
 }

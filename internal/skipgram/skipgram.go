@@ -163,7 +163,8 @@ func (b *pairBatch) total() float64 { return b.loss - math.Log(b.prod) }
 // negatives, drawn first (the draws never read the model, so the
 // stream is the one a draw-update-draw loop would consume). The batch
 // splits into segments before any negative that repeats a row earlier
-// in its segment. For each segment, one mat.DotRows call scores every
+// in its segment; a 64-bit mask of row&63 skips the scan for rows that
+// cannot repeat. For each segment, one mat.DotRows call scores every
 // row against the center, the sigmoid, step and clamped probability of
 // each row follow in row order, and one mat.UpdateRows call applies the
 // updates: per row, the center gradient reads the row, then the row
@@ -196,13 +197,21 @@ func (m *Model) trainPair(center, context, neg int, lr float64, s *NegSampler, b
 				rows = append(rows, n)
 			}
 		}
-		lo := 0
-		for hi := 1; hi <= len(rows); hi++ {
-			if hi == len(rows) || slices.Contains(rows[lo:hi], rows[hi]) {
+		// seen has bit r&63 set for every row r in rows[lo:hi], so the
+		// scan runs only for a row that may repeat one.
+		lo, seen := 0, uint64(0)
+		for hi, r := range rows {
+			bit := uint64(1) << (uint(r) & 63)
+			if seen&bit != 0 && slices.Contains(rows[lo:hi], r) {
 				m.pairSegment(in, rows[lo:hi], lr, positive, b)
 				positive = false
-				lo = hi
+				lo, seen = hi, 0
 			}
+			seen |= bit
+		}
+		if lo < len(rows) {
+			m.pairSegment(in, rows[lo:], lr, positive, b)
+			positive = false
 		}
 		if k == neg {
 			break
