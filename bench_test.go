@@ -29,9 +29,11 @@ import (
 )
 
 // benchOpts are deliberately small: benchmarks measure pipeline cost,
-// while EXPERIMENTS.md records full-size accuracy numbers.
+// while EXPERIMENTS.md records full-size accuracy numbers. TransN's
+// rows depend on the worker count (shards per view), so Workers is the
+// 2 that cmd/benchrun and results/ use, not the machine's core count.
 func benchOpts() experiments.Options {
-	return experiments.Options{Size: dataset.Quick, Dim: 32, Seed: 1, Reps: 1}
+	return experiments.Options{Size: dataset.Quick, Dim: 32, Seed: 1, Reps: 1, Workers: 2}
 }
 
 // printOnce lets each table print its rows on the first benchmark

@@ -24,6 +24,19 @@
 //     (snapfmt's zero-copy tables); Decode likewise only reads the
 //     serialized bytes and may alias its integer arrays into them.
 //
+// The beam search on each layer (searchLayer) keeps one pool of at
+// most ef candidates sorted by (distance, id) and expands its first
+// unexpanded item until every item is expanded, the search pool of NSG
+// (Fu et al., arXiv:1707.00143). It visits, scores and returns exactly
+// what the HNSW paper's two-heap search does: a candidate that search
+// evicts from its results is worse than every kept result, so it
+// would end the search on reaching the top of the candidate heap, and
+// the heap's live candidates are the pool's unexpanded items. The
+// argument needs a total order on (distance, id), which Build ensures
+// by rejecting non-finite norms; TestSearchLayerMatchesHeapReference
+// holds the pool to the heap search, and TestBuildAndSearchPinned pins
+// the bytes of a seeded build.
+//
 // Search is approximate: results approach the exact brute-force
 // ranking as ef grows (recall is benchmark-gated in hnsw_test.go), and
 // the serving layer keeps an exact=true escape hatch for callers that

@@ -3,6 +3,7 @@ package ann
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 
 	"transn/internal/mat"
@@ -88,10 +89,14 @@ type layer struct {
 }
 
 // item orders candidates by (distance, id): ids break distance ties so
-// every heap and sort below is a total deterministic order.
+// the search pool and every sort below follow one total deterministic
+// order. Build rejects non-finite norms, so no distance is NaN.
 type item struct {
 	dist float64
 	id   int32
+	// expanded marks a searchLayer pool item whose neighbors have
+	// been scored.
+	expanded bool
 }
 
 func lessItem(a, b item) bool {
@@ -115,22 +120,35 @@ func Norms(table *mat.Dense) []float64 {
 // Build constructs an index over the rows of table. norms must hold
 // the L2 norm of each row (see Norms); nil means "compute them here".
 // The table and norms are retained and read, never written, so both
-// may alias read-only mmap'd memory. Construction is deterministic:
+// may alias read-only mmap'd memory. A non-finite norm is an error,
+// so every distance is a number. Construction is deterministic:
 // levels come from cfg.Seed and the row id alone, and insertion order
 // is the row order.
 func Build(table *mat.Dense, norms []float64, cfg Config) (*Index, error) {
+	ix, _, err := build(table, norms, cfg)
+	return ix, err
+}
+
+// build is Build that also returns the distance evaluations its layer
+// searches spent, which BenchmarkBuild reports.
+func build(table *mat.Dense, norms []float64, cfg Config) (*Index, int, error) {
 	cfg = cfg.withDefaults()
 	if table == nil || table.R == 0 || table.C == 0 {
-		return nil, fmt.Errorf("ann: empty table")
+		return nil, 0, fmt.Errorf("ann: empty table")
 	}
 	if table.R > math.MaxInt32 {
-		return nil, fmt.Errorf("ann: table has %d rows; ids are int32", table.R)
+		return nil, 0, fmt.Errorf("ann: table has %d rows; ids are int32", table.R)
 	}
 	if norms == nil {
 		norms = Norms(table)
 	}
 	if len(norms) != table.R {
-		return nil, fmt.Errorf("ann: %d norms for %d rows", len(norms), table.R)
+		return nil, 0, fmt.Errorf("ann: %d norms for %d rows", len(norms), table.R)
+	}
+	for i, n := range norms {
+		if math.IsNaN(n) || math.IsInf(n, 0) {
+			return nil, 0, fmt.Errorf("ann: row %d has norm %v; rows must be finite", i, n)
+		}
 	}
 	ix := &Index{cfg: cfg, table: table, norms: norms, entry: -1}
 	ix.levels = make([]uint8, table.R)
@@ -138,12 +156,12 @@ func Build(table *mat.Dense, norms []float64, cfg Config) (*Index, error) {
 	for i := range ix.levels {
 		ix.levels[i] = drawLevel(cfg.Seed, int64(i), mL)
 	}
-	sc := newScratch(table.R)
+	sc := newScratch(table.R, cfg.M)
 	for i := 0; i < table.R; i++ {
 		ix.insert(int32(i), sc)
 	}
 	ix.initPool()
-	return ix, nil
+	return ix, sc.distEvals, nil
 }
 
 // drawLevel maps a deterministic uniform draw for node id to an HNSW
@@ -162,8 +180,8 @@ func drawLevel(seed, id int64, mL float64) uint8 {
 }
 
 func (ix *Index) initPool() {
-	n := ix.table.R
-	ix.scratch.New = func() any { return newScratch(n) }
+	n, m := ix.table.R, ix.cfg.M
+	ix.scratch.New = func() any { return newScratch(n, m) }
 }
 
 func (ix *Index) maxNeighbors(level int) int {
@@ -267,9 +285,8 @@ func (ix *Index) shrink(nb int32, adj []int32, limit int, sc *scratch) []int32 {
 	q := ix.table.Row(int(nb))
 	qn := ix.norms[nb]
 	for _, x := range adj {
-		cands = append(cands, item{dist: ix.dist(q, qn, x), id: x})
+		cands, _ = insertItem(cands, item{dist: ix.dist(q, qn, x), id: x}, len(adj))
 	}
-	sortItems(cands)
 	sc.shrink = cands
 	kept := ix.selectNeighbors(cands, limit, sc)
 	return append(adj[:0], kept...)
@@ -319,170 +336,133 @@ func (ix *Index) Search(q []float64, qn float64, k, ef int) ([]Candidate, int, e
 	return out, evals, nil
 }
 
-// searchLayer is the standard HNSW beam search on one layer: expand
-// the closest unexpanded candidate until the closest is worse than the
-// worst of ef results. Returns the results sorted by (dist, id) asc.
+// searchLayer is the HNSW beam search on one layer (the paper's
+// Alg. 2) over one pool of candidates sorted by (dist, id), the search
+// pool of NSG (Fu et al., arXiv:1707.00143). The pool holds at most ef
+// items, or the entry points if they are more. Each step expands the
+// first unexpanded item: it scores the item's unvisited neighbors with
+// one mat.DotRows call and inserts each, in adjacency order, that the
+// pool has room for or that beats its last item, which it then drops.
+// The search ends when every item is expanded and returns the pool, so
+// the result is already sorted by (dist, id) ascending.
+//
+// This expands the same nodes in the same order as the two-heap form
+// of the paper, with the same distance evaluations: every candidate
+// that form queues also enters its results, and one evicted from the
+// results is worse than every kept one, so it would end the search on
+// reaching the top of the queue. Its live candidates are therefore the
+// pool's unexpanded items. TestSearchLayerMatchesHeapReference pins
+// the equivalence.
 func (ix *Index) searchLayer(q []float64, qn float64, eps []int32, ef, l int, sc *scratch) []item {
 	sc.epoch++
 	if sc.epoch <= 0 { // wrapped: stale marks could collide
-		for i := range sc.visited {
-			sc.visited[i] = 0
-		}
+		clear(sc.visited)
 		sc.epoch = 1
 	}
-	cands := sc.cands[:0]
-	results := sc.results[:0]
+	pool := sc.pool[:0]
 	for _, ep := range eps {
 		if sc.visited[ep] == sc.epoch {
 			continue
 		}
 		sc.visited[ep] = sc.epoch
-		it := item{dist: ix.dist(q, qn, ep), id: ep}
 		sc.distEvals++
-		cands = pushMin(cands, it)
-		results = pushMax(results, it)
+		pool, _ = insertItem(pool, item{dist: ix.dist(q, qn, ep), id: ep}, len(pool)+1)
 	}
 	adj := ix.layers[l].adj
-	for len(cands) > 0 {
-		var c item
-		cands, c = popMin(cands)
-		if len(results) >= ef && lessItem(results[0], c) {
+	// Every item before cur is expanded.
+	for cur := 0; ; {
+		for cur < len(pool) && pool[cur].expanded {
+			cur++
+		}
+		if cur == len(pool) {
 			break
 		}
-		for _, nb := range adj[c.id] {
-			if sc.visited[nb] == sc.epoch {
-				continue
+		pool[cur].expanded = true
+		ids := sc.ids[:0]
+		for _, nb := range adj[pool[cur].id] {
+			if sc.visited[nb] != sc.epoch {
+				sc.visited[nb] = sc.epoch
+				ids = append(ids, int(nb))
 			}
-			sc.visited[nb] = sc.epoch
-			it := item{dist: ix.dist(q, qn, nb), id: nb}
-			sc.distEvals++
-			switch {
-			case len(results) < ef:
-				cands = pushMin(cands, it)
-				results = pushMax(results, it)
-			case lessItem(it, results[0]):
-				// Full: it evicts the worst kept result.
-				cands = pushMin(cands, it)
-				results[0] = it
-				siftDownMax(results, 0)
+		}
+		sc.ids = ids
+		sc.distEvals += len(ids)
+		for j, d := range ix.dists(q, qn, ids, sc) {
+			var at int
+			pool, at = insertItem(pool, item{dist: d, id: int32(ids[j])}, ef)
+			if at < cur {
+				cur = at
 			}
 		}
 	}
-	out := append(sc.sorted[:0], results...)
-	sortMaxHeap(out)
-	sc.cands = cands[:0]
-	sc.results = results[:0]
-	sc.sorted = out
+	sc.pool = pool
+	return pool
+}
+
+// insertItem inserts it into the sorted pool at its (dist, id) rank and
+// returns the pool and that rank. A pool of limit or more items drops
+// its last item to make room, or, when it is not less than the last
+// item, leaves the pool as it is and returns len(pool).
+func insertItem(pool []item, it item, limit int) ([]item, int) {
+	n := len(pool)
+	if n >= limit {
+		if !lessItem(it, pool[n-1]) {
+			return pool, n
+		}
+	} else {
+		pool = append(pool, item{})
+	}
+	lo, hi := 0, n
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if lessItem(pool[m], it) {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	copy(pool[lo+1:], pool[lo:len(pool)-1])
+	pool[lo] = it
+	return pool, lo
+}
+
+// dists returns dist(q, qn, id) for every id in ids, bit for bit: one
+// mat.DotRows call gives Dot's bits for every row, and the zero-norm
+// rule and 1 − dot/(qn·n) follow per row.
+func (ix *Index) dists(q []float64, qn float64, ids []int, sc *scratch) []float64 {
+	out := slices.Grow(sc.dots[:0], len(ids))[:len(ids)]
+	sc.dots = out
+	if qn != 0 {
+		mat.DotRows(q, ix.table, ids, out)
+	}
+	for j, id := range ids {
+		if n := ix.norms[id]; qn == 0 || n == 0 {
+			out[j] = 1
+		} else {
+			out[j] = 1 - out[j]/(qn*n)
+		}
+	}
 	return out
 }
 
 // scratch holds one search's working state; a sync.Pool recycles them
-// so steady-state Search does not allocate per call.
+// so steady-state Search does not allocate per call. Only visited
+// grows with the table; ids and dots hold one node's neighbors, so
+// they start at the largest degree, 2·M.
 type scratch struct {
 	visited   []int32
 	epoch     int32
-	cands     []item // min-heap on (dist, id)
-	results   []item // max-heap on (dist, id): worst kept result on top
-	sorted    []item
+	pool      []item // sorted by (dist, id)
+	ids       []int
+	dots      []float64
 	eps       []int32
 	sel       []int32
 	shrink    []item
 	distEvals int
 }
 
-func newScratch(n int) *scratch {
-	return &scratch{visited: make([]int32, n)}
-}
-
-// sortItems sorts s by (dist, id) ascending: heapsort, which keeps the
-// package free of sort.Slice's comparator allocation on hot paths.
-func sortItems(s []item) {
-	for i := len(s)/2 - 1; i >= 0; i-- {
-		siftDownMax(s, i)
-	}
-	sortMaxHeap(s)
-}
-
-// sortMaxHeap sorts a slice that is already a max-heap by (dist, id)
-// into ascending order.
-func sortMaxHeap(s []item) {
-	for end := len(s) - 1; end > 0; end-- {
-		s[0], s[end] = s[end], s[0]
-		siftDownMax(s[:end], 0)
-	}
-}
-
-func pushMin(h []item, it item) []item {
-	h = append(h, it)
-	i := len(h) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if !lessItem(h[i], h[p]) {
-			break
-		}
-		h[i], h[p] = h[p], h[i]
-		i = p
-	}
-	return h
-}
-
-func popMin(h []item) ([]item, item) {
-	top := h[0]
-	last := len(h) - 1
-	h[0] = h[last]
-	h = h[:last]
-	siftDownMin(h, 0)
-	return h, top
-}
-
-func siftDownMin(h []item, i int) {
-	for {
-		l, r := 2*i+1, 2*i+2
-		m := i
-		if l < len(h) && lessItem(h[l], h[m]) {
-			m = l
-		}
-		if r < len(h) && lessItem(h[r], h[m]) {
-			m = r
-		}
-		if m == i {
-			return
-		}
-		h[i], h[m] = h[m], h[i]
-		i = m
-	}
-}
-
-func pushMax(h []item, it item) []item {
-	h = append(h, it)
-	i := len(h) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if !lessItem(h[p], h[i]) {
-			break
-		}
-		h[i], h[p] = h[p], h[i]
-		i = p
-	}
-	return h
-}
-
-func siftDownMax(h []item, i int) {
-	for {
-		l, r := 2*i+1, 2*i+2
-		m := i
-		if l < len(h) && lessItem(h[m], h[l]) {
-			m = l
-		}
-		if r < len(h) && lessItem(h[m], h[r]) {
-			m = r
-		}
-		if m == i {
-			return
-		}
-		h[i], h[m] = h[m], h[i]
-		i = m
-	}
+func newScratch(n, m int) *scratch {
+	return &scratch{visited: make([]int32, n), ids: make([]int, 0, 2*m), dots: make([]float64, 0, 2*m)}
 }
 
 // Stats summarizes an index for inspection and logging.

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"hash/fnv"
 	"math"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -315,10 +316,11 @@ func TestValidateBenchRejectsBadDocs(t *testing.T) {
 
 // TestBuildAndSearchPinned pins a seeded build's serialized graph and
 // a batch of searches, results and distance-evaluation counts alike,
-// by FNV-64a, so a change to the beam search or its heaps that alters
+// by FNV-64a, so a change to the beam search or its pool that alters
 // which candidates are kept, or in what order, fails here. The values
-// were recorded from the push-then-pop beam search; they assume
-// amd64's math.Log and Dot bits.
+// were recorded from the two-heap beam search (referenceSearchLayer)
+// and hold unchanged for the sorted-pool search that replaced it; they
+// assume amd64's math.Log and Dot bits.
 func TestBuildAndSearchPinned(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skip("pinned values are amd64's")
@@ -363,4 +365,295 @@ func TestBuildAndSearchPinned(t *testing.T) {
 	if evals != wantEvals {
 		t.Errorf("distance evaluations = %d, want %d", evals, wantEvals)
 	}
+}
+
+// referenceSearchLayer is the two-heap beam search that searchLayer
+// replaced, kept as its specification: expand the closest unexpanded
+// candidate (a min-heap on (dist, id)) until it is worse than the worst
+// of ef results (a max-heap), then sort the results ascending.
+func referenceSearchLayer(ix *Index, q []float64, qn float64, eps []int32, ef, l int, sc *scratch) []item {
+	sc.epoch++
+	var cands, results []item
+	for _, ep := range eps {
+		if sc.visited[ep] == sc.epoch {
+			continue
+		}
+		sc.visited[ep] = sc.epoch
+		it := item{dist: ix.dist(q, qn, ep), id: ep}
+		sc.distEvals++
+		cands = pushMin(cands, it)
+		results = pushMax(results, it)
+	}
+	adj := ix.layers[l].adj
+	for len(cands) > 0 {
+		var c item
+		cands, c = popMin(cands)
+		if len(results) >= ef && lessItem(results[0], c) {
+			break
+		}
+		for _, nb := range adj[c.id] {
+			if sc.visited[nb] == sc.epoch {
+				continue
+			}
+			sc.visited[nb] = sc.epoch
+			it := item{dist: ix.dist(q, qn, nb), id: nb}
+			sc.distEvals++
+			switch {
+			case len(results) < ef:
+				cands = pushMin(cands, it)
+				results = pushMax(results, it)
+			case lessItem(it, results[0]):
+				// Full: it evicts the worst kept result.
+				cands = pushMin(cands, it)
+				results[0] = it
+				siftDownMax(results, 0)
+			}
+		}
+	}
+	sortMaxHeap(results)
+	return results
+}
+
+// sortMaxHeap sorts a slice that is already a max-heap by (dist, id)
+// into ascending order.
+func sortMaxHeap(s []item) {
+	for end := len(s) - 1; end > 0; end-- {
+		s[0], s[end] = s[end], s[0]
+		siftDownMax(s[:end], 0)
+	}
+}
+
+func pushMin(h []item, it item) []item {
+	h = append(h, it)
+	i := len(h) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if !lessItem(h[i], h[p]) {
+			break
+		}
+		h[i], h[p] = h[p], h[i]
+		i = p
+	}
+	return h
+}
+
+func popMin(h []item) ([]item, item) {
+	top := h[0]
+	last := len(h) - 1
+	h[0] = h[last]
+	h = h[:last]
+	siftDownMin(h, 0)
+	return h, top
+}
+
+func siftDownMin(h []item, i int) {
+	for {
+		l, r := 2*i+1, 2*i+2
+		m := i
+		if l < len(h) && lessItem(h[l], h[m]) {
+			m = l
+		}
+		if r < len(h) && lessItem(h[r], h[m]) {
+			m = r
+		}
+		if m == i {
+			return
+		}
+		h[i], h[m] = h[m], h[i]
+		i = m
+	}
+}
+
+func pushMax(h []item, it item) []item {
+	h = append(h, it)
+	i := len(h) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if !lessItem(h[p], h[i]) {
+			break
+		}
+		h[i], h[p] = h[p], h[i]
+		i = p
+	}
+	return h
+}
+
+func siftDownMax(h []item, i int) {
+	for {
+		l, r := 2*i+1, 2*i+2
+		m := i
+		if l < len(h) && lessItem(h[m], h[l]) {
+			m = l
+		}
+		if r < len(h) && lessItem(h[m], h[r]) {
+			m = r
+		}
+		if m == i {
+			return
+		}
+		h[i], h[m] = h[m], h[i]
+		i = m
+	}
+}
+
+// tieTable returns an n×dim table built to make distances tie: rows of
+// small integers, exact copies of earlier rows and zero rows.
+func tieTable(rng *rand.Rand, n, dim int) *mat.Dense {
+	table := mat.New(n, dim)
+	for i := 0; i < n; i++ {
+		row := table.Row(i)
+		switch r := rng.Intn(10); {
+		case r == 0: // zero norm: distance 1 to everything
+		case r < 4 && i > 0:
+			copy(row, table.Row(rng.Intn(i)))
+		default:
+			for j := range row {
+				row[j] = float64(rng.Intn(5) - 2)
+			}
+		}
+	}
+	return table
+}
+
+// The sorted-pool search must return exactly what the two-heap search
+// returns, the same (dist, id) items in the same order, after the same
+// number of distance evaluations, on every layer, for every ef from 1
+// past the row count and for entry sets up to and past ef (entry points
+// all enter, as in the heap search). Tied distances, from duplicate and
+// small-integer rows, exercise the id tie-break; zero rows and zero
+// queries exercise the zero-norm rule. The expanded flag is the pool's
+// own bookkeeping and is not compared.
+func TestSearchLayerMatchesHeapReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 60; trial++ {
+		n, dim := 2+rng.Intn(150), 1+rng.Intn(6)
+		table := tieTable(rng, n, dim)
+		cfg := Config{M: 2 + rng.Intn(7), EfConstruction: 1 + rng.Intn(40), Seed: int64(trial)}
+		ix, err := Build(table, nil, cfg)
+		if err != nil {
+			t.Fatalf("Build: %v", err)
+		}
+		pool, ref := newScratch(n, ix.cfg.M), newScratch(n, ix.cfg.M)
+		for probe := 0; probe < 40; probe++ {
+			l := rng.Intn(len(ix.layers))
+			var onLayer []int32
+			for id, lv := range ix.levels {
+				if int(lv) >= l {
+					onLayer = append(onLayer, int32(id))
+				}
+			}
+			ef := 1 + rng.Intn(n+3)
+			eps := make([]int32, 1+rng.Intn(ef+2))
+			for i := range eps {
+				eps[i] = onLayer[rng.Intn(len(onLayer))] // repeats allowed
+			}
+			var q []float64
+			switch rng.Intn(4) {
+			case 0:
+				q = make([]float64, dim) // zero query
+			case 1:
+				q = append([]float64(nil), table.Row(rng.Intn(n))...)
+			default:
+				q = RandomTable(1, dim, int64(1000*trial+probe)).Row(0)
+			}
+			qn := mat.Norm2(q)
+			pool.distEvals, ref.distEvals = 0, 0
+			got := ix.searchLayer(q, qn, eps, ef, l, pool)
+			want := referenceSearchLayer(ix, q, qn, eps, ef, l, ref)
+			if pool.distEvals != ref.distEvals {
+				t.Fatalf("trial %d probe %d: %d distance evaluations, reference %d", trial, probe, pool.distEvals, ref.distEvals)
+			}
+			if len(got) != len(want) {
+				t.Fatalf("trial %d probe %d: %d items, reference %d", trial, probe, len(got), len(want))
+			}
+			for i := range got {
+				if got[i].id != want[i].id || math.Float64bits(got[i].dist) != math.Float64bits(want[i].dist) {
+					t.Fatalf("trial %d probe %d rank %d: got (%v, %d), reference (%v, %d)",
+						trial, probe, i, got[i].dist, got[i].id, want[i].dist, want[i].id)
+				}
+			}
+		}
+	}
+}
+
+// A NaN distance would break lessItem's total order, so Build refuses
+// rows whose norm is not finite, whether it computes the norms or is
+// given them.
+func TestBuildRejectsNonFiniteNorms(t *testing.T) {
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.MaxFloat64} {
+		table := RandomTable(20, 4, 3)
+		table.Set(7, 2, v)
+		if _, err := Build(table, nil, Config{M: 4}); err == nil {
+			t.Errorf("Build accepted a row holding %v", v)
+		}
+	}
+	table := RandomTable(20, 4, 3)
+	norms := Norms(table)
+	norms[5] = math.Inf(1)
+	if _, err := Build(table, norms, Config{M: 4}); err == nil {
+		t.Error("Build accepted an infinite norm")
+	}
+}
+
+// A steady-state Search allocates only the slice it returns: the beam
+// search's working state comes from the index's scratch pool.
+func TestSearchAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops pooled scratch under -race")
+	}
+	ix, table, norms := buildRandom(t, 400, 16, Config{Seed: 2})
+	search := func() {
+		if _, _, err := ix.Search(table.Row(9), norms[9], 10, 64); err != nil {
+			t.Fatal(err)
+		}
+	}
+	search()
+	if n := testing.AllocsPerRun(100, search); n != 1 {
+		t.Fatalf("Search allocates %v times, want 1 (its result)", n)
+	}
+}
+
+// benchTable is the AppWeekly final-table shape the serving snapshot
+// indexes: 1,630 rows of dimension 64.
+func benchTable() (*mat.Dense, []float64) {
+	table := RandomTable(1630, 64, 1)
+	return table, Norms(table)
+}
+
+// BenchmarkBuild times one default-Config build of the AppWeekly-shaped
+// table, the index a snapshot pack builds, and reports the distance
+// evaluations its layer searches spend.
+func BenchmarkBuild(b *testing.B) {
+	table, norms := benchTable()
+	evals := 0
+	for i := 0; i < b.N; i++ {
+		_, n, err := build(table, norms, Config{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		evals += n
+	}
+	b.ReportMetric(float64(evals)/float64(b.N), "dist_evals/op")
+}
+
+// BenchmarkSearch times k=10 queries at the default ef over the same
+// index, each query one of the table's rows, and reports the distance
+// evaluations per query.
+func BenchmarkSearch(b *testing.B) {
+	table, norms := benchTable()
+	ix, err := Build(table, norms, Config{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	evals := 0
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		row := i * 7 % table.R
+		_, n, err := ix.Search(table.Row(row), norms[row], 10, 0)
+		if err != nil {
+			b.Fatal(err)
+		}
+		evals += n
+	}
+	b.ReportMetric(float64(evals)/float64(b.N), "dist_evals/op")
 }

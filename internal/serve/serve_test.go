@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -153,28 +154,52 @@ func TestDeprecatedSnapshotFormat(t *testing.T) {
 	}
 }
 
+// A reload from a bad model file must fail, leave the generation where
+// it was and keep the old snapshot answering. Each replacement is
+// renamed into place, the way models are deployed: the live generation
+// maps the old file. The error cites the SNAPSHOT.md section the file
+// breaks.
 func TestReloadFailureKeepsServing(t *testing.T) {
-	sv, _ := newTestServer(t, Config{})
-	// Replace the model file with a corrupt one; reload must fail and
-	// generation must stay. The replacement is renamed into place, the
-	// way models are deployed: the live generation maps the old file.
-	bad := sv.cfg.ModelPath + ".new"
-	if err := os.WriteFile(bad, []byte("not a snapshot"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Rename(bad, sv.cfg.ModelPath); err != nil {
-		t.Fatal(err)
-	}
-	if err := sv.Reload(); err == nil {
-		t.Fatal("Reload succeeded on a corrupt model")
-	}
-	if g := sv.Generation(); g != 1 {
-		t.Fatalf("generation = %d after failed reload, want 1", g)
-	}
-	rec := httptest.NewRecorder()
-	sv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/embedding?node=A1", nil))
-	if rec.Code != http.StatusOK {
-		t.Fatalf("serving broke after failed reload: %d %s", rec.Code, rec.Body)
+	for _, tc := range []struct {
+		name, section string
+		corrupt       func(good []byte) []byte
+	}{
+		{"not a snapshot", "§2", func([]byte) []byte { return []byte("not a snapshot") }},
+		{"truncated", "§2.4", func(b []byte) []byte { return b[:len(b)-100] }},
+		{"bit flipped", "§9", func(b []byte) []byte { b[len(b)/2] ^= 0x10; return b }},
+		{"wrong version", "§2.2", func(b []byte) []byte { binary.LittleEndian.PutUint32(b[8:12], 2); return b }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sv, _ := newTestServer(t, Config{})
+			good, err := os.ReadFile(sv.cfg.ModelPath)
+			if err != nil {
+				t.Fatal(err)
+			}
+			bad := sv.cfg.ModelPath + ".new"
+			if err := os.WriteFile(bad, tc.corrupt(good), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.Rename(bad, sv.cfg.ModelPath); err != nil {
+				t.Fatal(err)
+			}
+			err = sv.Reload()
+			if err == nil {
+				t.Fatal("Reload succeeded on a corrupt model")
+			}
+			if !strings.Contains(err.Error(), "SNAPSHOT.md "+tc.section+")") {
+				t.Errorf("Reload error %q does not cite SNAPSHOT.md %s", err, tc.section)
+			}
+			if g := sv.Generation(); g != 1 {
+				t.Fatalf("generation = %d after failed reload, want 1", g)
+			}
+			for _, url := range []string{"/v1/embedding?node=A1", "/v1/knn?node=A1&k=2"} {
+				rec := httptest.NewRecorder()
+				sv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, url, nil))
+				if rec.Code != http.StatusOK {
+					t.Fatalf("%s after failed reload: %d %s", url, rec.Code, rec.Body)
+				}
+			}
+		})
 	}
 }
 
