@@ -125,29 +125,22 @@ func Norms(table *mat.Dense) []float64 {
 // levels come from cfg.Seed and the row id alone, and insertion order
 // is the row order.
 func Build(table *mat.Dense, norms []float64, cfg Config) (*Index, error) {
-	ix, _, err := build(table, norms, cfg)
-	return ix, err
-}
-
-// build is Build that also returns the distance evaluations its layer
-// searches spent, which BenchmarkBuild reports.
-func build(table *mat.Dense, norms []float64, cfg Config) (*Index, int, error) {
 	cfg = cfg.withDefaults()
 	if table == nil || table.R == 0 || table.C == 0 {
-		return nil, 0, fmt.Errorf("ann: empty table")
+		return nil, fmt.Errorf("ann: empty table")
 	}
 	if table.R > math.MaxInt32 {
-		return nil, 0, fmt.Errorf("ann: table has %d rows; ids are int32", table.R)
+		return nil, fmt.Errorf("ann: table has %d rows; ids are int32", table.R)
 	}
 	if norms == nil {
 		norms = Norms(table)
 	}
 	if len(norms) != table.R {
-		return nil, 0, fmt.Errorf("ann: %d norms for %d rows", len(norms), table.R)
+		return nil, fmt.Errorf("ann: %d norms for %d rows", len(norms), table.R)
 	}
 	for i, n := range norms {
 		if math.IsNaN(n) || math.IsInf(n, 0) {
-			return nil, 0, fmt.Errorf("ann: row %d has norm %v; rows must be finite", i, n)
+			return nil, fmt.Errorf("ann: row %d has norm %v; rows must be finite", i, n)
 		}
 	}
 	ix := &Index{cfg: cfg, table: table, norms: norms, entry: -1}
@@ -161,7 +154,7 @@ func build(table *mat.Dense, norms []float64, cfg Config) (*Index, int, error) {
 		ix.insert(int32(i), sc)
 	}
 	ix.initPool()
-	return ix, sc.distEvals, nil
+	return ix, nil
 }
 
 // drawLevel maps a deterministic uniform draw for node id to an HNSW

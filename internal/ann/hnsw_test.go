@@ -620,20 +620,31 @@ func benchTable() (*mat.Dense, []float64) {
 	return table, Norms(table)
 }
 
+// buildEvals replays Build's insertions into a fresh index with ix's
+// levels and returns the distance evaluations its layer searches spend.
+func buildEvals(ix *Index) int {
+	re := &Index{cfg: ix.cfg, table: ix.table, norms: ix.norms, levels: ix.levels, entry: -1}
+	sc := newScratch(ix.table.R, ix.cfg.M)
+	for i := range ix.levels {
+		re.insert(int32(i), sc)
+	}
+	return sc.distEvals
+}
+
 // BenchmarkBuild times one default-Config build of the AppWeekly-shaped
 // table, the index a snapshot pack builds, and reports the distance
 // evaluations its layer searches spend.
 func BenchmarkBuild(b *testing.B) {
 	table, norms := benchTable()
-	evals := 0
+	var ix *Index
 	for i := 0; i < b.N; i++ {
-		_, n, err := build(table, norms, Config{})
-		if err != nil {
+		var err error
+		if ix, err = Build(table, norms, Config{}); err != nil {
 			b.Fatal(err)
 		}
-		evals += n
 	}
-	b.ReportMetric(float64(evals)/float64(b.N), "dist_evals/op")
+	b.StopTimer()
+	b.ReportMetric(float64(buildEvals(ix)), "dist_evals/op")
 }
 
 // BenchmarkSearch times k=10 queries at the default ef over the same

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"slices"
 	"testing"
 )
 
@@ -119,13 +118,6 @@ func TestKernelsPanicOnLengthMismatch(t *testing.T) {
 		"UpdateRows row 3":    func() { UpdateRows(x, tab, []int{1, 3}, v2, v4) },
 		"UpdateRows row -1":   func() { UpdateRows(x, tab, []int{1, -1}, v2, v4) },
 		"UpdateRows row huge": func() { UpdateRows(x, tab, []int{1 << 62, 0}, v2, v4) },
-		"DotUpdateRows x":     func() { DotUpdateRows(make([]float64, 3), tab, rows, v2, v4, func() {}) },
-		"DotUpdateRows dst":   func() { DotUpdateRows(x, tab, rows, make([]float64, 1), v4, func() {}) },
-		"DotUpdateRows acc":   func() { DotUpdateRows(x, tab, rows, v2, make([]float64, 5), func() {}) },
-		"DotUpdateRows row 3": func() { DotUpdateRows(x, tab, []int{1, 3}, v2, v4, func() {}) },
-		"DotUpdateRows row -1": func() {
-			DotUpdateRows(x, tab, []int{-1, 1}, v2, v4, func() {})
-		},
 	} {
 		func() {
 			defer func() {
@@ -138,34 +130,9 @@ func TestKernelsPanicOnLengthMismatch(t *testing.T) {
 	}
 }
 
-// TestDotUpdateRowsChecksFirst requires DotUpdateRows to reject a bad
-// row before either kernel or the step runs: the panic leaves the
-// scores, the accumulator and the table as they were.
-func TestDotUpdateRowsChecksFirst(t *testing.T) {
-	tab := New(3, 4)
-	for i := range tab.Data {
-		tab.Data[i] = float64(i)
-	}
-	wantTab := slices.Clone(tab.Data)
-	x, dst, acc := []float64{1, 2, 3, 4}, []float64{7, 7, 7}, []float64{5, 5, 5, 5}
-	stepped := false
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Fatal("DotUpdateRows accepted row 3 of a 3-row table")
-			}
-		}()
-		DotUpdateRows(x, tab, []int{0, 1, 3}, dst, acc, func() { stepped = true })
-	}()
-	if stepped || !slices.Equal(dst, []float64{7, 7, 7}) || !slices.Equal(acc, []float64{5, 5, 5, 5}) ||
-		!slices.Equal(tab.Data, wantTab) {
-		t.Fatalf("a kernel ran before the row check: stepped %v, dst %v, acc %v, table %v", stepped, dst, acc, tab.Data)
-	}
-}
-
-// TestKernelsAllocFree pins Dot, Axpy, DotRows, UpdateRows and
-// DotUpdateRows at zero allocations per call, through the exported
-// wrappers and on every tier.
+// TestKernelsAllocFree pins Dot, Axpy, DotRows and UpdateRows at zero
+// allocations per call, through the exported wrappers and on every
+// tier.
 func TestKernelsAllocFree(t *testing.T) {
 	x, y := make([]float64, 67), make([]float64, 67)
 	for i := range x {
@@ -190,11 +157,6 @@ func TestKernelsAllocFree(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(100, func() { UpdateRows(x, tab, rows[:], vals[:], y) }); n != 0 {
 		t.Fatalf("UpdateRows allocates %v objects per call", n)
-	}
-	if n := testing.AllocsPerRun(100, func() {
-		DotUpdateRows(x, tab, rows[:], vals[:], y, func() { vals[0] = 1e-9 })
-	}); n != 0 {
-		t.Fatalf("DotUpdateRows allocates %v objects per call", n)
 	}
 	for _, im := range kernelImpls() {
 		if n := testing.AllocsPerRun(100, func() {
@@ -238,12 +200,11 @@ func FuzzKernels(f *testing.F) {
 	})
 }
 
-// checkRowKernels runs every tier of DotRows and UpdateRows, the
-// exported wrappers and DotUpdateRows, on copies of one input and
-// requires the bits of per-row Dot and Axpy calls: dst[j] =
-// Dot(x, row_j), and for j in order Axpy(a[j], row_j, acc),
-// Axpy(-a[j], x, row_j). tab is the backing array of a tabRows-row
-// table; x must not overlap it.
+// checkRowKernels runs every tier of DotRows and UpdateRows, and the
+// exported wrappers, on copies of one input and requires the
+// bits of per-row Dot and Axpy calls: dst[j] = Dot(x, row_j), and for
+// j in order Axpy(a[j], row_j, acc), Axpy(-a[j], x, row_j). tab is the
+// backing array of a tabRows-row table; x must not overlap it.
 func checkRowKernels(t *testing.T, x, tab []float64, tabRows int, rows []int, a, acc []float64) {
 	t.Helper()
 	n := len(x)
@@ -271,17 +232,6 @@ func checkRowKernels(t *testing.T, x, tab []float64, tabRows int, rows []int, a,
 		},
 		updateRows: func(x, tb []float64, rows []int, a, acc []float64) {
 			UpdateRows(x, &Dense{R: tabRows, C: n, Data: tb}, rows, a, acc)
-		},
-	}, kernelImpl{
-		name: "DotUpdateRows",
-		dotRows: func(x, tb []float64, rows []int, dst []float64) {
-			// A no-op step leaves the scores in dst; the update they
-			// drive lands on a copy of the table.
-			DotUpdateRows(x, &Dense{R: tabRows, C: n, Data: slices.Clone(tb)}, rows, dst, make([]float64, n), func() {})
-		},
-		updateRows: func(x, tb []float64, rows []int, a, acc []float64) {
-			dst := make([]float64, len(rows))
-			DotUpdateRows(x, &Dense{R: tabRows, C: n, Data: tb}, rows, dst, acc, func() { copy(dst, a) })
 		},
 	})
 	for _, im := range impls {

@@ -62,8 +62,7 @@
 // Axpy(−a_j, x, row_j) for each row in order, a repeated row included;
 // in assembly it walks the rows once per column block with the block of
 // acc in registers. Both check every length and row index in Go before
-// the assembly runs, and allocate nothing. DotUpdateRows runs the two
-// on the same rows with a caller's step between them and checks once.
+// the assembly runs, and allocate nothing.
 package mat
 
 import (
@@ -395,7 +394,13 @@ func Axpy(a float64, x, y []float64) {
 // Allocation-free; pinned by TestKernelsAllocFree.
 func DotRows(x []float64, t *Dense, rows []int, dst []float64) {
 	checkRows("DotRows", x, t, rows, len(dst))
-	dotRows(x, t.Data, rows, dst)
+	if useAVX2 {
+		if len(rows) > 0 {
+			dotRowsAVX2(x, t.Data, rows, dst)
+		}
+		return
+	}
+	dotRowsGeneric(x, t.Data, rows, dst)
 }
 
 // UpdateRows applies, for j = 0, 1, … in order, the two Axpy calls
@@ -417,49 +422,14 @@ func UpdateRows(x []float64, t *Dense, rows []int, a, acc []float64) {
 	if len(acc) != t.C {
 		lengthMismatch("UpdateRows acc", len(acc), t.C)
 	}
-	updateRows(x, t.Data, rows, a, acc)
-}
-
-// DotUpdateRows runs DotRows(x, t, rows, dst), then step(), then
-// UpdateRows(x, t, rows, dst, acc), with the same bits, checking the
-// operands once, before the first kernel runs, where the two calls
-// would check them twice. step turns the scores in dst into the update
-// coefficients in place; it must not change rows or t. Its other
-// requirements are those of DotRows and UpdateRows.
-//
-// Allocation-free; pinned by TestKernelsAllocFree.
-func DotUpdateRows(x []float64, t *Dense, rows []int, dst, acc []float64, step func()) {
-	checkRows("DotUpdateRows", x, t, rows, len(dst))
-	if len(acc) != t.C {
-		lengthMismatch("DotUpdateRows acc", len(acc), t.C)
-	}
-	data := t.Data
-	dotRows(x, data, rows, dst)
-	step()
-	updateRows(x, data, rows, dst, acc)
-}
-
-// dotRows is DotRows after its checks, over t's backing array.
-func dotRows(x, t []float64, rows []int, dst []float64) {
-	switch {
-	case len(rows) == 0:
-	case useAVX2:
-		dotRowsAVX2(x, t, rows, dst)
-	default:
-		dotRowsGeneric(x, t, rows, dst)
-	}
-}
-
-// updateRows is UpdateRows after its checks, over t's backing array.
-func updateRows(x, t []float64, rows []int, a, acc []float64) {
 	switch {
 	case len(rows) == 0:
 	case useAVX512:
-		updateRowsAVX512(x, t, rows, a, acc)
+		updateRowsAVX512(x, t.Data, rows, a, acc)
 	case useAVX2:
-		updateRowsAVX2(x, t, rows, a, acc)
+		updateRowsAVX2(x, t.Data, rows, a, acc)
 	default:
-		updateRowsGeneric(x, t, rows, a, acc)
+		updateRowsGeneric(x, t.Data, rows, a, acc)
 	}
 }
 

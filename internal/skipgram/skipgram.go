@@ -5,10 +5,10 @@
 // sampling (word2vec-style, unigram^0.75 table).
 //
 // A pair step draws its negatives first, then scores the context and
-// negative rows and applies their updates with one mat.DotUpdateRows
-// call, splitting the batch into segments before a repeated negative.
-// The result is bit-identical to scoring and updating one row at a
-// time (see trainPair).
+// negative rows with one mat.DotRows call and applies their updates
+// with one mat.UpdateRows call, splitting the batch into segments
+// before a repeated negative. The result is bit-identical to scoring
+// and updating one row at a time (see trainPair).
 //
 // Negatives come from a per-shard rngstream.SplitMix64, seeded with one
 // Uint64 of the shard's *rand.Rand: each negative is one inlined
@@ -164,12 +164,11 @@ func (b *pairBatch) total() float64 { return b.loss - math.Log(b.prod) }
 // stream is the one a draw-update-draw loop would consume). The batch
 // splits into segments before any negative that repeats a row earlier
 // in its segment; a 64-bit mask of row&63 skips the scan for rows that
-// cannot repeat. For each segment, one mat.DotUpdateRows call scores
-// every row against the center (DotRows), lets the sigmoid, step and
-// clamped probability of each row follow in row order, and applies the
-// updates (UpdateRows): per row, the center gradient reads the row,
-// then the row moves. It checks the segment's rows once for both
-// kernels. Inside a segment the rows are distinct, so no score reads a
+// cannot repeat. For each segment, one mat.DotRows call scores every
+// row against the center, the sigmoid, step and clamped probability of
+// each row follow in row order, and one mat.UpdateRows call applies the
+// updates: per row, the center gradient reads the row, then the row
+// moves. Inside a segment the rows are distinct, so no score reads a
 // row an earlier update moved; a repeated row is scored only after the
 // previous segment's update. The result is therefore bit-identical to
 // scoring and updating one row at a time.
@@ -231,27 +230,27 @@ func (m *Model) trainPair(center, context, neg int, lr float64, s *NegSampler, b
 // Allocation-free; pinned by TestTrainCorpusAllocsConstant.
 func (m *Model) pairSegment(in []float64, rows []int, lr float64, positive bool, b *pairBatch) {
 	vals := b.vals[:len(rows)]
-	mat.DotUpdateRows(in, m.Out, rows, vals, b.grad, func() {
-		for j, dot := range vals {
-			score := tableSigmoid(dot)
-			label, p := 0.0, 1-score
-			if positive && j == 0 {
-				label, p = 1, score
-			}
-			vals[j] = (score - label) * lr
-			// Not math.Max: on amd64 that is an assembly call the
-			// compiler cannot inline. The comparison clamps identically
-			// and lets a NaN through.
-			if p < 1e-10 {
-				p = 1e-10
-			}
-			b.prod *= p
-			if b.prod < foldBelow {
-				b.loss -= math.Log(b.prod)
-				b.prod = 1
-			}
+	mat.DotRows(in, m.Out, rows, vals)
+	for j, dot := range vals {
+		score := tableSigmoid(dot)
+		label, p := 0.0, 1-score
+		if positive && j == 0 {
+			label, p = 1, score
 		}
-	})
+		vals[j] = (score - label) * lr
+		// Not math.Max: on amd64 that is an assembly call the compiler
+		// cannot inline. The comparison clamps identically and lets a
+		// NaN through.
+		if p < 1e-10 {
+			p = 1e-10
+		}
+		b.prod *= p
+		if b.prod < foldBelow {
+			b.loss -= math.Log(b.prod)
+			b.prod = 1
+		}
+	}
+	mat.UpdateRows(in, m.Out, rows, vals, b.grad)
 }
 
 // applyRowGrad subtracts the accumulated center gradient from the input
