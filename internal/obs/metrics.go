@@ -45,6 +45,9 @@ const (
 	MetricServeSnapshotGen = "serve.snapshot_generation"
 	// MetricServeReloads counts successful snapshot hot reloads.
 	MetricServeReloads = "serve.reloads"
+	// MetricServeReloadFailures counts hot reloads that failed and left
+	// the previous snapshot serving.
+	MetricServeReloadFailures = "serve.reload_failures"
 	// MetricServeKNNExactFallback counts /v1/knn requests answered by
 	// the exact brute-force scan instead of the ANN index — either the
 	// caller asked (exact=true) or the snapshot has no index.

@@ -138,22 +138,20 @@ func appendJSONFloats(b []byte, v []float64) ([]byte, error) {
 // appendJSONFloat appends f as encoding/json writes a float64: the
 // shortest round-trip form, in exponent notation only below 1e-6 or
 // from 1e21 in magnitude, with a two-digit negative exponent shortened
-// to one digit (1e-07 becomes 1e-7).
+// to one digit (1e-07 becomes 1e-7). The fixed-point range, which holds
+// every embedding value in practice, goes through appendFixedFloat;
+// the exponent form stays with strconv.
 func appendJSONFloat(b []byte, f float64) ([]byte, error) {
+	if abs := math.Abs(f); abs < 1e21 && (abs >= 1e-6 || abs == 0) {
+		return appendFixedFloat(b, f), nil
+	}
 	if math.IsNaN(f) || math.IsInf(f, 0) {
 		return nil, errUnsupportedFloat
 	}
-	format := byte('f')
-	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-		format = 'e'
-	}
-	b = strconv.AppendFloat(b, f, format, -1, 64)
-	if format == 'e' {
-		n := len(b)
-		if n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
-			b[n-2] = b[n-1]
-			b = b[:n-1]
-		}
+	b = strconv.AppendFloat(b, f, 'e', -1, 64)
+	if n := len(b); b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+		b[n-2] = b[n-1]
+		b = b[:n-1]
 	}
 	return b, nil
 }

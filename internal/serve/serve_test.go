@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"net/http"
@@ -182,12 +183,21 @@ func TestReloadFailureKeepsServing(t *testing.T) {
 			if err := os.Rename(bad, sv.cfg.ModelPath); err != nil {
 				t.Fatal(err)
 			}
-			err = sv.Reload()
-			if err == nil {
-				t.Fatal("Reload succeeded on a corrupt model")
-			}
-			if !strings.Contains(err.Error(), "SNAPSHOT.md "+tc.section+")") {
-				t.Errorf("Reload error %q does not cite SNAPSHOT.md %s", err, tc.section)
+			for attempt := int64(1); attempt <= 2; attempt++ {
+				err = sv.Reload()
+				if err == nil {
+					t.Fatal("Reload succeeded on a corrupt model")
+				}
+				if !strings.Contains(err.Error(), "SNAPSHOT.md "+tc.section+")") {
+					t.Errorf("Reload error %q does not cite SNAPSHOT.md %s", err, tc.section)
+				}
+				counters := sv.run.Reg.Snapshot().Counters
+				if got := counters[obs.MetricServeReloadFailures]; got != attempt {
+					t.Errorf("serve.reload_failures = %d after %d failed reloads", got, attempt)
+				}
+				if got := counters[obs.MetricServeReloads]; got != 0 {
+					t.Errorf("serve.reloads = %d after failed reloads only, want 0", got)
+				}
 			}
 			if g := sv.Generation(); g != 1 {
 				t.Fatalf("generation = %d after failed reload, want 1", g)
@@ -333,4 +343,38 @@ func TestServeMetricsFlow(t *testing.T) {
 	if err := obs.ValidateReport(rec.Body.Bytes()); err != nil {
 		t.Fatalf("/metrics is not a valid report: %v", err)
 	}
+}
+
+// FuzzInferBody posts arbitrary bodies to /v1/infer. Every answer must
+// be a 200 with a finite vector of the model's dimension or a typed 4xx
+// envelope, never a 5xx. The committed corpus under
+// testdata/fuzz/FuzzInferBody holds the golden infer body and edge
+// weights of 1.7e308, 2×1e308 and 5e-324.
+func FuzzInferBody(f *testing.F) {
+	sv, m := newTestServer(f, Config{})
+	h := sv.Handler()
+	f.Fuzz(func(t *testing.T, body []byte) {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/infer", bytes.NewReader(body)))
+		switch {
+		case rec.Code == http.StatusOK:
+			var resp InferResponse
+			if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+				t.Fatalf("200 body does not decode: %v\n%s", err, rec.Body)
+			}
+			if resp.Dim != m.Cfg.Dim || len(resp.Embedding) != m.Cfg.Dim {
+				t.Fatalf("dim %d with %d values, want %d", resp.Dim, len(resp.Embedding), m.Cfg.Dim)
+			}
+		case rec.Code >= 400 && rec.Code < 500:
+			var env ErrorEnvelope
+			if err := json.Unmarshal(rec.Body.Bytes(), &env); err != nil {
+				t.Fatalf("%d body is not an envelope: %v\n%s", rec.Code, err, rec.Body)
+			}
+			if env.Schema != ErrorSchema || env.Error.Code == "" || env.Error.Status != rec.Code {
+				t.Fatalf("%d envelope = %+v", rec.Code, env)
+			}
+		default:
+			t.Fatalf("status %d for body %q: %s", rec.Code, body, rec.Body)
+		}
+	})
 }

@@ -126,12 +126,13 @@ type Server struct {
 	stopHistory  func()
 	stopWatchdog func()
 
-	reqs, errs, hits, misses, reloads *obs.Counter
-	annSearches, annDistEvals         *obs.Counter
-	knnFallback, snapLoads            *obs.Counter
-	latency                           *obs.Histogram
-	genGauge                          *obs.Gauge
-	snapMapped                        *obs.Gauge
+	reqs, errs, hits, misses  *obs.Counter
+	reloads, reloadFailures   *obs.Counter
+	annSearches, annDistEvals *obs.Counter
+	knnFallback, snapLoads    *obs.Counter
+	latency                   *obs.Histogram
+	genGauge                  *obs.Gauge
+	snapMapped                *obs.Gauge
 }
 
 // New loads the initial snapshot from cfg's paths and returns a ready
@@ -147,18 +148,19 @@ func New(cfg Config) (*Server, error) {
 	}
 	run := obs.NewRun()
 	sv := &Server{
-		cfg:          cfg,
-		run:          run,
-		reqs:         run.Reg.Counter(obs.MetricServeRequests),
-		errs:         run.Reg.Counter(obs.MetricServeErrors),
-		hits:         run.Reg.Counter(obs.MetricServeCacheHits),
-		misses:       run.Reg.Counter(obs.MetricServeCacheMisses),
-		reloads:      run.Reg.Counter(obs.MetricServeReloads),
-		annSearches:  run.Reg.Counter(obs.MetricANNSearches),
-		annDistEvals: run.Reg.Counter(obs.MetricANNDistEvals),
-		knnFallback:  run.Reg.Counter(obs.MetricServeKNNExactFallback),
-		snapLoads:    run.Reg.Counter(obs.MetricSnapLoads),
-		snapMapped:   run.Reg.Gauge(obs.MetricSnapMappedBytes),
+		cfg:            cfg,
+		run:            run,
+		reqs:           run.Reg.Counter(obs.MetricServeRequests),
+		errs:           run.Reg.Counter(obs.MetricServeErrors),
+		hits:           run.Reg.Counter(obs.MetricServeCacheHits),
+		misses:         run.Reg.Counter(obs.MetricServeCacheMisses),
+		reloads:        run.Reg.Counter(obs.MetricServeReloads),
+		reloadFailures: run.Reg.Counter(obs.MetricServeReloadFailures),
+		annSearches:    run.Reg.Counter(obs.MetricANNSearches),
+		annDistEvals:   run.Reg.Counter(obs.MetricANNDistEvals),
+		knnFallback:    run.Reg.Counter(obs.MetricServeKNNExactFallback),
+		snapLoads:      run.Reg.Counter(obs.MetricSnapLoads),
+		snapMapped:     run.Reg.Gauge(obs.MetricSnapMappedBytes),
 		latency: run.Reg.Histogram(obs.MetricServeLatency,
 			[]float64{0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5}),
 		genGauge: run.Reg.Gauge(obs.MetricServeSnapshotGen),
@@ -268,6 +270,7 @@ func (sv *Server) Reload() error {
 	snap, err := sv.loadSnapshot(gen)
 	sp.End()
 	if err != nil {
+		sv.reloadFailures.Add(1)
 		return err
 	}
 	sv.snap.Store(snap)

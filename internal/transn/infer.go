@@ -2,6 +2,7 @@ package transn
 
 import (
 	"fmt"
+	"math"
 
 	"transn/internal/graph"
 	"transn/internal/ordered"
@@ -25,8 +26,9 @@ type NeighborEdge struct {
 // a node co-occurs on walks with its neighbors, so its embedding
 // gravitates to their (weighted) barycenter.
 //
-// The weights are validated positive and the rows are trained
-// embeddings, so the averages stay finite.
+// The weights are validated positive and finite and the rows are
+// trained embeddings, so the averages stay finite at any weight
+// magnitude.
 func (m *Model) InferNode(edges []NeighborEdge) ([]float64, error) {
 	if len(edges) == 0 {
 		return nil, fmt.Errorf("transn: cannot infer a node with no edges")
@@ -39,8 +41,8 @@ func (m *Model) InferNode(edges []NeighborEdge) ([]float64, error) {
 		if int(e.Type) < 0 || int(e.Type) >= len(m.views) {
 			return nil, fmt.Errorf("transn: unknown edge type %d", e.Type)
 		}
-		if e.Weight <= 0 {
-			return nil, fmt.Errorf("transn: non-positive edge weight %g", e.Weight)
+		if !(e.Weight > 0 && e.Weight <= math.MaxFloat64) {
+			return nil, fmt.Errorf("transn: edge weight %g is not positive and finite", e.Weight)
 		}
 		byView[e.Type] = append(byView[e.Type], e)
 	}
@@ -55,17 +57,27 @@ func (m *Model) InferNode(edges []NeighborEdge) ([]float64, error) {
 		for i := range viewVec {
 			viewVec[i] = 0
 		}
+		// Scale the weights by the power of two that brings the largest
+		// into [½, 1): exact, so ordinary weights give the same bits,
+		// and neither the weighted rows nor the total can overflow or
+		// vanish at extreme weights.
+		var maxW float64
+		for _, e := range es {
+			maxW = math.Max(maxW, e.Weight)
+		}
+		_, exp := math.Frexp(maxW)
 		var total float64
 		for _, e := range es {
 			l := v.Local(e.Neighbor)
 			if l < 0 {
 				return nil, fmt.Errorf("transn: neighbor %d not in view %d", e.Neighbor, et)
 			}
+			w := math.Ldexp(e.Weight, -exp)
 			row := m.emb[et].In.Row(l)
 			for i := range viewVec {
-				viewVec[i] += e.Weight * row[i]
+				viewVec[i] += w * row[i]
 			}
-			total += e.Weight
+			total += w
 		}
 		if total == 0 {
 			continue

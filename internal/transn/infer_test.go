@@ -1,6 +1,8 @@
 package transn
 
 import (
+	"math"
+	"slices"
 	"testing"
 
 	"transn/internal/graph"
@@ -66,8 +68,10 @@ func TestInferNodeErrors(t *testing.T) {
 	if _, err := m.InferNode([]NeighborEdge{{Neighbor: 0, Type: 99, Weight: 1}}); err == nil {
 		t.Fatal("expected error for unknown edge type")
 	}
-	if _, err := m.InferNode([]NeighborEdge{{Neighbor: 0, Type: 0, Weight: 0}}); err == nil {
-		t.Fatal("expected error for zero weight")
+	for _, w := range []float64{0, -1, math.Inf(1), math.NaN()} {
+		if _, err := m.InferNode([]NeighborEdge{{Neighbor: 0, Type: 0, Weight: w}}); err == nil {
+			t.Fatalf("expected error for weight %v", w)
+		}
 	}
 	// Neighbor not present in the view of the given type: keyword nodes
 	// are absent from the UU view.
@@ -80,5 +84,82 @@ func TestInferNodeErrors(t *testing.T) {
 	}
 	if _, err := m.InferNode([]NeighborEdge{{Neighbor: kw, Type: 0, Weight: 1}}); err == nil {
 		t.Fatal("expected error for neighbor outside the view")
+	}
+}
+
+// TestInferNodeExtremeWeights folds in nodes whose edge weights sit at
+// the ends of the float64 range: the result is still the weighted mean
+// of the neighbour rows, never ±Inf, zero or a sign pattern.
+func TestInferNodeExtremeWeights(t *testing.T) {
+	g := socialGraph(t, 8, 4, 42)
+	m, err := Train(g, quickCfg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	uu := graph.EdgeType(0)
+	users := g.LabeledNodes()
+	row := func(id graph.NodeID) []float64 { return m.emb[uu].In.Row(m.views[uu].Local(id)) }
+	r0, r1 := row(users[0]), row(users[1])
+	infer := func(ws ...float64) []float64 {
+		t.Helper()
+		edges := make([]NeighborEdge, len(ws))
+		for i, w := range ws {
+			edges[i] = NeighborEdge{Neighbor: users[i], Type: uu, Weight: w}
+		}
+		vec, err := m.InferNode(edges)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return vec
+	}
+	near := func(name string, got, want []float64) {
+		t.Helper()
+		for i := range want {
+			if math.Abs(got[i]-want[i]) > 1e-15*math.Abs(want[i]) {
+				t.Fatalf("%s: element %d is %v, want %v", name, i, got[i], want[i])
+			}
+		}
+	}
+
+	// The smallest subnormal weight scales to ½: the row comes back exactly.
+	if got := infer(5e-324); !slices.Equal(got, r0) {
+		t.Fatalf("weight 5e-324: got %v, want the neighbour's row %v", got, r0)
+	}
+	near("weight 1.7e308", infer(1.7e308), r0)
+	mean := make([]float64, len(r0))
+	for i := range mean {
+		mean[i] = (r0[i] + r1[i]) / 2
+	}
+	near("two weights 1e308", infer(1e308, 1e308), mean)
+}
+
+// TestInferNodeWeightScaleInvariant requires the same bits when every
+// weight is multiplied by one power of two, down into the subnormals
+// and up to near MaxFloat64.
+func TestInferNodeWeightScaleInvariant(t *testing.T) {
+	g := socialGraph(t, 8, 4, 42)
+	m, err := Train(g, quickCfg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	users := g.LabeledNodes()
+	infer := func(scale float64) []float64 {
+		t.Helper()
+		var edges []NeighborEdge
+		for i, w := range []float64{1, 3, 0.5} {
+			edges = append(edges, NeighborEdge{Neighbor: users[i], Type: 0, Weight: w * scale})
+		}
+		edges = append(edges, NeighborEdge{Neighbor: users[3], Type: 1, Weight: 2 * scale})
+		vec, err := m.InferNode(edges)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return vec
+	}
+	want := infer(1)
+	for _, scale := range []float64{0x1p-1060, 0x1p-40, 0x1p40, 0x1p1020} {
+		if got := infer(scale); !slices.Equal(got, want) {
+			t.Fatalf("weights ×%g: got %v, want %v", scale, got, want)
+		}
 	}
 }
