@@ -7,8 +7,8 @@
 //	    Train TransN (or a baseline via -method) on a TSV network and
 //	    write one embedding per line: <node-name> <v1> <v2> ...
 //	    -model also saves the trained TransN model as a transn.snap/v1
-//	    file (SNAPSHOT.md) with a prebuilt deterministic HNSW index:
-//	    the file transnserve serves and diagnose reads.
+//	    file (SNAPSHOT.md): the file transnserve serves and diagnose
+//	    reads.
 //
 //	transn stats -input net.tsv
 //	    Print dataset statistics (the Table II columns).
@@ -167,7 +167,7 @@ func cmdTrain(args []string) error {
 	metapath := fs.String("metapath", "", "comma-separated node types for metapath2vec (defaults to an auto-derived pattern)")
 	ablation := fs.String("ablation", "", "TransN ablation: no-cross-view, simple-walk, simple-translator, no-translation, no-reconstruction")
 	workers := fs.Int("workers", 0, "TransN concurrency: views trained at once and walk shards per view (0 = all cores, 1 = serial); results are reproducible for a fixed -seed and -workers")
-	modelOut := fs.String("model", "", "also save the trained TransN model to this path (transn.snap/v1 with an HNSW index)")
+	modelOut := fs.String("model", "", "also save the trained TransN model to this path (transn.snap/v1)")
 	quietFlag := fs.Bool("quiet", false, "suppress informational stderr output (results and errors only)")
 	reportOut := fs.String("report", "", "write the training telemetry report as JSON to this path (TransN only)")
 	eventsOut := fs.String("events", "", "stream training events as JSON lines to this path, or - for stderr (TransN only)")

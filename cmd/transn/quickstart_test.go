@@ -8,8 +8,9 @@ import (
 
 // TestQuickstartRegeneratesFixture runs API.md's Quickstart train
 // command and requires the committed serving fixture back byte for
-// byte: the embeddings, the HNSW section and the config section's flag
-// bytes (SNAPSHOT.md §4) must all reproduce from a plain `transn train`.
+// byte: the embeddings and the config section's flag bytes (SNAPSHOT.md
+// §4) must reproduce from a plain `transn train`, which writes no ANN
+// section.
 func TestQuickstartRegeneratesFixture(t *testing.T) {
 	const fixture = "../../internal/serve/testdata/quickstart"
 	dir := t.TempDir()

@@ -5,7 +5,6 @@ import (
 	"flag"
 	"fmt"
 
-	"transn/internal/ann"
 	"transn/internal/snapfmt"
 	"transn/internal/transn"
 )
@@ -26,21 +25,15 @@ func cmdSnapshot(args []string) error {
 }
 
 // writeModel saves a trained model to path as a transn.snap/v1 file
-// with a default-parameter HNSW section (SNAPSHOT.md §8). The write is
-// atomic (snapfmt.WriteFile), so a server serving path can be pointed
-// at the new model with a reload while the old one is still mapped.
+// without an ANN section: the server answers k-NN by an exact scan. The
+// write is atomic (snapfmt.WriteFile), so a server serving path can be
+// pointed at the new model with a reload while the old one is still
+// mapped.
 func writeModel(path string, m *transn.Model) error {
 	src, err := snapfmt.FromModel(m, m.Graph)
 	if err != nil {
 		return err
 	}
-	idx, err := ann.Build(src.Final, ann.Norms(src.Final), ann.Config{})
-	if err != nil {
-		return err
-	}
-	src.ANN = idx.AppendTo(nil)
-	st := idx.Stats()
-	infof("built HNSW index: %d nodes, %d edges, max level %d\n", st.Nodes, st.Edges, st.MaxLevel)
 	return snapfmt.WriteFile(path, src)
 }
 

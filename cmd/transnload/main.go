@@ -16,9 +16,9 @@
 //	    [-reloads 0] [-report bench.json] [-gate slo.json] [-name load]
 //
 // CI's knn p99 gate runs the knn-heavy mix
-// -mix knn=8,embedding=1,translate=1: the ANN-backed /v1/knn path with
-// a light embedding/translate background that keeps the translate row
-// table warm.
+// -mix knn=8,embedding=1,translate=1: the exact /v1/knn scan (no
+// index, no ef parameter) with a light embedding/translate background
+// that keeps the translate row table warm.
 //
 // Every request carries a deterministic X-Transn-Request-Id and has a
 // 10s client timeout; after the run the harness fetches the server's

@@ -4,10 +4,9 @@
 // final/per-view/translated/k-NN/inferred embeddings over HTTP until
 // stopped. SIGHUP (or POST /admin/reload) hot-reloads the snapshot from
 // the same paths without dropping a request; SIGINT and SIGTERM drain
-// gracefully. /v1/knn answers through a deterministic HNSW index,
-// decoded from the file's ANN section (or built at load, with the
-// default parameters, for files without one), and exact=true per
-// request falls back to the brute scan.
+// gracefully. Every /v1/knn answer is exact: one scan of the final
+// table, with no index and no ef parameter; an ANN section in the
+// file is optional and ignored.
 // See API.md for the route reference and SNAPSHOT.md for the format.
 //
 // A translation is a pure function of the snapshot, so each

@@ -1,17 +1,18 @@
-// Package ann provides the approximate-nearest-neighbor index behind
-// /v1/knn: a stdlib-only HNSW (Hierarchical Navigable Small World)
-// graph over the rows of a frozen embedding table, searched under
-// cosine similarity. It exists because the brute-force scan the server
-// shipped with is O(N·d) per request — the serving bottleneck the
-// ROADMAP calls out on the way to millions-of-nodes tables.
+// Package ann provides a stdlib-only HNSW (Hierarchical Navigable
+// Small World) graph over the rows of a frozen embedding table,
+// searched under cosine similarity. Serving does not use it: at the
+// sizes this repository trains (at most 1,630 nodes) one exact scan
+// answers /v1/knn faster than an index search (DESIGN.md §14). The
+// package stays for the end-to-end benchmark, which builds an index,
+// writes it as a snapshot's optional ANN section (SNAPSHOT.md §8,
+// ignored by readers) and measures Build and Search as layers of
+// their own.
 //
 // Invariants the package guarantees:
 //
-//   - Immutability after build. Build and Decode fully construct the
-//     index; nothing mutates it afterwards, so an Index is safe for
-//     unlimited concurrent Search calls without locks. The index is
-//     owned by the serving snapshot it was built for (DESIGN.md §10)
-//     and dies with it — it is never patched in place across reloads.
+//   - Immutability after build. Build fully constructs the index;
+//     nothing mutates it afterwards, so an Index is safe for unlimited
+//     concurrent Search calls without locks.
 //   - Determinism. Construction consumes no global randomness and no
 //     wall clock: per-node levels derive from a rngstream seed and the
 //     node id alone, insertion is sequential in node-id order, and
@@ -21,8 +22,7 @@
 //     packed snapshots byte-reproducible (SNAPSHOT.md §1).
 //   - Read-only aliasing. The index never writes through the table or
 //     norms slices it is given, so both may alias a read-only mmap
-//     (snapfmt's zero-copy tables); Decode likewise only reads the
-//     serialized bytes and may alias its integer arrays into them.
+//     (snapfmt's zero-copy tables).
 //
 // The beam search on each layer (searchLayer) keeps one pool of at
 // most ef candidates sorted by (distance, id) and expands its first
@@ -38,7 +38,5 @@
 // the bytes of a seeded build.
 //
 // Search is approximate: results approach the exact brute-force
-// ranking as ef grows (recall is benchmark-gated in hnsw_test.go), and
-// the serving layer keeps an exact=true escape hatch for callers that
-// need the ground truth.
+// ranking (BruteKNN) as ef grows; recall is gated in hnsw_test.go.
 package ann

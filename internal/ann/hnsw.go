@@ -69,15 +69,14 @@ type Candidate struct {
 }
 
 // Index is an immutable HNSW graph over the rows of a table. Build it
-// once (or Decode a serialized one) and search from any number of
-// goroutines; see the package doc for the full invariant set.
+// once and search from any number of goroutines; see the package doc for the full invariant set.
 type Index struct {
 	cfg    Config
 	table  *mat.Dense
 	norms  []float64
 	levels []uint8
 	// layers[l].adj[i] lists i's neighbors on layer l (nil above i's
-	// level). Frozen after Build/Decode.
+	// level). Frozen after Build.
 	layers   []layer
 	entry    int32
 	maxLevel int
@@ -106,9 +105,9 @@ func lessItem(a, b item) bool {
 	return a.id < b.id
 }
 
-// Norms returns the L2 norm of every row of table, the form Build and
-// Decode expect. Callers that already track norms (the serving
-// snapshot does) can pass their own slice instead.
+// Norms returns the L2 norm of every row of table, the form Build
+// expects. Callers that already track norms can pass their own slice
+// instead.
 func Norms(table *mat.Dense) []float64 {
 	norms := make([]float64, table.R)
 	for i := range norms {
@@ -185,7 +184,7 @@ func (ix *Index) maxNeighbors(level int) int {
 }
 
 // dist is 1 − cosine similarity, with the same zero-norm convention as
-// the serving layer's exact scan: a zero-norm side has similarity 0,
+// the serving layer's k-NN scan: a zero-norm side has similarity 0,
 // i.e. distance 1 to everything.
 func (ix *Index) dist(q []float64, qn float64, id int32) float64 {
 	n := ix.norms[id]

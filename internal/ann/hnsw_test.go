@@ -96,74 +96,6 @@ func TestBuildDeterministic(t *testing.T) {
 	}
 }
 
-func TestSerializeRoundTrip(t *testing.T) {
-	ix, table, norms := buildRandom(t, 300, 10, Config{M: 8, Seed: 5})
-	data := ix.AppendTo(nil)
-	dec, err := Decode(data, table, norms)
-	if err != nil {
-		t.Fatalf("Decode: %v", err)
-	}
-	if !bytes.Equal(data, dec.AppendTo(nil)) {
-		t.Fatal("decode→re-encode is not the identity")
-	}
-	for row := 0; row < table.R; row += 23 {
-		q, qn := table.Row(row), norms[row]
-		a, _, err := ix.Search(q, qn, 5, 64)
-		if err != nil {
-			t.Fatalf("Search: %v", err)
-		}
-		b, _, err := dec.Search(q, qn, 5, 64)
-		if err != nil {
-			t.Fatalf("decoded Search: %v", err)
-		}
-		if len(a) != len(b) {
-			t.Fatalf("row %d: result count diverged", row)
-		}
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatalf("row %d rank %d: built %+v decoded %+v", row, i, a[i], b[i])
-			}
-		}
-	}
-}
-
-func TestDecodeRejectsCorruption(t *testing.T) {
-	ix, table, norms := buildRandom(t, 50, 4, Config{M: 4, Seed: 1})
-	good := ix.AppendTo(nil)
-	mutate := func(f func(b []byte) []byte) []byte {
-		return f(append([]byte(nil), good...))
-	}
-	cases := []struct {
-		name string
-		data []byte
-	}{
-		{"bad magic", mutate(func(b []byte) []byte { b[0] ^= 0xff; return b })},
-		{"truncated header", good[:serHeaderSize-1]},
-		{"truncated levels", good[:serHeaderSize+10]},
-		{"truncated layer", good[:len(good)-9]},
-		{"trailing garbage", mutate(func(b []byte) []byte { return append(b, 0, 0, 0, 0, 0, 0, 0, 0) })},
-		{"entry out of range", mutate(func(b []byte) []byte { b[40] = 0xff; b[41] = 0xff; return b })},
-		{"level above max", mutate(func(b []byte) []byte { b[serHeaderSize+3] = maxLevelCap + 1; return b })},
-		{"offset past edge count", mutate(func(b []byte) []byte {
-			// Layer 0's offs[1], which a later offs[2] undercuts.
-			lv := serHeaderSize + 50 + pad8(50)
-			binary.LittleEndian.PutUint32(b[lv+8+4:], 0xfffffff0)
-			return b
-		})},
-	}
-	for _, tc := range cases {
-		if _, err := Decode(tc.data, table, norms); err == nil {
-			t.Errorf("%s: Decode accepted corrupted input", tc.name)
-		}
-	}
-	if _, err := Decode(good, mat.New(49, 4), nil); err == nil {
-		t.Error("Decode accepted a table with the wrong row count")
-	}
-	if _, err := Decode(good, table, norms); err != nil {
-		t.Errorf("Decode rejected pristine input: %v", err)
-	}
-}
-
 func TestZeroNormRows(t *testing.T) {
 	table := RandomTable(40, 6, 13)
 	for j := 0; j < table.C; j++ {

@@ -1,13 +1,6 @@
 package ann
 
-import (
-	"encoding/binary"
-	"fmt"
-	"math"
-	"unsafe"
-
-	"transn/internal/mat"
-)
+import "encoding/binary"
 
 // Serialized HNSW graph layout (this is the payload of the snapshot
 // format's ANN section; SNAPSHOT.md §8 normatively defers to it). All
@@ -30,19 +23,9 @@ import (
 //	  zero padding to the next 8-byte boundary
 //
 // Every layer block therefore starts 8-aligned as long as the whole
-// payload does, which lets Decode alias the u32 arrays straight out of
-// a read-only mapping on little-endian hosts.
-const (
-	serMagic      = "HNSWIDX1"
-	serHeaderSize = 48
-)
-
-// hostLittleEndian reports whether the running machine stores integers
-// little-endian, the precondition for zero-copy aliasing.
-func hostLittleEndian() bool {
-	var x uint16 = 1
-	return *(*byte)(unsafe.Pointer(&x)) == 1
-}
+// payload does. Snapshot readers ignore the section; the package has
+// no decoder.
+const serMagic = "HNSWIDX1"
 
 func pad8(n int) int { return (8 - n%8) % 8 }
 
@@ -99,144 +82,4 @@ func (ix *Index) AppendTo(dst []byte) []byte {
 		}
 	}
 	return dst
-}
-
-// Decode reconstructs an index from bytes produced by AppendTo, over
-// the given table and norms (nil norms are computed). On little-endian
-// hosts with an 8-aligned data slice the neighbor arrays alias data
-// directly — data must then stay alive and unmodified as long as the
-// index — otherwise they are copied. Every structural field is
-// validated so a corrupted snapshot fails closed instead of searching
-// out of bounds.
-func Decode(data []byte, table *mat.Dense, norms []float64) (*Index, error) {
-	if len(data) < serHeaderSize {
-		return nil, fmt.Errorf("ann: serialized index truncated: %d bytes", len(data))
-	}
-	if string(data[:8]) != serMagic {
-		return nil, fmt.Errorf("ann: bad index magic %q", data[:8])
-	}
-	cfg := Config{
-		M:              int(binary.LittleEndian.Uint32(data[8:12])),
-		EfConstruction: int(binary.LittleEndian.Uint32(data[12:16])),
-		EfSearch:       int(binary.LittleEndian.Uint32(data[16:20])),
-	}
-	maxLevel := int(binary.LittleEndian.Uint32(data[20:24]))
-	cfg.Seed = int64(binary.LittleEndian.Uint64(data[24:32]))
-	nodes := binary.LittleEndian.Uint64(data[32:40])
-	entry := int32(binary.LittleEndian.Uint32(data[40:44]))
-	if table == nil || uint64(table.R) != nodes {
-		r := 0
-		if table != nil {
-			r = table.R
-		}
-		return nil, fmt.Errorf("ann: index covers %d nodes, table has %d rows", nodes, r)
-	}
-	if cfg.M <= 0 || cfg.M > 1<<20 {
-		return nil, fmt.Errorf("ann: implausible M %d", cfg.M)
-	}
-	if maxLevel > maxLevelCap {
-		return nil, fmt.Errorf("ann: max level %d exceeds cap %d", maxLevel, maxLevelCap)
-	}
-	if entry < 0 || uint64(entry) >= nodes {
-		return nil, fmt.Errorf("ann: entry %d out of range [0,%d)", entry, nodes)
-	}
-	if norms == nil {
-		norms = Norms(table)
-	}
-	if len(norms) != table.R {
-		return nil, fmt.Errorf("ann: %d norms for %d rows", len(norms), table.R)
-	}
-	n := int(nodes)
-	pos := serHeaderSize
-	if len(data) < pos+n {
-		return nil, fmt.Errorf("ann: serialized index truncated in levels")
-	}
-	levels := data[pos : pos+n : pos+n] // aliases data; read-only
-	for i, lv := range levels {
-		if int(lv) > maxLevel {
-			return nil, fmt.Errorf("ann: node %d level %d exceeds max level %d", i, lv, maxLevel)
-		}
-	}
-	if int(levels[entry]) != maxLevel {
-		return nil, fmt.Errorf("ann: entry %d has level %d, want max level %d", entry, levels[entry], maxLevel)
-	}
-	pos += n + pad8(n)
-	ix := &Index{
-		cfg:      cfg.withDefaults(),
-		table:    table,
-		norms:    norms,
-		levels:   levels,
-		entry:    entry,
-		maxLevel: maxLevel,
-	}
-	zeroCopy := hostLittleEndian() && uintptr(unsafe.Pointer(&data[0]))%8 == 0
-	for l := 0; l <= maxLevel; l++ {
-		if len(data) < pos+8 {
-			return nil, fmt.Errorf("ann: serialized index truncated in layer %d header", l)
-		}
-		edges := binary.LittleEndian.Uint64(data[pos : pos+8])
-		pos += 8
-		if edges > math.MaxUint32 {
-			return nil, fmt.Errorf("ann: layer %d edge count %d overflows u32 offsets", l, edges)
-		}
-		want := (n+1)*4 + int(edges)*4
-		if len(data) < pos+want {
-			return nil, fmt.Errorf("ann: serialized index truncated in layer %d arrays", l)
-		}
-		offs := asUint32s(data[pos:pos+(n+1)*4], zeroCopy)
-		nbrs := asUint32s(data[pos+(n+1)*4:pos+want], zeroCopy)
-		if offs[0] != 0 || offs[n] != uint32(edges) {
-			return nil, fmt.Errorf("ann: layer %d offsets do not span edge array", l)
-		}
-		adj := make([][]int32, n)
-		for i := 0; i < n; i++ {
-			// offs[n] is the edge count, so a later offset above it
-			// also breaks monotonicity; checking it here keeps the
-			// slice below inside nbrs.
-			if offs[i] > offs[i+1] || offs[i+1] > offs[n] {
-				return nil, fmt.Errorf("ann: layer %d offsets not monotonic at node %d", l, i)
-			}
-			if offs[i] != offs[i+1] && int(levels[i]) < l {
-				return nil, fmt.Errorf("ann: node %d has layer-%d edges above its level %d", i, l, levels[i])
-			}
-			adj[i] = int32sOf(nbrs[offs[i]:offs[i+1]])
-		}
-		for _, nb := range nbrs {
-			if uint64(nb) >= nodes {
-				return nil, fmt.Errorf("ann: neighbor id %d out of range [0,%d)", nb, nodes)
-			}
-		}
-		ix.layers = append(ix.layers, layer{adj: adj})
-		pos += want + pad8(want)
-	}
-	if pos != len(data) {
-		return nil, fmt.Errorf("ann: %d trailing bytes after layer %d", len(data)-pos, maxLevel)
-	}
-	ix.initPool()
-	return ix, nil
-}
-
-// asUint32s views b as little-endian u32s, aliasing when the caller
-// established the zero-copy preconditions and copying otherwise.
-func asUint32s(b []byte, zeroCopy bool) []uint32 {
-	if len(b) == 0 {
-		return nil
-	}
-	if zeroCopy && uintptr(unsafe.Pointer(&b[0]))%4 == 0 {
-		return unsafe.Slice((*uint32)(unsafe.Pointer(&b[0])), len(b)/4)
-	}
-	out := make([]uint32, len(b)/4)
-	for i := range out {
-		out[i] = binary.LittleEndian.Uint32(b[i*4:])
-	}
-	return out
-}
-
-// int32sOf reinterprets a u32 slice as int32s without copying. Ids are
-// validated non-negative (< nodes) by Decode before use.
-func int32sOf(u []uint32) []int32 {
-	if len(u) == 0 {
-		return nil
-	}
-	return unsafe.Slice((*int32)(unsafe.Pointer(&u[0])), len(u))
 }

@@ -48,16 +48,6 @@ const (
 	// MetricServeReloadFailures counts hot reloads that failed and left
 	// the previous snapshot serving.
 	MetricServeReloadFailures = "serve.reload_failures"
-	// MetricServeKNNExactFallback counts /v1/knn requests answered by
-	// the exact brute-force scan instead of the ANN index — either the
-	// caller asked (exact=true) or the snapshot has no index.
-	MetricServeKNNExactFallback = "serve.knn.exact_fallback"
-	// MetricANNSearches counts ANN index searches served.
-	MetricANNSearches = "ann.searches"
-	// MetricANNDistEvals counts distance evaluations spent inside ANN
-	// searches — the work metric that, divided by MetricANNSearches,
-	// shows sub-linear behaviour against table size.
-	MetricANNDistEvals = "ann.dist_evals"
 	// MetricSnapLoads counts .snap snapshot loads (initial + reloads).
 	MetricSnapLoads = "snap.loads"
 	// MetricSnapMappedBytes is the byte size of the currently mapped
@@ -139,7 +129,4 @@ const (
 	// SpanSnapLoad covers opening + validating + decoding one .snap
 	// snapshot file (the O(header) part of a snap reload).
 	SpanSnapLoad = "snap.load"
-	// SpanANNBuild covers one HNSW index construction or decode at
-	// snapshot load time.
-	SpanANNBuild = "ann.build"
 )

@@ -140,39 +140,21 @@ func TestServeEndToEnd(t *testing.T) {
 		sameVec(t, fmt.Sprintf("translate(A1) pass %d", pass), tr.Embedding, wantTr)
 	}
 
-	// Exact k-NN (the escape hatch) matches a direct cosine ranking over
-	// final embeddings, float for float.
-	var knn KNNResponse
-	getJSON(t, base+"/v1/knn?node=A1&k=3&exact=true", &knn)
-	if knn.K != 3 || len(knn.Neighbors) != 3 {
-		t.Fatalf("knn = %+v", knn)
-	}
+	// k-NN matches a direct cosine ranking over final embeddings
+	// (the sort-based reference), float for float; exact=true answers
+	// the same.
 	snap := sv.snap.Load()
-	wantN := snap.knnExact(graphID(idOf("A1")), 3)
-	for i := range wantN {
-		if knn.Neighbors[i].Node != wantN[i].Node || knn.Neighbors[i].Similarity != wantN[i].Similarity {
-			t.Fatalf("knn[%d] = %+v, want %+v", i, knn.Neighbors[i], wantN[i])
+	wantN := knnSortRef(snap, graphID(idOf("A1")), 3)
+	for _, p := range []string{"/v1/knn?node=A1&k=3", "/v1/knn?node=A1&k=3&exact=true"} {
+		var knn KNNResponse
+		getJSON(t, base+p, &knn)
+		if knn.K != 3 || len(knn.Neighbors) != 3 {
+			t.Fatalf("GET %s: knn = %+v", p, knn)
 		}
-	}
-	// The default (HNSW) path returns the same neighbors in the same
-	// order on a graph this small; similarities agree to rounding (the
-	// index reports 1-distance, which can differ in the last ulp).
-	var aknn KNNResponse
-	getJSON(t, base+"/v1/knn?node=A1&k=3", &aknn)
-	if aknn.K != 3 || len(aknn.Neighbors) != 3 {
-		t.Fatalf("ann knn = %+v", aknn)
-	}
-	for i := range wantN {
-		if aknn.Neighbors[i].Node != wantN[i].Node {
-			t.Fatalf("ann knn[%d] = %+v, want node %q", i, aknn.Neighbors[i], wantN[i].Node)
-		}
-		if d := aknn.Neighbors[i].Similarity - wantN[i].Similarity; d > 1e-9 || d < -1e-9 {
-			t.Fatalf("ann knn[%d] similarity %v, want %v", i, aknn.Neighbors[i].Similarity, wantN[i].Similarity)
-		}
-	}
-	for i := 1; i < len(aknn.Neighbors); i++ {
-		if aknn.Neighbors[i].Similarity > aknn.Neighbors[i-1].Similarity {
-			t.Fatalf("knn not sorted: %+v", aknn.Neighbors)
+		for i := range wantN {
+			if knn.Neighbors[i] != wantN[i] {
+				t.Fatalf("GET %s: knn[%d] = %+v, want %+v", p, i, knn.Neighbors[i], wantN[i])
+			}
 		}
 	}
 

@@ -54,10 +54,6 @@ const (
 	// CodeReloadFailed marks a reload request whose snapshot failed to
 	// load or validate; the previous snapshot stays live.
 	CodeReloadFailed = "reload_failed"
-	// CodeANNSearch marks a /v1/knn request the ANN index rejected (an
-	// internal invariant failure — user input is validated before the
-	// search). exact=true bypasses the index entirely.
-	CodeANNSearch = "ann_search"
 	// CodeInternal marks an unexpected server-side failure.
 	CodeInternal = "internal"
 )

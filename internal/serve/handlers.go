@@ -9,7 +9,6 @@ import (
 	"strconv"
 	"time"
 
-	"transn/internal/ann"
 	"transn/internal/diag"
 	"transn/internal/obs"
 	"transn/internal/transn"
@@ -365,12 +364,11 @@ func (sv *Server) handleTranslate(s *snapshot, r *http.Request) (any, error) {
 	}, nil
 }
 
-// handleKNN serves GET /v1/knn?node=NAME[&k=N][&ef=N][&exact=BOOL]:
-// the k nearest neighbors of the node's final embedding under cosine
-// similarity. By default the snapshot's HNSW index answers (ef tunes
-// the search beam; larger is more accurate and slower). exact=true is
-// the escape hatch: a brute-force scan over the whole table, counted
-// by serve.knn.exact_fallback.
+// handleKNN serves GET /v1/knn?node=NAME[&k=N][&exact=BOOL]: the k
+// nearest neighbors of the node's final embedding under cosine
+// similarity, from one exact scan of the final table. Every answer is
+// exact; exact= is still parsed so a non-boolean value keeps its 400,
+// and both values run the same scan.
 func (sv *Server) handleKNN(s *snapshot, r *http.Request) (any, error) {
 	tr := traceFrom(r.Context())
 	tr.StartStage(obs.TraceStageDecode)
@@ -395,38 +393,15 @@ func (sv *Server) handleKNN(s *snapshot, r *http.Request) (any, error) {
 		return nil, errf(http.StatusBadRequest, CodeBadRequest,
 			"k=%d exceeds the server cap of %d", k, maxK)
 	}
-	ef := 0
-	if efs := q.Get("ef"); efs != "" {
-		ef, err = strconv.Atoi(efs)
-		if err != nil || ef < 1 || ef > ann.MaxEf {
-			return nil, errf(http.StatusBadRequest, CodeBadRequest,
-				"ef must be an integer in [1, %d], got %q", ann.MaxEf, efs)
-		}
-	}
-	exact := false
 	if es := q.Get("exact"); es != "" {
-		exact, err = strconv.ParseBool(es)
-		if err != nil {
+		if _, err := strconv.ParseBool(es); err != nil {
 			return nil, errf(http.StatusBadRequest, CodeBadRequest,
 				"exact must be a boolean, got %q", es)
 		}
 	}
 	tr.EndStage(obs.TraceStageDecode)
 	tr.StartStage(obs.TraceStageForward)
-	var nbrs []Neighbor
-	if exact || s.index == nil {
-		nbrs = s.knnExact(id, k)
-		sv.knnFallback.Add(1)
-	} else {
-		var evals int
-		nbrs, evals, err = s.knnIndex(id, k, ef)
-		if err != nil {
-			tr.EndStage(obs.TraceStageForward)
-			return nil, errf(http.StatusInternalServerError, CodeANNSearch, "%v", err)
-		}
-		sv.annSearches.Add(1)
-		sv.annDistEvals.Add(int64(evals))
-	}
+	nbrs := s.knn(id, k)
 	tr.EndStage(obs.TraceStageForward)
 	return KNNResponse{Schema: ErrorSchema, Node: name, K: len(nbrs), Neighbors: nbrs}, nil
 }

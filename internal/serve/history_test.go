@@ -19,7 +19,9 @@ func floatPtr(v float64) *float64 { return &v }
 func TestDebugHistoryEndpoint(t *testing.T) {
 	sv, _ := newTestServer(t, Config{HistoryFineInterval: 5 * time.Millisecond})
 
-	// A little traffic so the curves carry signal.
+	// A little traffic so the curves carry signal. The sampler may
+	// already have run, so count samples from here on.
+	taken := sv.history.Dump().Resolutions[0].Taken
 	for i := 0; i < 3; i++ {
 		rec := httptest.NewRecorder()
 		sv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/embedding?node=A1", nil))
@@ -28,9 +30,10 @@ func TestDebugHistoryEndpoint(t *testing.T) {
 		}
 	}
 
-	// Wait for the sampler to take at least two fine samples (a delta).
+	// Wait for the sampler to take at least two fine samples (a delta)
+	// after the traffic.
 	deadline := time.Now().Add(5 * time.Second)
-	for sv.history.Dump().Resolutions[0].Taken < 2 {
+	for sv.history.Dump().Resolutions[0].Taken < taken+2 {
 		if time.Now().After(deadline) {
 			t.Fatal("fine sampler took no samples")
 		}

@@ -65,7 +65,7 @@ func serveCfg(seed int64) transn.Config {
 }
 
 // writeModelFiles trains a quickstart model with the given seed and
-// writes the graph TSV + model file (transn.snap/v1 with an ANN
+// writes the graph TSV + model file (transn.snap/v1 without an ANN
 // section, as `transn train -model` writes it) into dir, returning the
 // two paths and the in-memory model for byte-match assertions.
 func writeModelFiles(t testing.TB, dir string, seed int64) (string, string, *transn.Model) {
@@ -75,7 +75,7 @@ func writeModelFiles(t testing.TB, dir string, seed int64) (string, string, *tra
 	if err != nil {
 		t.Fatal(err)
 	}
-	return writeGraphFile(t, dir, g), packSnapFile(t, m, dir, "model.snap", true), m
+	return writeGraphFile(t, dir, g), packSnapFile(t, m, dir, "model.snap", false), m
 }
 
 // writeGraphFile stores g as dir/graph.tsv and returns the path.

@@ -126,13 +126,12 @@ type Server struct {
 	stopHistory  func()
 	stopWatchdog func()
 
-	reqs, errs, hits, misses  *obs.Counter
-	reloads, reloadFailures   *obs.Counter
-	annSearches, annDistEvals *obs.Counter
-	knnFallback, snapLoads    *obs.Counter
-	latency                   *obs.Histogram
-	genGauge                  *obs.Gauge
-	snapMapped                *obs.Gauge
+	reqs, errs, hits, misses *obs.Counter
+	reloads, reloadFailures  *obs.Counter
+	snapLoads                *obs.Counter
+	latency                  *obs.Histogram
+	genGauge                 *obs.Gauge
+	snapMapped               *obs.Gauge
 }
 
 // New loads the initial snapshot from cfg's paths and returns a ready
@@ -156,9 +155,6 @@ func New(cfg Config) (*Server, error) {
 		misses:         run.Reg.Counter(obs.MetricServeCacheMisses),
 		reloads:        run.Reg.Counter(obs.MetricServeReloads),
 		reloadFailures: run.Reg.Counter(obs.MetricServeReloadFailures),
-		annSearches:    run.Reg.Counter(obs.MetricANNSearches),
-		annDistEvals:   run.Reg.Counter(obs.MetricANNDistEvals),
-		knnFallback:    run.Reg.Counter(obs.MetricServeKNNExactFallback),
 		snapLoads:      run.Reg.Counter(obs.MetricSnapLoads),
 		snapMapped:     run.Reg.Gauge(obs.MetricSnapMappedBytes),
 		latency: run.Reg.Histogram(obs.MetricServeLatency,

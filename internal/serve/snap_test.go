@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
@@ -62,10 +61,9 @@ func getBody(t *testing.T, url string, wantStatus int) []byte {
 
 // TestSnapFormatServesIdentically pins the format-equivalence contract:
 // a server booted from a .snap file answers byte-for-byte the same
-// responses with and without an embedded ANN section (absent, the
-// server builds the same index from the same table with the same
-// default parameters and seed), and both match a server whose snapshot
-// is built from the in-memory trained model.
+// responses with and without an embedded ANN section (readers ignore
+// the section), and both match a server whose snapshot is built from
+// the in-memory trained model.
 func TestSnapFormatServesIdentically(t *testing.T) {
 	dir := t.TempDir()
 	gp, mp, m := writeModelFiles(t, dir, 1)
@@ -122,19 +120,18 @@ func TestSnapFormatServesIdentically(t *testing.T) {
 	}
 }
 
-// TestKNNParams pins /v1/knn's ef and exact parameter contract: bad
-// values are 400 bad_request, exact=true counts an exact fallback, and
-// the default path counts ANN searches and distance evaluations.
+// TestKNNParams pins /v1/knn's parameter contract: bad k and exact
+// values are 400 bad_request, exact=true and exact=false answer the
+// same bytes as the default, and ef is no longer a parameter, so any
+// value of it is ignored.
 func TestKNNParams(t *testing.T) {
 	sv, _ := newTestServer(t, Config{})
 	ts := httptest.NewServer(sv.Handler())
 	defer ts.Close()
 
 	for _, bad := range []string{
-		"/v1/knn?node=A1&ef=0",
-		"/v1/knn?node=A1&ef=nope",
-		"/v1/knn?node=A1&ef=-3",
-		fmt.Sprintf("/v1/knn?node=A1&ef=%d", ann.MaxEf+1),
+		"/v1/knn?node=A1&k=0",
+		"/v1/knn?node=A1&k=nope",
 		"/v1/knn?node=A1&exact=banana",
 	} {
 		body := getBody(t, ts.URL+bad, 400)
@@ -143,22 +140,17 @@ func TestKNNParams(t *testing.T) {
 		}
 	}
 
-	getBody(t, ts.URL+"/v1/knn?node=A1&k=3&exact=true", 200)
-	if got := sv.knnFallback.Value(); got != 1 {
-		t.Fatalf("serve.knn.exact_fallback = %d, want 1", got)
-	}
-	if got := sv.annSearches.Value(); got != 0 {
-		t.Fatalf("ann.searches = %d before any ann query", got)
-	}
-	getBody(t, ts.URL+"/v1/knn?node=A1&k=3&ef=16", 200)
-	if got := sv.annSearches.Value(); got != 1 {
-		t.Fatalf("ann.searches = %d, want 1", got)
-	}
-	if got := sv.annDistEvals.Value(); got <= 0 {
-		t.Fatalf("ann.dist_evals = %d, want > 0", got)
-	}
-	if got := sv.knnFallback.Value(); got != 1 {
-		t.Fatalf("serve.knn.exact_fallback moved to %d on the ann path", got)
+	want := getBody(t, ts.URL+"/v1/knn?node=A1&k=3", 200)
+	for _, p := range []string{
+		"/v1/knn?node=A1&k=3&exact=true",
+		"/v1/knn?node=A1&k=3&exact=false",
+		"/v1/knn?node=A1&k=3&exact=1",
+		"/v1/knn?node=A1&k=3&ef=0",
+		"/v1/knn?node=A1&k=3&ef=nope",
+	} {
+		if got := getBody(t, ts.URL+p, 200); string(got) != string(want) {
+			t.Errorf("GET %s differs from the default:\ngot:  %s\nwant: %s", p, got, want)
+		}
 	}
 }
 
@@ -175,11 +167,10 @@ func stringsIndex(s, sub string) int {
 	return -1
 }
 
-// syntheticModelFiles builds an untrained but structurally valid
-// single-view model over a chain graph, large enough that its float
-// tables dominate every fixed loading cost, and writes the graph TSV
-// and a .snap file (with embedded ANN).
-func syntheticModelFiles(t testing.TB, dir string, nodes, dim int) (gp, sp string, floatBytes uint64) {
+// chainModel builds an untrained but structurally valid single-view
+// model over a chain graph of the given size, its tables drawn from
+// ann.RandomTable.
+func chainModel(t testing.TB, nodes, dim int) *transn.Model {
 	t.Helper()
 	b := graph.NewBuilder()
 	nt := b.NodeType("item")
@@ -208,7 +199,16 @@ func syntheticModelFiles(t testing.TB, dir string, nodes, dim int) (gp, sp strin
 	if err != nil {
 		t.Fatal(err)
 	}
-	gp = writeGraphFile(t, dir, g)
+	return m
+}
+
+// syntheticModelFiles writes a chainModel large enough that its float
+// tables dominate every fixed loading cost as a graph TSV and a .snap
+// file carrying an ANN section, the layout e2ebench packs.
+func syntheticModelFiles(t testing.TB, dir string, nodes, dim int) (gp, sp string, floatBytes uint64) {
+	t.Helper()
+	m := chainModel(t, nodes, dim)
+	gp = writeGraphFile(t, dir, m.Graph)
 	sp = packSnapFile(t, m, dir, "model.snap", true)
 	// in + out + final tables, float64 each.
 	floatBytes = uint64(3 * nodes * dim * 8)
@@ -338,8 +338,8 @@ func TestSnapReloadMidTraffic(t *testing.T) {
 // (testdata/quickstart.snap, the file the CI smoke jobs and API.md's
 // examples serve) against its graph, so a fixture the current loader
 // can no longer read fails here rather than only in CI. The fixture is
-// written by `transn train -model` and so embeds an ANN section; at six
-// nodes the index must agree with the exact scan.
+// written by `transn train -model` and so carries no ANN section; the
+// default and exact=true k-NN bodies are the same bytes.
 func TestCommittedFixtureServes(t *testing.T) {
 	sv, err := New(Config{
 		GraphPath: filepath.Join("testdata", "quickstart.tsv"),
@@ -349,8 +349,8 @@ func TestCommittedFixtureServes(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sv.Shutdown()
-	if len(sv.snap.Load().snapf.ANN()) == 0 {
-		t.Fatal("committed fixture has no ANN section")
+	if sv.snap.Load().snapf.Describe().HasANN {
+		t.Fatal("committed fixture carries an ANN section")
 	}
 	ts := httptest.NewServer(sv.Handler())
 	defer ts.Close()
@@ -363,20 +363,16 @@ func TestCommittedFixtureServes(t *testing.T) {
 		t.Fatalf("fixture shape: %d nodes, %d views, %d pairs; want 6, 3, 2", model.Nodes, len(model.Views), len(model.Pairs))
 	}
 	getBody(t, ts.URL+"/v1/translate?node=A1&from=authorship&to=affiliation", 200)
-	var ann, exact KNNResponse
-	if err := json.Unmarshal(getBody(t, ts.URL+"/v1/knn?node=A1&k=5", 200), &ann); err != nil {
+	def := getBody(t, ts.URL+"/v1/knn?node=A1&k=5", 200)
+	exact := getBody(t, ts.URL+"/v1/knn?node=A1&k=5&exact=true", 200)
+	if string(def) != string(exact) {
+		t.Fatalf("default and exact=true knn bodies differ:\n%s\n%s", def, exact)
+	}
+	var knn KNNResponse
+	if err := json.Unmarshal(def, &knn); err != nil {
 		t.Fatal(err)
 	}
-	if err := json.Unmarshal(getBody(t, ts.URL+"/v1/knn?node=A1&k=5&exact=true", 200), &exact); err != nil {
-		t.Fatal(err)
-	}
-	if len(ann.Neighbors) != 5 || len(exact.Neighbors) != 5 {
-		t.Fatalf("knn returned %d (ann) and %d (exact) neighbors, want 5", len(ann.Neighbors), len(exact.Neighbors))
-	}
-	for i := range ann.Neighbors {
-		a, e := ann.Neighbors[i], exact.Neighbors[i]
-		if a.Node != e.Node || math.Abs(a.Similarity-e.Similarity) > 1e-9 {
-			t.Fatalf("neighbor %d: ann %+v, exact %+v", i, a, e)
-		}
+	if len(knn.Neighbors) != 5 {
+		t.Fatalf("knn returned %d neighbors, want 5", len(knn.Neighbors))
 	}
 }

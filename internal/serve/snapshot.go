@@ -4,10 +4,8 @@ import (
 	"fmt"
 	"os"
 	"runtime"
-	"sort"
 	"sync/atomic"
 
-	"transn/internal/ann"
 	"transn/internal/graph"
 	"transn/internal/mat"
 	"transn/internal/obs"
@@ -16,13 +14,13 @@ import (
 )
 
 // snapshot is one immutable generation of serving state: a frozen model
-// plus every index derived from it (name lookups, k-NN norms, the HNSW
-// index) and the table of translated rows filled in as requests ask for
-// them. Handlers grab the current snapshot pointer once per request and
+// plus every index derived from it (name lookups, k-NN norms) and the
+// table of translated rows filled in as requests ask for them.
+// Handlers grab the current snapshot pointer once per request and
 // work against it for the whole request, so a concurrent hot reload
 // never changes state mid-request — the old snapshot stays valid until
 // its last in-flight request finishes, then the garbage collector
-// reclaims it, row table, index and (for file loads) mmap included.
+// reclaims it, row table and (for file loads) mmap included.
 type snapshot struct {
 	frozen *transn.Frozen
 	gen    uint64
@@ -37,11 +35,6 @@ type snapshot struct {
 	// norms[i] is the L2 norm of final embedding row i, precomputed for
 	// cosine k-NN.
 	norms []float64
-	// index is the HNSW index over the final table, owned by this
-	// snapshot (DESIGN.md §14): reloads swap table and index together,
-	// atomically. Nil only if construction was skipped (never in
-	// production paths).
-	index *ann.Index
 	// snapf keeps a .snap file's mapping alive for as long as this
 	// snapshot is reachable; the frozen tables may alias it. A
 	// finalizer closes it when the GC reclaims the snapshot, so the
@@ -62,8 +55,7 @@ type snapshot struct {
 // loadSnapshot builds a serving snapshot of the given generation from
 // the graph TSV and the transn.snap/v1 model file: O(header) validation
 // + decode, float tables aliased straight out of the read-only mapping
-// (no re-materialization), and the HNSW index decoded from the file's
-// ANN section when present (built fresh otherwise).
+// (no re-materialization). An ANN section in the file is ignored.
 func (sv *Server) loadSnapshot(gen uint64) (*snapshot, error) {
 	gf, err := os.Open(sv.cfg.GraphPath)
 	if err != nil {
@@ -99,16 +91,6 @@ func (sv *Server) loadSnapshot(gen uint64) (*snapshot, error) {
 		return nil, fmt.Errorf("serve: freezing snapshot model: %w", err)
 	}
 	s := newSnapshot(f, gen)
-	asp := sv.run.Trace.Start(obs.SpanANNBuild)
-	if annData := snapf.ANN(); len(annData) > 0 {
-		s.index, err = ann.Decode(annData, f.FinalTable(), s.norms)
-	} else {
-		s.index, err = ann.Build(f.FinalTable(), s.norms, ann.Config{})
-	}
-	asp.End()
-	if err != nil {
-		return nil, fmt.Errorf("serve: ann index: %w", err)
-	}
 	s.snapf = snapf
 	// The mapping must outlive every aliased table; tie Close to the
 	// snapshot's own lifetime. The finalizer closure must not capture s
@@ -126,19 +108,14 @@ func (sv *Server) loadSnapshot(gen uint64) (*snapshot, error) {
 }
 
 // buildSnapshot freezes an in-memory model and derives the serving
-// indexes with default ANN parameters. Split out so tests can serve
-// freshly trained models without a round-trip through disk.
+// indexes. Split out so tests can serve freshly trained models without
+// a round-trip through disk.
 func buildSnapshot(m *transn.Model, gen uint64) (*snapshot, error) {
 	f, err := m.Freeze()
 	if err != nil {
 		return nil, fmt.Errorf("serve: freezing model: %w", err)
 	}
-	s := newSnapshot(f, gen)
-	s.index, err = ann.Build(f.FinalTable(), s.norms, ann.Config{})
-	if err != nil {
-		return nil, fmt.Errorf("serve: building ann index: %w", err)
-	}
-	return s, nil
+	return newSnapshot(f, gen), nil
 }
 
 // newSnapshot derives the name maps, norms and empty row table every
@@ -216,68 +193,68 @@ type Neighbor struct {
 	Similarity float64 `json:"similarity"`
 }
 
-// knnExact returns the exact k nearest neighbors of node id by
-// brute-force scan: cosine similarity over final embeddings, excluding
-// id itself. Ties break by node ID so results are deterministic for a
-// given snapshot. Zero-norm rows (possible only for isolated
-// pathologies) score 0. This is the ground truth behind /v1/knn's
-// exact=true escape hatch and the recall tests.
-func (s *snapshot) knnExact(id graph.NodeID, k int) []Neighbor {
+// knnBlock is the number of rows the k-NN scan scores per
+// mat.DotRows call.
+const knnBlock = 64
+
+// knn returns the exact k nearest neighbors of node id: cosine
+// similarity dot/(|q|·|row|) over the final embeddings, excluding id
+// itself, with a zero-norm query or row scoring 0. Results are ordered
+// by similarity descending, ties by node ID, so they are deterministic
+// for a given snapshot. The scan scores the table in blocks of
+// knnBlock rows with mat.DotRows (the same bits as mat.Dot) and keeps
+// the best k in an insertion list; rows arrive in ascending ID order,
+// so a row that ties the list's last entry never displaces it. k must
+// be in [1, maxK].
+//
+// The response slice is its only allocation; pinned by
+// TestKNNAllocsResponseOnly.
+func (s *snapshot) knn(id graph.NodeID, k int) []Neighbor {
 	final := s.frozen.FinalTable()
+	k = min(k, final.R-1)
+	if k < 1 {
+		return []Neighbor{}
+	}
 	q := final.Row(int(id))
 	qn := s.norms[id]
-	type scored struct {
-		id  int
-		sim float64
-	}
-	all := make([]scored, 0, final.R-1)
-	for i := 0; i < final.R; i++ {
-		if i == int(id) {
-			continue
+	var (
+		topID  [maxK]int
+		topSim [maxK]float64
+		rows   [knnBlock]int
+		dots   [knnBlock]float64
+	)
+	n := 0
+	for start := 0; start < final.R; start += knnBlock {
+		m := min(knnBlock, final.R-start)
+		for j := range m {
+			rows[j] = start + j
 		}
-		sim := 0.0
-		if qn > 0 && s.norms[i] > 0 {
-			sim = mat.Dot(q, final.Row(i)) / (qn * s.norms[i])
+		mat.DotRows(q, final, rows[:m], dots[:m])
+		for j, dot := range dots[:m] {
+			i := start + j
+			if i == int(id) {
+				continue
+			}
+			sim := 0.0
+			if qn > 0 && s.norms[i] > 0 {
+				sim = dot / (qn * s.norms[i])
+			}
+			if n == k && sim <= topSim[k-1] {
+				continue
+			}
+			p := min(n, k-1)
+			for p > 0 && topSim[p-1] < sim {
+				topID[p], topSim[p] = topID[p-1], topSim[p-1]
+				p--
+			}
+			topID[p], topSim[p] = i, sim
+			n = min(n+1, k)
 		}
-		all = append(all, scored{id: i, sim: sim})
-	}
-	sort.Slice(all, func(a, b int) bool {
-		if all[a].sim != all[b].sim {
-			return all[a].sim > all[b].sim
-		}
-		return all[a].id < all[b].id
-	})
-	if k > len(all) {
-		k = len(all)
 	}
 	g := s.frozen.Graph()
-	out := make([]Neighbor, 0, k)
-	for _, sc := range all[:k] {
-		out = append(out, Neighbor{Node: g.Nodes[sc.id].Name, Similarity: sc.sim})
+	out := make([]Neighbor, n)
+	for j := range out {
+		out[j] = Neighbor{Node: g.Nodes[topID[j]].Name, Similarity: topSim[j]}
 	}
 	return out
-}
-
-// knnIndex answers k-NN through the snapshot's HNSW index: search for
-// k+1 (the query row itself ranks first), drop the query, trim to k.
-// ef <= 0 means the index's configured default. Returns the neighbors
-// and the number of distance evaluations spent.
-func (s *snapshot) knnIndex(id graph.NodeID, k, ef int) ([]Neighbor, int, error) {
-	final := s.frozen.FinalTable()
-	cands, evals, err := s.index.Search(final.Row(int(id)), s.norms[id], k+1, ef)
-	if err != nil {
-		return nil, evals, err
-	}
-	g := s.frozen.Graph()
-	out := make([]Neighbor, 0, k)
-	for _, c := range cands {
-		if c.ID == int(id) {
-			continue
-		}
-		out = append(out, Neighbor{Node: g.Nodes[c.ID].Name, Similarity: c.Sim})
-		if len(out) == k {
-			break
-		}
-	}
-	return out, evals, nil
 }

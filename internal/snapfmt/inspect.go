@@ -29,7 +29,8 @@ type Inspect struct {
 	Views int `json:"views"`
 	Pairs int `json:"pairs"`
 	Dim   int `json:"dim"`
-	// HasANN reports whether an ANN section (§8) is present.
+	// HasANN reports whether an ANN section (§8) is present. Readers
+	// ignore its contents.
 	HasANN bool `json:"has_ann"`
 	// Sections is the directory in file order (§2.5).
 	Sections []InspectSection `json:"sections"`
@@ -58,9 +59,9 @@ func (s *Snapshot) Describe() Inspect {
 		Views:     s.views,
 		Pairs:     s.pairs,
 		Dim:       s.cfg.Dim,
-		HasANN:    len(s.annData) > 0,
 	}
 	for _, sec := range s.sections {
+		doc.HasANN = doc.HasANN || sec.Kind == KindANN
 		doc.Sections = append(doc.Sections, InspectSection{
 			Kind:   sec.Kind.String(),
 			Arg:    sec.Arg,

@@ -41,7 +41,6 @@ type Snapshot struct {
 	final            *mat.Dense
 	embIn, embOut    []*mat.Dense
 	transW, transB   [][2][]*mat.Dense
-	annData          []byte
 }
 
 // hostLittleEndian reports whether this machine stores integers
@@ -143,10 +142,6 @@ func (s *Snapshot) NodeNames() []string { return s.names }
 // path it aliases the mapping: read-only, valid until Close.
 func (s *Snapshot) Final() *mat.Dense { return s.final }
 
-// ANN returns the serialized HNSW section, or nil when the snapshot
-// was packed without one. Aliases the mapping on the zero-copy path.
-func (s *Snapshot) ANN() []byte { return s.annData }
-
 func (s *Snapshot) decode() error {
 	sections, err := parseHeader(s.data)
 	if err != nil {
@@ -179,8 +174,10 @@ func (s *Snapshot) decode() error {
 			err = s.decodeNames(body)
 		case KindFinal:
 			s.final, err = s.decodeMatrix(body, "§6", "final")
-		case KindTrans, KindViewIn, KindViewOut, KindANN:
+		case KindTrans, KindViewIn, KindViewOut:
 			// Decoded below, after config told us the view count.
+		case KindANN:
+			// Opaque to readers (§8): checksummed, never decoded.
 		}
 		if err != nil {
 			return err
@@ -196,8 +193,6 @@ func (s *Snapshot) decode() error {
 			err = s.decodeView(sec, body)
 		case KindTrans:
 			err = s.decodeTrans(body)
-		case KindANN:
-			s.annData = body
 		}
 		if err != nil {
 			return err

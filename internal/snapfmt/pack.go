@@ -30,7 +30,7 @@ type Source struct {
 	// stored so loaders never re-materialize it.
 	Final *mat.Dense
 	// ANN is an optional serialized HNSW graph (§8), opaque to this
-	// package (internal/ann owns its layout).
+	// package (internal/ann owns its layout). Readers ignore it.
 	ANN []byte
 }
 
